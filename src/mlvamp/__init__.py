@@ -51,7 +51,6 @@ from .scalar_denoiser import (
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
-    mc_oracle_moments,
 )
 from .linear_denoiser import (
     ComponentSolve,

@@ -244,6 +244,9 @@ def run(net, y, options=None, truth=None):
         raise MlvampError(
             f"observation length {y.shape} does not match network output "
             f"dimension {net.dims[-1]}")
+    bad = int(np.count_nonzero(~np.isfinite(y)))
+    if bad:
+        raise MlvampError(f"observation has {bad} non-finite entries of {y.size}")
     state = init_state(net)
     records = []
     for _ in range(opts.max_iter):

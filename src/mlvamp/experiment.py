@@ -357,8 +357,10 @@ def _experiment(cfg, net, with_baselines):
             "clamp_totals": clamps, "network_meta": net.meta,
             "n_layers": net.n_layers, "dims": net.dims,
             "se_clamp_total": se.clamp_total}
-    return ExperimentResult(config=cfg.to_dict(), rows=rows, se=se,
-                            metadata=meta), net
+    result = ExperimentResult(config=cfg.to_dict(), rows=rows, se=se, metadata=meta)
+    meta["median_abs_se_gap_db"] = {int(h): float(g) for h, g
+                                     in zip(*result.median_abs_se_gap(0))}
+    return result, net
 
 
 def run_iteration_experiment(cfg, net=None):

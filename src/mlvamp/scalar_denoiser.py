@@ -7,15 +7,15 @@ r_minus (on z_out, precision gamma_minus), the posterior factorizes
 componentwise and we need its first two moments on both sides.
 
 For the supported activations (relu, identity) the moments have closed forms
-built from truncated Gaussians; a generic quadrature path and a Monte-Carlo
-importance-sampling oracle are provided for validation.
+built from truncated Gaussians; a generic quadrature path is provided for
+validation.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import MonteCarloError, QuadratureError
+from .errors import QuadratureError
 from .gauss import (
     gh_nodes,
     log_norm_pdf,
@@ -397,99 +397,3 @@ def quad_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
         var_out = a * a * var_out_raw + v_c
     return mean_in, var_in, mean_out, var_out
 
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle (self-normalized importance sampling).
-# ---------------------------------------------------------------------------
-
-@dataclass
-class McMoments:
-    mean_in: float
-    var_in: float
-    mean_out: float
-    var_out: float
-    se_mean_in: float
-    se_var_in: float
-    se_mean_out: float
-    se_var_out: float
-    ess: float
-    n_samples: int
-
-
-def _block_se(values):
-    values = np.asarray(values)
-    return values.std(ddof=1) / np.sqrt(len(values))
-
-
-def mc_oracle_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
-                      n_samples=10**6, seed=0, n_blocks=50):
-    """Importance-sampling estimate of the middle-stage posterior moments.
-
-    Draws z_in from an equal mixture of the prior pseudo-belief, a
-    likelihood-informed Gaussian and a kink-centered component (the relu
-    posterior can concentrate in a boundary layer at 0 that neither of the
-    first two covers), then weights by the target density.  The proposal only
-    affects efficiency (never the estimand), so this stays a valid oracle for
-    the analytic paths.  Standard errors come from ``n_blocks`` contiguous
-    blocks.
-    """
-    if n_samples < 10**4:
-        raise ValueError("n_samples must be at least 1e4 for the oracle")
-    rng = np.random.default_rng(seed)
-    vp = 1.0 / gamma_plus
-
-    if gamma_minus > 0:
-        v_obs = 1.0 / gamma_minus + ch.noise_var
-        if ch.activation == "relu":
-            vs = v_obs + vp
-            mi_ = (v_obs * r_plus + vp * r_minus) / vs
-            vi_ = v_obs * vp / vs
-        else:
-            vi_ = 1.0 / (gamma_plus + 1.0 / v_obs)
-            mi_ = (gamma_plus * r_plus + r_minus / v_obs) * vi_
-    else:
-        mi_, vi_ = r_plus, vp
-
-    mk_, vk_ = 0.0, min(vp, vi_)
-    comp = rng.integers(0, 3, size=n_samples)
-    z = np.where(comp == 0, rng.normal(r_plus, np.sqrt(vp), size=n_samples),
-                 np.where(comp == 1,
-                          rng.normal(mi_, np.sqrt(vi_), size=n_samples),
-                          rng.normal(mk_, np.sqrt(vk_), size=n_samples)))
-    log_q = np.logaddexp(
-        np.logaddexp(log_norm_pdf(z, r_plus, vp), log_norm_pdf(z, mi_, vi_)),
-        log_norm_pdf(z, mk_, vk_)) - np.log(3.0)
-    xi = rng.normal(0.0, np.sqrt(ch.noise_var), size=n_samples) if ch.noise_var > 0 else None
-    z_out = ch.apply(z, xi)
-    log_w = log_norm_pdf(z, r_plus, vp) - log_q
-    if gamma_minus > 0:
-        log_w = log_w - 0.5 * gamma_minus * (z_out - r_minus) ** 2
-    with np.errstate(under="ignore"):
-        w = np.exp(log_w - np.max(log_w))
-    sw = w.sum()
-    ess = sw * sw / np.dot(w, w)
-    if ess < 100:
-        raise MonteCarloError(
-            f"effective sample size {ess:.1f} below 100; oracle unreliable", ess=ess)
-
-    def moments(wv, a):
-        m = np.dot(wv, a) / wv.sum()
-        v = np.dot(wv, (a - m) ** 2) / wv.sum()
-        return m, v
-
-    mean_in, var_in = moments(w, z)
-    mean_out, var_out = moments(w, z_out)
-
-    blocks = [[], [], [], []]
-    for wb, zb, ob in zip(np.array_split(w, n_blocks),
-                          np.array_split(z, n_blocks),
-                          np.array_split(z_out, n_blocks)):
-        if wb.sum() <= 0:
-            continue
-        mb, vb = moments(wb, zb)
-        mo, vo = moments(wb, ob)
-        for lst, val in zip(blocks, (mb, vb, mo, vo)):
-            lst.append(val)
-    ses = [_block_se(b) for b in blocks]
-    return McMoments(mean_in, var_in, mean_out, var_out,
-                     ses[0], ses[1], ses[2], ses[3], ess, n_samples)

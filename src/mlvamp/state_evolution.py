@@ -8,13 +8,17 @@ of a stage's input/output under the matched scalar channel
     Z_out = phi(Z_in) + xi,           R- = Z_out + N(0, 1/gamma-).
 
 Linear stages reduce to the componentwise 2x2 conditional variances averaged
-over the empirical singular-value samples, so they are exact at any size;
-relu stages are integrated numerically with branch-split tensor quadrature.
-Every axis that crosses the relu kink is split there: the R+ axis at
-+-6/sqrt(gamma+) around r+ = 0, where P(z_in < 0 | r+) switches from 1 to 0
-(a layer far narrower than the R+ spread at high precision), and the
-truncated-prior z_in axis at 6 sqrt(v_e) above 0, where r- stops telling the
-branches apart.  Each piece gets CDF-mapped Gauss-Legendre nodes.
+over the empirical singular-value samples, so they are exact at any size.
+Relu stages are integrated numerically over (R+, R-), with Z_in integrated
+out analytically: given R+ the law of R- is a closed-form two-branch mixture
+(``_relu_r_minus_law``).  Every axis that crosses a relu layer is split
+there: the R+ axis at +-6/sqrt(gamma+) around r+ = 0, where
+P(z_in < 0 | r+) switches from 1 to 0 (a layer far narrower than the R+
+spread at high precision), and the z_in > 0 branch's R- axis around the
+branch switch and the r- = 0 layer.  Each piece gets CDF-mapped
+Gauss-Legendre nodes.  After the last iteration every relu stage is
+re-evaluated at doubled node counts; the worst relative change is kept as
+``SEState.quad_rel_err``.
 Predicted MSE per layer and half-iteration is 1/eta_bar.
 """
 import math
@@ -29,12 +33,12 @@ from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
 from .linear_denoiser import component_variances
 from .scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 
-_NEG_NOISE_NODES = 63      # noise axis of the z_in < 0 branch
-_POS_NOISE_NODES = 41      # noise axis of the z_in > 0 branch
-_ZIN_PIECE_NODES = 20      # per piece of the two-piece truncated-prior axis
+_NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
+_T_PIECE_NODES = 20        # per piece of the three-piece t axis of the z_in > 0 branch
 _KINK_PIECE_NODES = 15     # per piece of the three-piece R+ axis
-# half-width of a kink layer in units of its smoothing scale: 1/sqrt(gamma+)
-# on the R+ axis, sqrt(v_e) on the truncated-prior axis
+# half-width of a layer in units of its smoothing scale: 1/sqrt(gamma+) on the
+# R+ axis; on the t axis sqrt(v_e gamma+) at the branch switch and
+# sqrt(v_e / (1/gamma+ + v_e)) at r- = 0
 _KINK_HALF_WIDTH = 6.0
 
 
@@ -167,7 +171,7 @@ def _cdf_mapped(a, b, n_nodes):
     return np.where(flip[..., None], -x, x), (hi - lo) * uw
 
 
-def _outer_nodes(tau_prev, gamma_plus, mean_prev=0.0):
+def _outer_nodes(tau_prev, gamma_plus, mean_prev=0.0, refine=1):
     """Nodes for R+ ~ N(mean_prev, (tau_prev - mean_prev^2) - 1/gamma+);
     clamps a negative variance.
 
@@ -185,39 +189,72 @@ def _outer_nodes(tau_prev, gamma_plus, mean_prev=0.0):
     sd = math.sqrt(v_r)
     kink = _KINK_HALF_WIDTH / math.sqrt(gamma_plus)
     edges = np.array([-np.inf, (-kink - mean_prev) / sd, (kink - mean_prev) / sd, np.inf])
-    x, w = _cdf_mapped(edges[:-1], edges[1:], _KINK_PIECE_NODES)
+    x, w = _cdf_mapped(edges[:-1], edges[1:], _KINK_PIECE_NODES * refine)
     keep = w > 0
     return mean_prev + sd * x[keep], w[keep], clamped
 
 
-def _relu_r_minus_nodes(r_nodes, gamma_plus, v_e):
+def _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine=1):
     """Nodes and weights for R- given R+ = r_nodes through a relu channel.
 
-    R- = relu(Z_in) + N(0, v_e) with Z_in ~ N(R+, 1/gamma+).  The law is split
-    on the sign of z_in: for z_in < 0, R- is noise alone (Gauss-Hermite); for
-    z_in > 0, z_in is drawn from the truncated prior (CDF-mapped
-    Gauss-Legendre, split where r- stops telling the branches apart) plus
-    noise (Gauss-Hermite).  Returns (r_minus, weights),
-    both (len(r_nodes), n); each row of weights sums to one.
-    """
-    sp = math.sqrt(1.0 / gamma_plus)
-    rows = len(r_nodes)
-    p_neg = special.ndtr(-r_nodes / sp)
-    e_x, e_w = gh_nodes(_NEG_NOISE_NODES)
-    r_neg = np.broadcast_to(math.sqrt(v_e) * e_x, (rows, e_x.size))
-    w_neg = p_neg[:, None] * e_w
+    R- = relu(Z_in) + N(0, v_e) with Z_in ~ N(R+, 1/gamma+).  Z_in is
+    integrated out analytically: given R+ = r the law of R- is
 
-    lo = -r_nodes / sp
-    cut = lo + _KINK_HALF_WIDTH * math.sqrt(v_e) / sp
-    x, w_z = _cdf_mapped(np.stack([lo, cut], axis=1),
-                         np.stack([cut, np.full(rows, np.inf)], axis=1),
-                         _ZIN_PIECE_NODES)
-    z = np.maximum(r_nodes[:, None] + sp * x.reshape(rows, -1), 0.0)
-    w_z = w_z.reshape(rows, -1)
-    e2_x, e2_w = gh_nodes(_POS_NOISE_NODES)
-    r_pos = (z[:, :, None] + math.sqrt(v_e) * e2_x).reshape(rows, -1)
-    w_pos = (w_z[:, :, None] * e2_w).reshape(rows, -1)
-    return np.hstack([r_neg, r_pos]), np.hstack([w_neg, w_pos])
+        Phi(-r sqrt(gamma+)) N(0, v_e)  +  N(r, 1/gamma+ + v_e) Phi(m_t / sqrt(v_t))
+
+    with (m_t, v_t) the z_in > 0 posterior of ``_relu_branch_weights``.  The
+    first part gets Gauss-Hermite nodes in r-/sqrt(v_e); the second is
+    integrated in t = (r- - r)/sqrt(1/gamma+ + v_e) over three CDF-mapped
+    Gauss-Legendre pieces, the middle one spanning the Phi switch (m_t = 0)
+    and the r- = 0 layer.  Returns (r_minus, weights), both
+    (len(r_nodes), n); each row of weights sums to one.
+    """
+    vp = 1.0 / gamma_plus
+    rows = len(r_nodes)
+    e_x, e_w = gh_nodes(_NEG_NOISE_NODES * refine)
+    r_neg = np.broadcast_to(math.sqrt(v_e) * e_x, (rows, e_x.size))
+    w_neg = special.ndtr(-r_nodes / math.sqrt(vp))[:, None] * e_w
+
+    s2 = math.sqrt(vp + v_e)
+    t_switch, h_switch = -r_nodes * s2 / vp, math.sqrt(v_e / vp)
+    t_zero, h_zero = -r_nodes / s2, math.sqrt(v_e) / s2
+    lo = np.minimum(t_switch - _KINK_HALF_WIDTH * h_switch,
+                    t_zero - _KINK_HALF_WIDTH * h_zero)
+    hi = np.maximum(t_switch + _KINK_HALF_WIDTH * h_switch,
+                    t_zero + _KINK_HALF_WIDTH * h_zero)
+    inf = np.full(rows, np.inf)
+    t, w_t = _cdf_mapped(np.stack([-inf, lo, hi], axis=1),
+                         np.stack([lo, hi, inf], axis=1),
+                         _T_PIECE_NODES * refine)
+    t, w_t = t.reshape(rows, -1), w_t.reshape(rows, -1)
+    m_t = r_nodes[:, None] + vp * t / s2
+    w_pos = w_t * special.ndtr(m_t / math.sqrt(vp * v_e) * s2)
+    return (np.hstack([r_neg, r_nodes[:, None] + s2 * t]),
+            np.hstack([w_neg, w_pos]))
+
+
+def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev,
+                 observed=False, refine=1):
+    """Expected posterior variances of a relu stage and the R+ clamp flag.
+
+    Returns ((E+, E-), clamped) for a middle stage and ((E-,), clamped) when
+    the output is observed through the channel noise (``gamma_minus`` unused).
+    ``refine`` multiplies every node count.
+    """
+    ch = ScalarChannel("relu", stat.noise_var)
+    r_nodes, w_o, clamped = _outer_nodes(tau_prev, gamma_plus, mean_prev, refine)
+    if not observed and gamma_minus <= 0:
+        res = denoise_middle(ch, r_nodes, np.zeros_like(r_nodes), gamma_plus, 0.0)
+        return (float(w_o @ res.var_out), float(w_o @ res.var_in)), clamped
+    v_e = stat.noise_var if observed else 1.0 / gamma_minus + stat.noise_var
+    r_minus, w_m = _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine)
+    r_plus = np.broadcast_to(r_nodes[:, None], r_minus.shape)
+    if observed:
+        variances = (denoise_output_nonlinear(ch, r_minus, r_plus, gamma_plus)[1],)
+    else:
+        res = denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus)
+        variances = (res.var_out, res.var_in)
+    return tuple(float(w_o @ np.sum(v * w_m, axis=1)) for v in variances), clamped
 
 
 def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
@@ -225,8 +262,8 @@ def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
 
     Identity channels are exact Gaussian algebra.  Relu channels integrate
     the posterior variances over the (R+, R-) law: a kink-split R+ axis
-    (``_outer_nodes``) and, per R+ node, the z_in sign split of
-    ``_relu_r_minus_nodes``.  ``mean_prev`` shifts the input law: the stage
+    (``_outer_nodes``) and, per R+ node, the two-branch R- law of
+    ``_relu_r_minus_law``.  ``mean_prev`` shifts the input law: the stage
     input is N(mean_prev, tau_prev - mean_prev^2) componentwise (nonzero when
     the preceding bias has a mean).
     """
@@ -235,22 +272,9 @@ def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
         var_in, var_out = component_variances(np.ones(1), gamma_plus,
                                               gamma_minus, nu)
         return float(var_out[0]), float(var_in[0]), False
-
-    ch = ScalarChannel("relu", stat.noise_var)
-    r_nodes, w_o, clamped = _outer_nodes(tau_prev, gamma_plus, mean_prev)
-
-    if gamma_minus <= 0:
-        res = denoise_middle(ch, r_nodes, np.zeros_like(r_nodes),
-                             gamma_plus, 0.0)
-        return (float(np.dot(w_o, res.var_out)),
-                float(np.dot(w_o, res.var_in)), clamped)
-
-    r_minus, w_m = _relu_r_minus_nodes(r_nodes, gamma_plus,
-                                       1.0 / gamma_minus + stat.noise_var)
-    res = denoise_middle(ch, np.broadcast_to(r_nodes[:, None], r_minus.shape),
-                         r_minus, gamma_plus, gamma_minus)
-    return (float(w_o @ np.sum(res.var_out * w_m, axis=1)),
-            float(w_o @ np.sum(res.var_in * w_m, axis=1)), clamped)
+    (e_plus, e_minus), clamped = _relu_errors(stat, gamma_plus, gamma_minus,
+                                              tau_prev, mean_prev)
+    return e_plus, e_minus, clamped
 
 
 def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
@@ -259,15 +283,11 @@ def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
         raise MlvampError(
             "SE for a deterministic nonlinear observed stage is not defined; "
             "use a noisy channel or a linear measurement stage")
-    ch = ScalarChannel(stat.activation, stat.noise_var)
     if stat.activation == "identity":
+        ch = ScalarChannel("identity", stat.noise_var)
         _, var = denoise_output_nonlinear(ch, 0.0, 0.0, gamma_plus)
         return float(var)
-    r_nodes, w_o, _ = _outer_nodes(tau_prev, gamma_plus, mean_prev)
-    y, w_y = _relu_r_minus_nodes(r_nodes, gamma_plus, stat.noise_var)
-    _, var = denoise_output_nonlinear(
-        ch, y, np.broadcast_to(r_nodes[:, None], y.shape), gamma_plus)
-    return float(w_o @ np.sum(var * w_y, axis=1))
+    return _relu_errors(stat, gamma_plus, None, tau_prev, mean_prev, observed=True)[0][0]
 
 
 @dataclass
@@ -285,10 +305,40 @@ class SERecord:
 
 @dataclass
 class SEState:
+    """``quad_rel_err`` is the worst relative change of a relu stage's
+    expected variances when every node count doubles, at the last iteration's
+    precisions (0 when no stage is a relu)."""
+
     tau0: np.ndarray
     records: list = field(default_factory=list)
     clamp_total: int = 0
     variance_clamps: int = 0
+    quad_rel_err: float = 0.0
+
+
+def quadrature_rel_err(stats, records, tau0, means):
+    """Node-doubling error estimate of the relu quadrature.
+
+    Each relu stage j is called with (gamma+_j, gamma-_{j+1}) in both sweep
+    directions (a final observed stage with gamma+_j alone), so re-evaluating
+    it at those precisions of the given records, once at the standard and
+    once at doubled node counts, reproduces the calls the records came from.
+    """
+    worst = 0.0
+    n = len(stats)
+    for rec in records:
+        for j, stat in enumerate(stats):
+            if stat.kind != "nonlinear" or stat.activation != "relu":
+                continue
+            observed = j == n - 1
+            if observed and rec.direction == "forward":
+                continue
+            args = (stat, rec.gamma_plus[j],
+                    None if observed else rec.gamma_minus[j + 1], tau0[j], means[j])
+            base, _ = _relu_errors(*args, observed=observed)
+            fine, _ = _relu_errors(*args, observed=observed, refine=2)
+            worst = max(worst, *(abs(b / f - 1) for b, f in zip(base, fine)))
+    return worst
 
 
 def run_se(stats, n_iter, options=None):
@@ -364,6 +414,7 @@ def run_se(stats, n_iter, options=None):
             etas[ell], alphas[ell] = eta, alpha
             events += ev
         record(k, "reverse", etas, alphas, events)
+    se.quad_rel_err = quadrature_rel_err(stats, se.records[-2:], tau0, means)
     return se
 
 
@@ -378,6 +429,7 @@ def se_state_to_json(se):
         "tau0": se.tau0.tolist(),
         "clamp_total": se.clamp_total,
         "variance_clamps": se.variance_clamps,
+        "quad_rel_err": se.quad_rel_err,
         "records": [{
             "k": r.k, "half_iter": r.half_iter, "direction": r.direction,
             "eta": r.eta.tolist(), "alpha": r.alpha.tolist(),

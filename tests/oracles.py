@@ -1,14 +1,18 @@
 """Independent reference computations used by the tests.
 
 Everything here solves the relevant problems by brute force (dense linear
-algebra, covariance propagation, Monte Carlo, fine panel quadrature) without
-touching the message passing code paths it is used to check.
+algebra, covariance propagation, Monte Carlo, fine panel and tensor
+quadrature) without touching the message passing code paths it is used to
+check.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
+from mlvamp.errors import MonteCarloError
+from mlvamp.gauss import log_norm_pdf
 from mlvamp.network import NetworkSpec, NonlinearStage, svd_decompose_stage
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 
@@ -200,3 +204,167 @@ def relu_stage_error_reference(gamma_plus, gamma_minus, tau_prev, mean_prev,
         per_row = mass_neg * (v_neg @ w_s) + np.sum(v_pos * w_t, axis=1)
         out.append(float(w_r @ per_row))
     return out[0] if observed else tuple(out)
+
+
+def _cdf_mapped_pieces(a, b, n_nodes):
+    """Nodes x and weights w with sum w f(x) ~ E[f(X); a < X < b], X ~ N(0, 1),
+    for array bounds (one row of Gauss-Legendre nodes in the CDF variable per
+    bound pair; pieces in the upper half line go through the survival
+    function)."""
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    flip = a > 0
+    lo = special.ndtr(np.where(flip, -b, a))[..., None]
+    hi = special.ndtr(np.where(flip, -a, b))[..., None]
+    u, uw = np.polynomial.legendre.leggauss(n_nodes)
+    u, uw = 0.5 * (u + 1.0), 0.5 * uw
+    x = special.ndtri(np.maximum(lo + u * (hi - lo), 1e-300))
+    return np.where(flip[..., None], -x, x), (hi - lo) * uw
+
+
+def relu_stage_error_tensor(gamma_plus, gamma_minus, tau_prev, mean_prev,
+                            noise_var=0.0, observed=False, kink_nodes=15,
+                            neg_nodes=63, zin_nodes=20, pos_nodes=41):
+    """Expected posterior variances of a relu stage by a 3-D tensor rule.
+
+    Same scalar law and return values as ``relu_stage_error_reference``, but
+    Z_in is integrated numerically instead of analytically.  The R+ axis is
+    split at +-6/sqrt(gamma+) into three CDF-mapped Gauss-Legendre pieces of
+    ``kink_nodes`` each.  Per R+ node the law of R- is split on the sign of
+    z_in: z_in < 0 leaves noise alone (``neg_nodes`` Gauss-Hermite nodes);
+    z_in > 0 draws z_in from the truncated prior, split at 6 sqrt(v_e) above
+    0 (two CDF-mapped pieces of ``zin_nodes``), plus noise (``pos_nodes``
+    Gauss-Hermite nodes).
+    """
+    vp = 1.0 / gamma_plus
+    sp = math.sqrt(vp)
+    v_r = tau_prev - mean_prev**2 - vp
+    if v_r <= 0:
+        raise ValueError("R+ variance must be positive for the tensor rule")
+    v_e = noise_var if observed else 1.0 / gamma_minus + noise_var
+    sd, big = math.sqrt(v_r), 6.0
+
+    edges = np.array([-np.inf, (-big * sp - mean_prev) / sd,
+                      (big * sp - mean_prev) / sd, np.inf])
+    x, w_r = _cdf_mapped_pieces(edges[:-1], edges[1:], kink_nodes)
+    r, w_r = mean_prev + sd * x.ravel(), w_r.ravel()
+    rows = r.size
+
+    e_x, e_w = np.polynomial.hermite_e.hermegauss(neg_nodes)
+    e_w = e_w / math.sqrt(2 * math.pi)
+    rm_neg = np.broadcast_to(math.sqrt(v_e) * e_x, (rows, e_x.size))
+    w_neg = special.ndtr(-r / sp)[:, None] * e_w
+
+    lo = -r / sp
+    cut = lo + big * math.sqrt(v_e) / sp
+    x, w_z = _cdf_mapped_pieces(np.stack([lo, cut], axis=1),
+                                np.stack([cut, np.full(rows, np.inf)], axis=1),
+                                zin_nodes)
+    z = np.maximum(r[:, None] + sp * x.reshape(rows, -1), 0.0)
+    w_z = w_z.reshape(rows, -1)
+    n_x, n_w = np.polynomial.hermite_e.hermegauss(pos_nodes)
+    n_w = n_w / math.sqrt(2 * math.pi)
+    rm_pos = (z[:, :, None] + math.sqrt(v_e) * n_x).reshape(rows, -1)
+    w_pos = (w_z[:, :, None] * n_w).reshape(rows, -1)
+
+    r_minus, w_m = np.hstack([rm_neg, rm_pos]), np.hstack([w_neg, w_pos])
+    r_plus = np.broadcast_to(r[:, None], r_minus.shape)
+    ch = ScalarChannel("relu", noise_var)
+    if observed:
+        var = denoise_output_nonlinear(ch, r_minus, r_plus, gamma_plus)[1]
+        return float(w_r @ np.sum(var * w_m, axis=1))
+    res = denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus)
+    return (float(w_r @ np.sum(res.var_out * w_m, axis=1)),
+            float(w_r @ np.sum(res.var_in * w_m, axis=1)))
+
+
+@dataclass
+class McMoments:
+    mean_in: float
+    var_in: float
+    mean_out: float
+    var_out: float
+    se_mean_in: float
+    se_var_in: float
+    se_mean_out: float
+    se_var_out: float
+    ess: float
+    n_samples: int
+
+
+def _block_se(values):
+    values = np.asarray(values)
+    return values.std(ddof=1) / np.sqrt(len(values))
+
+
+def mc_oracle_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
+                      n_samples=10**6, seed=0, n_blocks=50):
+    """Importance-sampling estimate of the middle-stage posterior moments.
+
+    Draws z_in from an equal mixture of the prior pseudo-belief, a
+    likelihood-informed Gaussian and a kink-centered component (the relu
+    posterior can concentrate in a boundary layer at 0 that neither of the
+    first two covers), then weights by the target density.  The proposal only
+    affects efficiency (never the estimand), so this stays a valid oracle for
+    the analytic paths.  Standard errors come from ``n_blocks`` contiguous
+    blocks.
+    """
+    if n_samples < 10**4:
+        raise ValueError("n_samples must be at least 1e4 for the oracle")
+    rng = np.random.default_rng(seed)
+    vp = 1.0 / gamma_plus
+
+    if gamma_minus > 0:
+        v_obs = 1.0 / gamma_minus + ch.noise_var
+        if ch.activation == "relu":
+            vs = v_obs + vp
+            mi_ = (v_obs * r_plus + vp * r_minus) / vs
+            vi_ = v_obs * vp / vs
+        else:
+            vi_ = 1.0 / (gamma_plus + 1.0 / v_obs)
+            mi_ = (gamma_plus * r_plus + r_minus / v_obs) * vi_
+    else:
+        mi_, vi_ = r_plus, vp
+
+    mk_, vk_ = 0.0, min(vp, vi_)
+    comp = rng.integers(0, 3, size=n_samples)
+    z = np.where(comp == 0, rng.normal(r_plus, np.sqrt(vp), size=n_samples),
+                 np.where(comp == 1,
+                          rng.normal(mi_, np.sqrt(vi_), size=n_samples),
+                          rng.normal(mk_, np.sqrt(vk_), size=n_samples)))
+    log_q = np.logaddexp(
+        np.logaddexp(log_norm_pdf(z, r_plus, vp), log_norm_pdf(z, mi_, vi_)),
+        log_norm_pdf(z, mk_, vk_)) - np.log(3.0)
+    xi = rng.normal(0.0, np.sqrt(ch.noise_var), size=n_samples) if ch.noise_var > 0 else None
+    z_out = ch.apply(z, xi)
+    log_w = log_norm_pdf(z, r_plus, vp) - log_q
+    if gamma_minus > 0:
+        log_w = log_w - 0.5 * gamma_minus * (z_out - r_minus) ** 2
+    with np.errstate(under="ignore"):
+        w = np.exp(log_w - np.max(log_w))
+    sw = w.sum()
+    ess = sw * sw / np.dot(w, w)
+    if ess < 100:
+        raise MonteCarloError(
+            f"effective sample size {ess:.1f} below 100; oracle unreliable", ess=ess)
+
+    def moments(wv, a):
+        m = np.dot(wv, a) / wv.sum()
+        v = np.dot(wv, (a - m) ** 2) / wv.sum()
+        return m, v
+
+    mean_in, var_in = moments(w, z)
+    mean_out, var_out = moments(w, z_out)
+
+    blocks = [[], [], [], []]
+    for wb, zb, ob in zip(np.array_split(w, n_blocks),
+                          np.array_split(z, n_blocks),
+                          np.array_split(z_out, n_blocks)):
+        if wb.sum() <= 0:
+            continue
+        mb, vb = moments(wb, zb)
+        mo, vo = moments(wb, ob)
+        for lst, val in zip(blocks, (mb, vb, mo, vo)):
+            lst.append(val)
+    ses = [_block_se(b) for b in blocks]
+    return McMoments(mean_in, var_in, mean_out, var_out,
+                     ses[0], ses[1], ses[2], ses[3], ess, n_samples)

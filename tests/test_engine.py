@@ -130,6 +130,13 @@ class TestRun:
         with pytest.raises(MlvampError):
             run(net, np.zeros(5), EngineOptions(max_iter=1))
 
+    def test_nonfinite_observation_rejected(self):
+        net = oracles.make_gaussian_chain(4, seed=0)
+        y = np.zeros(4)
+        y[[1, 3]] = [np.nan, np.inf]
+        with pytest.raises(MlvampError, match="2 non-finite entries"):
+            run(net, y, EngineOptions(max_iter=1))
+
     def test_clamp_events_counted(self):
         # an absurdly tight gamma_max forces clamping that must be reported
         net = oracles.make_gaussian_chain(6, seed=2)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -217,3 +218,12 @@ class TestGapHelpers:
         halves, gaps = res.median_abs_se_gap(layer=0)
         assert len(halves) == 6
         assert np.all(gaps >= 0)
+
+    def test_gap_and_quadrature_error_written_to_json(self, tmp_path):
+        res = run_iteration_experiment(tiny_config())
+        res.write_json(tmp_path / "result.json")
+        doc = json.loads((tmp_path / "result.json").read_text())
+        halves, gaps = res.median_abs_se_gap(layer=0)
+        assert doc["metadata"]["median_abs_se_gap_db"] == {
+            str(h): g for h, g in zip(halves, gaps)}
+        assert doc["se"]["quad_rel_err"] == res.se.quad_rel_err

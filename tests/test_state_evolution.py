@@ -6,6 +6,7 @@ import pytest
 import oracles
 from mlvamp.engine import EngineOptions, run
 from mlvamp.errors import MlvampError
+from mlvamp import state_evolution
 from mlvamp.network import build_synthetic_network, sample_trajectory
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 from mlvamp.state_evolution import (
@@ -17,7 +18,9 @@ from mlvamp.state_evolution import (
     error_observed_linear,
     error_observed_nonlinear,
     predicted_nmse_db,
+    quadrature_rel_err,
     run_se,
+    se_state_to_json,
     stats_from_network,
     tau_mean_chain,
 )
@@ -171,6 +174,40 @@ class TestErrorFunctions:
                 worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-3
 
+    def test_relu_matches_tensor_rule_at_double_nodes(self, paper_chain):
+        # structurally different 3-D rule (z_in integrated numerically) with
+        # every node count doubled, on a coarse precision grid
+        _, stats, tau, mean = paper_chain
+        double = dict(kink_nodes=30, neg_nodes=126, zin_nodes=40, pos_nodes=82)
+        noisy = LayerStatistics(kind="nonlinear", activation="relu", noise_var=1e-3)
+        worst = 0.0
+        for ell in (1, 3, 5):
+            for gp in (1e1, 1e4):
+                for gm in (1e-1, 1e2, 1e5):
+                    ref = oracles.relu_stage_error_tensor(gp, gm, tau[ell], mean[ell],
+                                                          **double)
+                    got = error_nonlinear(stats[ell], gp, gm, tau[ell], mean[ell])[:2]
+                    worst = max(worst, *(abs(g / r - 1) for g, r in zip(got, ref)))
+                ref = oracles.relu_stage_error_tensor(
+                    gp, None, tau[ell], mean[ell], noise_var=noisy.noise_var,
+                    observed=True, **double)
+                got = error_observed_nonlinear(noisy, gp, tau[ell], mean[ell])
+                worst = max(worst, abs(got / ref - 1))
+        assert worst <= 1e-3
+
+    def test_observed_noisy_relu_matches_panel_reference(self, paper_chain):
+        _, _, tau, mean = paper_chain
+        worst = 0.0
+        for nv in (1e-2, 1e-4):
+            stat = LayerStatistics(kind="nonlinear", activation="relu", noise_var=nv)
+            for ell in (1, 5):
+                for gp in 10.0 ** np.arange(1, 7, 1):
+                    ref = oracles.relu_stage_error_reference(
+                        gp, None, tau[ell], mean[ell], noise_var=nv, observed=True)
+                    got = error_observed_nonlinear(stat, gp, tau[ell], mean[ell])
+                    worst = max(worst, abs(got / ref - 1))
+        assert worst <= 1e-3
+
     def test_rplus_variance_clamp_flagged(self):
         _, _, clamped = error_nonlinear(RELU_STAT, 0.5, 1.0, 1.0)  # tau < 1/gp
         assert clamped
@@ -297,6 +334,33 @@ class TestRunSe:
                for t in range(100)]
         gap = 10 * np.log10(se.records[-1].eta[0] * np.median(eng))
         assert abs(gap) <= 0.3, f"SE vs engine 1/eta at layer 0: {gap:+.2f} dB"
+
+
+    def test_quadrature_error_estimate(self, paper_chain, monkeypatch):
+        # the node-doubling estimate stays small on the paper configuration,
+        # tracks the error against the panel oracle at the last iteration's
+        # precisions, and flags a deliberately coarse R+ rule
+        _, stats, tau, mean = paper_chain
+        se = run_se(stats, 50, EngineOptions(max_iter=50, damping=0.85))
+        assert se_state_to_json(se)["quad_rel_err"] == se.quad_rel_err
+
+        def oracle_err():
+            worst = 0.0
+            for rec in se.records[-2:]:
+                for ell in (1, 3, 5):
+                    args = (rec.gamma_plus[ell], rec.gamma_minus[ell + 1],
+                            tau[ell], mean[ell])
+                    ref = oracles.relu_stage_error_reference(*args)
+                    got = error_nonlinear(stats[ell], *args)[:2]
+                    worst = max(worst, *(abs(g / r - 1) for g, r in zip(got, ref)))
+            return worst
+
+        assert se.quad_rel_err <= 1e-3
+        assert 0.5 <= se.quad_rel_err / oracle_err() <= 2.0
+        monkeypatch.setattr(state_evolution, "_KINK_PIECE_NODES", 4)
+        coarse = quadrature_rel_err(stats, se.records[-2:], tau, mean)
+        assert coarse > 1e-3
+        assert 0.5 <= coarse / oracle_err() <= 2.0
 
 
 class TestPredictedNmse:
