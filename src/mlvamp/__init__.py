@@ -9,9 +9,8 @@ from .engine import (
     EngineOptions,
     IterationRecord,
     MessageState,
-    backward_pass,
-    forward_pass,
     init_state,
+    nmse_db,
     precision_update,
     extrinsic_mean,
     run,
@@ -21,13 +20,11 @@ from .errors import (
     DivergenceError,
     EngineError,
     MlvampError,
-    MonteCarloError,
     QuadratureError,
 )
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
-    nmse_db,
     paper_config,
     run_baseline_comparison,
     run_iteration_experiment,

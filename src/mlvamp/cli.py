@@ -16,6 +16,7 @@ from .errors import ConfigError, MlvampError
 from .experiment import (
     PAPER_SWEEP_N_MEAS,
     ExperimentConfig,
+    record_rows,
     run_baseline_comparison,
     run_iteration_experiment,
     run_measurement_sweep,
@@ -109,10 +110,7 @@ def cmd_sample(args):
     net = load_network(args.net)
     traj = sample_trajectory(net, args.seed)
     path = os.path.join(out, "trajectory.npz")
-    arrays = {f"z{i}": z for i, z in enumerate(traj.z)}
-    arrays.update({f"q0_{i}": q for i, q in enumerate(traj.q0)})
-    arrays.update({f"p0_{i}": p for i, p in enumerate(traj.p0)})
-    np.savez(path, **arrays)
+    np.savez(path, **{f"z{i}": z for i, z in enumerate(traj.z)})
     print(path)
     return 0
 
@@ -133,19 +131,7 @@ def cmd_infer(args):
     opts = cfg.engine_options()
     records = run(net, y, opts, truth=truth)
     se = run_se(stats_from_network(net), cfg.n_iter, opts)
-    rows = []
-    for rec in records:
-        se_rec = se.records[rec.half_iter - 1]
-        for layer in range(net.n_layers):
-            rows.append({
-                "trial": 0, "method": "mlvamp", "half_iter": rec.half_iter,
-                "layer": layer,
-                "nmse_db": float(rec.nmse_db[layer]) if truth is not None else "",
-                "se_nmse_db": float(se_rec.nmse_db[layer]),
-                "gamma_plus": float(rec.gamma_plus[layer]),
-                "gamma_minus": float(rec.gamma_minus[layer]),
-                "clamp_events": rec.clamp_events, "runtime_ms": "",
-            })
+    rows = record_rows(records, se, trial=0)
     write_rows_csv(rows, os.path.join(out, "infer.csv"))
     # last forward-sweep estimate of the input layer (the default series)
     z0_hat = records[-2].z_hat[0] if len(records) >= 2 else records[-1].z_hat[0]

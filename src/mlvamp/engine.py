@@ -10,6 +10,10 @@ average posterior variance into the extrinsic message:
 
 Initialization is r- = 0, gamma- = 0 for all layers; that first forward pass
 takes the eta = 1/<var> route since gamma_opp/alpha is 0/0 there.
+
+``sweep`` holds the only copy of the visit order, the precision algebra and
+the damping blend.  ``run`` drives it with the vector denoisers below; the
+state evolution drives it with scalar error functions and no means.
 """
 from dataclasses import dataclass
 
@@ -18,13 +22,12 @@ import numpy as np
 from .errors import EngineError, MlvampError
 from .linear_denoiser import denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
+    VAR_FLOOR,
     ScalarChannel,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
 )
-
-VAR_FLOOR = 1e-15
 
 
 @dataclass
@@ -93,7 +96,11 @@ class MessageState:
 
 @dataclass
 class IterationRecord:
-    """Snapshot of one half-iteration (one forward or reverse sweep)."""
+    """Snapshot of one half-iteration (one forward or reverse sweep).
+
+    The state evolution's records carry no estimates (``z_hat`` None); an
+    engine run without truth carries no ``nmse_db``.
+    """
 
     k: int
     half_iter: int
@@ -117,12 +124,19 @@ def init_state(net):
     )
 
 
-def _nmse_db(truth, estimate):
-    err = float(np.sum((truth - estimate) ** 2))
+def nmse_db(truth, estimate):
+    """10 log10(||truth - estimate||^2 / ||truth||^2), clipped below at -200 dB."""
+    truth = np.asarray(truth, dtype=float)
+    estimate = np.asarray(estimate, dtype=float)
+    if truth.shape != estimate.shape:
+        raise ValueError("truth and estimate must have equal dimensions")
     ref = float(np.sum(truth**2))
     if ref <= 0:
         raise ValueError("zero-norm truth vector")
-    return max(10.0 * np.log10(max(err, 1e-300) / ref), -200.0)
+    err = float(np.sum((truth - estimate) ** 2))
+    if err == 0:
+        return -200.0
+    return max(10.0 * np.log10(err / ref), -200.0)
 
 
 def _channel(stage):
@@ -174,64 +188,53 @@ def _dump(state, ell, direction):
             "gamma_minus": state.gamma_minus.copy()}
 
 
-def _sweep(net, y, state, opts, truth, direction):
-    n = net.n_layers
-    order = range(n) if direction == "forward" else range(n - 1, -1, -1)
-    etas = np.zeros(n)
-    alphas = np.zeros(n)
+def sweep(state, direction, denoise, opts):
+    """One forward or reverse half-iteration over every hidden variable.
+
+    ``denoise(ell)`` returns the belief (z_hat, vbar) of variable ell; a
+    z_hat of None (the state evolution) updates only the precisions, leaving
+    the means untouched.  Damping blends (gamma, r) with the previous
+    iterate from k = 1 on.  Returns the half-iteration's IterationRecord
+    (without NMSE).
+    """
+    n = len(state.gamma_plus)
+    if direction == "forward":
+        order = range(n)
+        g_own, r_own = state.gamma_plus, state.r_plus
+        g_opp, r_opp = state.gamma_minus, state.r_minus
+    else:
+        order = range(n - 1, -1, -1)
+        g_own, r_own = state.gamma_minus, state.r_minus
+        g_opp, r_opp = state.gamma_plus, state.r_plus
+    etas, alphas = np.zeros(n), np.zeros(n)
     z_hats = [None] * n
-    nmse = np.full(n, np.nan) if truth is not None else None
     events = 0
     damp = opts.damping
+    blend = damp < 1.0 and state.k >= 1
     for ell in order:
         try:
-            if direction == "forward":
-                z_hat, vbar = _denoise_forward(net, state, ell)
-                g_opp, r_opp = state.gamma_minus[ell], state.r_minus[ell]
-            else:
-                z_hat, vbar = _denoise_reverse(net, y, state, ell)
-                g_opp, r_opp = state.gamma_plus[ell], state.r_plus[ell]
+            z_hat, vbar = denoise(ell)
         except MlvampError as exc:
             raise EngineError(
                 f"denoiser failed at layer {ell} ({direction}, k={state.k}): {exc}",
                 state_dump=_dump(state, ell, direction)) from exc
-        eta, alpha, g_new, ev = posterior_to_message(vbar, g_opp, opts)
-        r_new = extrinsic_mean(eta, z_hat, g_opp, r_opp, g_new)
-        if damp < 1.0 and state.k >= 1:
-            if direction == "forward":
-                g_new = damp * g_new + (1 - damp) * state.gamma_plus[ell]
-                r_new = damp * r_new + (1 - damp) * state.r_plus[ell]
-            else:
-                g_new = damp * g_new + (1 - damp) * state.gamma_minus[ell]
-                r_new = damp * r_new + (1 - damp) * state.r_minus[ell]
-            eta = g_new + g_opp
-        if direction == "forward":
-            state.gamma_plus[ell] = g_new
-            state.r_plus[ell] = r_new
-        else:
-            state.gamma_minus[ell] = g_new
-            state.r_minus[ell] = r_new
+        eta, alpha, g_new, ev = posterior_to_message(vbar, g_opp[ell], opts)
+        if z_hat is not None:
+            r_new = extrinsic_mean(eta, z_hat, g_opp[ell], r_opp[ell], g_new)
+            r_own[ell] = damp * r_new + (1 - damp) * r_own[ell] if blend else r_new
+        if blend:
+            g_new = damp * g_new + (1 - damp) * g_own[ell]
+            eta = g_new + g_opp[ell]
+        g_own[ell] = g_new
         etas[ell], alphas[ell] = eta, alpha
         events += ev
-        if opts.store_estimates:
-            z_hats[ell] = np.array(z_hat, dtype=float, copy=True)
-        if truth is not None:
-            nmse[ell] = _nmse_db(truth.z[ell], z_hat)
+        z_hats[ell] = z_hat
     half = 2 * state.k + (1 if direction == "forward" else 2)
     return IterationRecord(
-        k=state.k, half_iter=half, direction=direction,
-        z_hat=z_hats if opts.store_estimates else None,
+        k=state.k, half_iter=half, direction=direction, z_hat=z_hats,
         eta=etas, alpha=alphas,
         gamma_plus=state.gamma_plus.copy(), gamma_minus=state.gamma_minus.copy(),
-        nmse_db=nmse, clamp_events=events)
-
-
-def forward_pass(net, y, state, opts=None, truth=None):
-    return _sweep(net, y, state, opts or EngineOptions(), truth, "forward")
-
-
-def backward_pass(net, y, state, opts=None, truth=None):
-    return _sweep(net, y, state, opts or EngineOptions(), truth, "reverse")
+        clamp_events=events)
 
 
 def run(net, y, options=None, truth=None):
@@ -248,9 +251,17 @@ def run(net, y, options=None, truth=None):
     if bad:
         raise MlvampError(f"observation has {bad} non-finite entries of {y.size}")
     state = init_state(net)
+    denoisers = {"forward": lambda ell: _denoise_forward(net, state, ell),
+                 "reverse": lambda ell: _denoise_reverse(net, y, state, ell)}
     records = []
     for _ in range(opts.max_iter):
-        records.append(forward_pass(net, y, state, opts, truth))
-        records.append(backward_pass(net, y, state, opts, truth))
+        for direction in ("forward", "reverse"):
+            rec = sweep(state, direction, denoisers[direction], opts)
+            if truth is not None:
+                rec.nmse_db = np.array([nmse_db(truth.z[ell], z)
+                                        for ell, z in enumerate(rec.z_hat)])
+            if not opts.store_estimates:
+                rec.z_hat = None
+            records.append(rec)
         state.k += 1
     return records

@@ -23,14 +23,6 @@ class QuadratureError(MlvampError):
         self.context = context or {}
 
 
-class MonteCarloError(MlvampError):
-    """Importance-sampling oracle produced an unreliable estimate."""
-
-    def __init__(self, message, ess=None):
-        super().__init__(message)
-        self.ess = ess
-
-
 class DivergenceError(MlvampError):
     """An iterative optimizer or sampler diverged."""
 

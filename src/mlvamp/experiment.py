@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import baselines as bl
-from .engine import EngineOptions, run
+from .engine import EngineOptions, nmse_db, run
 from .errors import ConfigError, MlvampError
 from .network import build_synthetic_network, sample_trajectory
 from .state_evolution import run_se, se_state_to_json, stats_from_network
@@ -114,21 +114,6 @@ def paper_config(**overrides):
     return cfg
 
 
-def nmse_db(truth, estimate):
-    """10 log10(||truth - estimate||^2 / ||truth||^2), clipped below at -200 dB."""
-    truth = np.asarray(truth, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if truth.shape != estimate.shape:
-        raise ValueError("truth and estimate must have equal dimensions")
-    ref = float(np.sum(truth**2))
-    if ref <= 0:
-        raise ValueError("zero-norm truth vector")
-    err = float(np.sum((truth - estimate) ** 2))
-    if err == 0:
-        return -200.0
-    return max(10.0 * np.log10(err / ref), -200.0)
-
-
 def trial_seed(seed, trial):
     """Trajectory seed for one trial; disjoint from the builder seed stream."""
     return (int(seed), 71, int(trial))
@@ -141,27 +126,34 @@ def _build_network(cfg):
                                    int(cfg.n_meas), cfg.seed)
 
 
-def _mlvamp_rows(net, se, cfg, trial, traj):
-    start = time.perf_counter()
-    records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
-    runtime = 1000.0 * (time.perf_counter() - start)
+def record_rows(records, se, trial, method="mlvamp", runtime=""):
+    """CSV rows (one per half-iteration and layer) of engine or SE records,
+    with the SE prediction of the same half-iteration alongside.  Records
+    without NMSE (no truth) leave ``nmse_db`` empty."""
     rows = []
-    clamp_total = 0
     for rec in records:
         se_rec = se.records[rec.half_iter - 1]
-        clamp_total += rec.clamp_events
-        for layer in range(net.n_layers):
+        for layer in range(len(rec.eta)):
             rows.append({
-                "trial": trial, "method": "mlvamp",
+                "trial": trial, "method": method,
                 "half_iter": rec.half_iter, "layer": layer,
-                "nmse_db": float(rec.nmse_db[layer]),
+                "nmse_db": "" if rec.nmse_db is None else float(rec.nmse_db[layer]),
                 "se_nmse_db": float(se_rec.nmse_db[layer]),
                 "gamma_plus": float(rec.gamma_plus[layer]),
                 "gamma_minus": float(rec.gamma_minus[layer]),
                 "clamp_events": rec.clamp_events,
-                "runtime_ms": runtime if cfg.include_runtime else "",
+                "runtime_ms": runtime,
             })
-    return rows, runtime, clamp_total, records
+    return rows
+
+
+def _mlvamp_rows(net, se, cfg, trial, traj):
+    start = time.perf_counter()
+    records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
+    runtime = 1000.0 * (time.perf_counter() - start)
+    rows = record_rows(records, se, trial,
+                       runtime=runtime if cfg.include_runtime else "")
+    return rows, runtime, sum(rec.clamp_events for rec in records)
 
 
 def _baseline_rows(net, cfg, trial, traj):
@@ -207,7 +199,7 @@ def _trial_job(net, se, cfg_dict, trial, with_baselines):
     failures = []
     clamp_total = 0
     if "mlvamp" in cfg.methods:
-        mrows, runtime, clamp_total, _ = _mlvamp_rows(net, se, cfg, trial, traj)
+        mrows, runtime, clamp_total = _mlvamp_rows(net, se, cfg, trial, traj)
         rows += mrows
         runtimes["mlvamp"] = runtime
     if with_baselines:
@@ -302,18 +294,7 @@ def write_rows_csv(rows, path, columns=CSV_COLUMNS):
 
 def se_to_rows(se, method="se"):
     """SE predictions in the shared CSV schema (aligned for plot overlay)."""
-    rows = []
-    for rec in se.records:
-        for layer in range(len(rec.eta)):
-            rows.append({
-                "trial": "", "method": method, "half_iter": rec.half_iter,
-                "layer": layer, "nmse_db": float(rec.nmse_db[layer]),
-                "se_nmse_db": float(rec.nmse_db[layer]),
-                "gamma_plus": float(rec.gamma_plus[layer]),
-                "gamma_minus": float(rec.gamma_minus[layer]),
-                "clamp_events": rec.clamp_events, "runtime_ms": "",
-            })
-    return rows
+    return record_rows(se.records, se, trial="", method=method)
 
 
 def _run_trials(net, se, cfg, with_baselines):

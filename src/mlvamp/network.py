@@ -172,27 +172,12 @@ class NetworkSpec:
         for st in self.stages:
             st.validate(tol)
 
-    def variable_basis(self, ell):
-        """Orthogonal factor V_ell and transform style for variable z_ell.
-
-        Variables produced by a linear stage use q = V^T z, p = z; variables
-        consumed by a linear stage use q = z, p = V q (strict-alternation
-        convention).  Variables touching no linear stage use V = I.
-        """
-        if ell >= 1 and self.stages[ell - 1].kind == "linear":
-            return self.stages[ell - 1].v_out, "produced"
-        if ell < self.n_layers and self.stages[ell].kind == "linear":
-            return self.stages[ell].v_in, "consumed"
-        return None, "consumed"
-
 
 @dataclass(eq=False)
 class Trajectory:
-    """One sampled realization plus the transformed truth per layer."""
+    """One sampled realization z_0 .. z_L."""
 
     z: list
-    q0: list
-    p0: list
     seed: int
 
 
@@ -290,29 +275,18 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
 
 def sample_trajectory(net, seed):
-    """Draw one realization z_0 .. z_L and its transformed truth (q0, p0)."""
+    """Draw one realization z_0 .. z_L."""
     rng = np.random.default_rng(seed)
     z = [rng.standard_normal(net.n0)]
     for st in net.stages:
         z.append(st.sample_output(z[-1], rng))
-    q0, p0 = [], []
-    for ell, zl in enumerate(z):
-        v, style = net.variable_basis(ell)
-        if v is None:
-            q0.append(zl.copy())
-            p0.append(zl.copy())
-        elif style == "produced":
-            q0.append(v.T @ zl)
-            p0.append(zl.copy())
-        else:
-            q0.append(zl.copy())
-            p0.append(v @ zl)
-    return Trajectory(z=z, q0=q0, p0=p0, seed=seed)
+    return Trajectory(z=z, seed=seed)
 
 
 def empirical_layer_moments(traj):
-    """Per-layer second moments (1/N) ||q0_l||^2 (== (1/N) ||z0_l||^2)."""
-    return np.array([float(np.mean(q**2)) for q in traj.q0])
+    """Per-layer second moments (1/N) ||z_l||^2.  Every V is orthogonal, so
+    these equal the second moments of the SVD-coordinate truth."""
+    return np.array([float(np.mean(z**2)) for z in traj.z])
 
 
 # ---------------------------------------------------------------------------

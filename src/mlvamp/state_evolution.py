@@ -1,7 +1,7 @@
 """Scalar state-evolution recursion predicting the per-layer error variances.
 
-The recursion mirrors the engine sweep layer for layer, but replaces every
-vector denoise with a scalar error function: the expected posterior variance
+The recursion is the engine's own sweep (``engine.sweep``) with every vector
+denoise replaced by a scalar error function: the expected posterior variance
 of a stage's input/output under the matched scalar channel
 
     R+ ~ N(0, tau_prev - 1/gamma+),   Z_in ~ N(R+, 1/gamma+),
@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .engine import EngineOptions, posterior_to_message
+from .engine import EngineOptions, MessageState, sweep
 from .errors import MlvampError
 from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
 from .linear_denoiser import component_variances
+from .network import LinearStage
 from .scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 
 _NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
@@ -63,11 +64,7 @@ class LayerStatistics:
     activation: str = None
     noise_var: float = 0.0
 
-    def s_padded(self, n):
-        out = np.zeros(n)
-        r = min(len(self.s), n)
-        out[:r] = self.s[:r]
-        return out
+    s_padded = LinearStage.s_padded
 
 
 def stats_from_network(net):
@@ -109,16 +106,10 @@ def tau_mean_chain(stats):
             m1, m2 = relu_gauss_moments(m_prev, v)
             tau.append(float(m2) + stat.noise_var)
             mean.append(float(m1))
-        elif stat.activation == "identity":
+        else:
+            ScalarChannel(stat.activation)  # rejects an unsupported activation
             tau.append(prev + stat.noise_var)
             mean.append(m_prev)
-        else:
-            x, w = gh_nodes(127)
-            p = m_prev + math.sqrt(max(prev - m_prev**2, 1e-30)) * x
-            ch = ScalarChannel(stat.activation, 0.0)
-            phi = ch.apply(p)
-            tau.append(float(np.sum(w * phi**2)) + stat.noise_var)
-            mean.append(float(np.sum(w * phi)))
     n = len(stats)
     return np.array(tau[:n]), np.array(mean[:n])
 
@@ -291,19 +282,6 @@ def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
 
 
 @dataclass
-class SERecord:
-    k: int
-    half_iter: int
-    direction: str
-    eta: np.ndarray
-    alpha: np.ndarray
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    nmse_db: np.ndarray
-    clamp_events: int = 0
-
-
-@dataclass
 class SEState:
     """``quad_rel_err`` is the worst relative change of a relu stage's
     expected variances when every node count doubles, at the last iteration's
@@ -344,76 +322,47 @@ def quadrature_rel_err(stats, records, tau0, means):
 def run_se(stats, n_iter, options=None):
     """Run the scalar recursion for n_iter iterations (2*n_iter half-iterations).
 
-    Initialization is gamma- = 0 everywhere; the layer visit order and the
-    precision algebra are identical to the engine sweep.
+    The engine's ``sweep`` drives it, so the visit order, the precision
+    algebra and the damping are the engine's own; each variable's belief
+    variance comes from the scalar error function of its neighbouring stage.
+    Initialization is gamma- = 0 everywhere.
     """
     if n_iter < 1:
         raise MlvampError("n_iter must be >= 1")
     opts = options or EngineOptions()
     n = len(stats)
     tau0, means = tau_mean_chain(stats)
-    gp = np.zeros(n)
-    gm = np.zeros(n)
+    state = MessageState(r_plus=[None] * n, r_minus=[None] * n,
+                         gamma_plus=np.zeros(n), gamma_minus=np.zeros(n))
+    gp, gm = state.gamma_plus, state.gamma_minus
     se = SEState(tau0=tau0)
 
-    def record(k, direction, etas, alphas, events):
-        half = 2 * k + (1 if direction == "forward" else 2)
-        nmse = 10.0 * np.log10((1.0 / etas) / tau0)
-        se.records.append(SERecord(
-            k=k, half_iter=half, direction=direction,
-            eta=etas.copy(), alpha=alphas.copy(),
-            gamma_plus=gp.copy(), gamma_minus=gm.copy(),
-            nmse_db=nmse, clamp_events=events))
-        se.clamp_total += events
+    def stage_error(j, side):
+        """E+ (side 0) or E- (side 1) of stage j, between variables j and j+1."""
+        stat = stats[j]
+        if j == n - 1:
+            if stat.kind == "linear":
+                return error_observed_linear(stat, gp[j])
+            return error_observed_nonlinear(stat, gp[j], tau0[j], means[j])
+        if stat.kind == "linear":
+            return error_linear(stat, gp[j], gm[j + 1])[side]
+        errors = error_nonlinear(stat, gp[j], gm[j + 1], tau0[j], means[j])
+        se.variance_clamps += int(errors[2])
+        return errors[side]
 
-    damp = opts.damping
-    for k in range(n_iter):
-        etas, alphas = np.zeros(n), np.zeros(n)
-        events = 0
-        for ell in range(n):
-            if ell == 0:
-                v = error_input(gm[0])
-            else:
-                stat = stats[ell - 1]
-                if stat.kind == "linear":
-                    v, _ = error_linear(stat, gp[ell - 1], gm[ell])
-                else:
-                    v, _, fl = error_nonlinear(stat, gp[ell - 1], gm[ell],
-                                               tau0[ell - 1], means[ell - 1])
-                    se.variance_clamps += int(fl)
-            eta, alpha, g_new, ev = posterior_to_message(v, gm[ell], opts)
-            if damp < 1.0 and k >= 1:
-                g_new = damp * g_new + (1 - damp) * gp[ell]
-                eta = g_new + gm[ell]
-            gp[ell] = g_new
-            etas[ell], alphas[ell] = eta, alpha
-            events += ev
-        record(k, "forward", etas, alphas, events)
-
-        etas, alphas = np.zeros(n), np.zeros(n)
-        events = 0
-        for ell in range(n - 1, -1, -1):
-            stat = stats[ell] if ell < n - 1 else stats[-1]
-            if ell == n - 1:
-                if stat.kind == "linear":
-                    v = error_observed_linear(stat, gp[ell])
-                else:
-                    v = error_observed_nonlinear(stat, gp[ell], tau0[ell],
-                                                 means[ell])
-            elif stat.kind == "linear":
-                _, v = error_linear(stat, gp[ell], gm[ell + 1])
-            else:
-                _, v, fl = error_nonlinear(stat, gp[ell], gm[ell + 1],
-                                           tau0[ell], means[ell])
-                se.variance_clamps += int(fl)
-            eta, alpha, g_new, ev = posterior_to_message(v, gp[ell], opts)
-            if damp < 1.0 and k >= 1:
-                g_new = damp * g_new + (1 - damp) * gm[ell]
-                eta = g_new + gp[ell]
-            gm[ell] = g_new
-            etas[ell], alphas[ell] = eta, alpha
-            events += ev
-        record(k, "reverse", etas, alphas, events)
+    denoisers = {
+        "forward": lambda ell: (None, error_input(gm[0]) if ell == 0
+                                else stage_error(ell - 1, 0)),
+        "reverse": lambda ell: (None, stage_error(ell, 1)),
+    }
+    for _ in range(n_iter):
+        for direction in ("forward", "reverse"):
+            rec = sweep(state, direction, denoisers[direction], opts)
+            rec.z_hat = None
+            rec.nmse_db = 10.0 * np.log10((1.0 / rec.eta) / tau0)
+            se.records.append(rec)
+            se.clamp_total += rec.clamp_events
+        state.k += 1
     se.quad_rel_err = quadrature_rel_err(stats, se.records[-2:], tau0, means)
     return se
 
@@ -430,12 +379,7 @@ def se_state_to_json(se):
         "clamp_total": se.clamp_total,
         "variance_clamps": se.variance_clamps,
         "quad_rel_err": se.quad_rel_err,
-        "records": [{
-            "k": r.k, "half_iter": r.half_iter, "direction": r.direction,
-            "eta": r.eta.tolist(), "alpha": r.alpha.tolist(),
-            "gamma_plus": r.gamma_plus.tolist(),
-            "gamma_minus": r.gamma_minus.tolist(),
-            "nmse_db": r.nmse_db.tolist(),
-            "clamp_events": r.clamp_events,
-        } for r in se.records],
+        "records": [{key: val.tolist() if isinstance(val, np.ndarray) else val
+                     for key, val in vars(r).items() if key != "z_hat"}
+                    for r in se.records],
     }

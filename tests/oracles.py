@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from mlvamp.errors import MonteCarloError
-from mlvamp.gauss import log_norm_pdf
+from mlvamp.errors import MlvampError, QuadratureError
+from mlvamp.gauss import gh_nodes, log_norm_pdf
 from mlvamp.network import NetworkSpec, NonlinearStage, svd_decompose_stage
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 
@@ -277,6 +277,14 @@ def relu_stage_error_tensor(gamma_plus, gamma_minus, tau_prev, mean_prev,
             float(w_r @ np.sum(res.var_in * w_m, axis=1)))
 
 
+class MonteCarloError(MlvampError):
+    """Importance-sampling oracle produced an unreliable estimate."""
+
+    def __init__(self, message, ess=None):
+        super().__init__(message)
+        self.ess = ess
+
+
 @dataclass
 class McMoments:
     mean_in: float
@@ -368,3 +376,152 @@ def mc_oracle_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
     ses = [_block_se(b) for b in blocks]
     return McMoments(mean_in, var_in, mean_out, var_out,
                      ses[0], ses[1], ses[2], ses[3], ess, n_samples)
+
+
+# ---------------------------------------------------------------------------
+# Generic quadrature path for the scalar posterior moments (scalar arguments).
+# ---------------------------------------------------------------------------
+
+def _log_likelihood_factory(ch, r_minus, gamma_minus, observed):
+    """Effective log-likelihood of z_in after marginalizing z_out analytically."""
+    if observed:
+        v_obs = ch.noise_var
+    elif gamma_minus <= 0:
+        return None, np.inf
+    else:
+        v_obs = 1.0 / gamma_minus + ch.noise_var
+
+    def loglik(z):
+        return log_norm_pdf(r_minus, ch.apply(z), v_obs)
+
+    return loglik, v_obs
+
+
+def _piece_envelopes(ch, r_plus, gamma_plus, r_minus, v_obs):
+    """Integration pieces (lo, hi, envelope mu, envelope var) for the z_in axis."""
+    vp = 1.0 / gamma_plus
+    if ch.activation == "relu":
+        if np.isinf(v_obs):
+            m_t, v_t = r_plus, vp
+        else:
+            vs = v_obs + vp
+            m_t = (v_obs * r_plus + vp * r_minus) / vs
+            v_t = v_obs * vp / vs
+        return [(-np.inf, 0.0, r_plus, vp), (0.0, np.inf, m_t, v_t)]
+    # identity: single smooth piece, envelope at the Gaussian product
+    if np.isinf(v_obs):
+        return [(-np.inf, np.inf, r_plus, vp)]
+    g_eff = 1.0 / v_obs
+    v_post = 1.0 / (gamma_plus + g_eff)
+    m_post = (gamma_plus * r_plus + g_eff * r_minus) * v_post
+    return [(-np.inf, np.inf, m_post, v_post)]
+
+
+def _piece_nodes(lo, hi, mu_e, v_e, n_nodes):
+    """Quadrature nodes z and log-weights for one piece.
+
+    Full-line pieces use Gauss-Hermite against the Gaussian envelope; bounded
+    or half-bounded pieces use Gauss-Legendre panels on an envelope-derived
+    window, split at mu_e and mu_e +- 2 sigma so nodes cluster where the
+    envelope lives.  ``sum exp(log_w + log_f)`` approximates the piece
+    integral of exp(log_f).
+    """
+    sig = np.sqrt(v_e)
+    if np.isinf(lo) and np.isinf(hi):
+        x, w = gh_nodes(n_nodes)
+        z = mu_e + sig * x
+        return z, np.log(w) - log_norm_pdf(z, mu_e, v_e)
+    a = max(lo, mu_e - 12.0 * sig) if np.isfinite(lo) else mu_e - 12.0 * sig
+    b = min(hi, mu_e + 12.0 * sig) if np.isfinite(hi) else mu_e + 12.0 * sig
+    if b <= a:
+        # envelope center far outside the piece: boundary-layer window
+        if np.isfinite(hi):
+            a, b = hi - 12.0 * sig, hi
+        else:
+            a, b = lo, lo + 12.0 * sig
+    cuts = sorted({a, b} | {c for c in (mu_e - 2 * sig, mu_e, mu_e + 2 * sig)
+                            if a < c < b})
+    x01, w01 = np.polynomial.legendre.leggauss(n_nodes)
+    zs, lws = [], []
+    for p_lo, p_hi in zip(cuts[:-1], cuts[1:]):
+        half = 0.5 * (p_hi - p_lo)
+        zs.append(0.5 * (p_lo + p_hi) + half * x01)
+        lws.append(np.log(half * w01))
+    return np.concatenate(zs), np.concatenate(lws)
+
+
+def _quad_pass(ch, r_plus, gamma_plus, loglik, pieces, n_nodes):
+    """One quadrature evaluation: per-piece log-masses and conditional moments."""
+    vp = 1.0 / gamma_plus
+    piece_logz, piece_stats = [], []
+    for lo, hi, mu_e, v_e in pieces:
+        z, log_w = _piece_nodes(lo, hi, mu_e, v_e, n_nodes)
+        log_f = log_norm_pdf(z, r_plus, vp)
+        if loglik is not None:
+            log_f = log_f + loglik(z)
+        log_term = log_f + log_w
+        shift = np.max(log_term)
+        if not np.isfinite(shift):
+            continue
+        with np.errstate(under="ignore"):
+            r = np.exp(log_term - shift)
+        z0 = np.sum(r)
+        if z0 <= 0:
+            continue
+        m1 = np.sum(r * z) / z0
+        m2 = np.sum(r * z * z) / z0
+        phi = ch.apply(z)
+        p1 = np.sum(r * phi) / z0
+        p2 = np.sum(r * phi * phi) / z0
+        piece_logz.append(shift + np.log(z0))
+        piece_stats.append((m1, m2, p1, p2))
+    if not piece_logz:
+        raise QuadratureError("likelihood evaluates to zero on the whole grid")
+    piece_logz = np.array(piece_logz)
+    log_total = special.logsumexp(piece_logz)
+    pw = np.exp(piece_logz - log_total)
+    agg = np.zeros(4)
+    for p, st in zip(pw, piece_stats):
+        agg += p * np.array(st)
+    m1, m2, p1, p2 = agg
+    return log_total, m1, max(m2 - m1 * m1, 0.0), p1, max(p2 - p1 * p1, 0.0)
+
+
+def quad_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
+                 n_nodes=63, tol=1e-8, observed=False):
+    """Generic numerical-integration path for the scalar posterior moments.
+
+    Splits the relu domain at the kink, integrates each piece against a
+    truncated-Gaussian envelope (Gauss-Legendre in the envelope CDF domain),
+    and verifies the result by doubling the node count.  Raises
+    QuadratureError when the two estimates disagree beyond ``tol``.
+    """
+    loglik, v_obs = _log_likelihood_factory(ch, r_minus, gamma_minus, observed)
+    pieces = _piece_envelopes(ch, r_plus, gamma_plus, r_minus, v_obs)
+    coarse = _quad_pass(ch, r_plus, gamma_plus, loglik, pieces, n_nodes)
+    fine = _quad_pass(ch, r_plus, gamma_plus, loglik, pieces, 2 * n_nodes + 1)
+    rel = abs(np.exp(coarse[0] - fine[0]) - 1.0)
+    scale = np.sqrt(fine[2]) + abs(fine[1]) + 1e-30
+    moment_err = max(abs(coarse[1] - fine[1]) / scale,
+                     abs(coarse[2] - fine[2]) / (fine[2] + scale**2),
+                     abs(coarse[3] - fine[3]) / scale,
+                     abs(coarse[4] - fine[4]) / (fine[4] + scale**2))
+    if not np.isfinite(rel) or rel > tol or moment_err > 100 * tol:
+        raise QuadratureError(
+            "quadrature did not converge (truncation error above tolerance)",
+            estimate=fine, error_estimate=max(rel, moment_err),
+            context={"r_plus": r_plus, "r_minus": r_minus,
+                     "gamma_plus": gamma_plus, "gamma_minus": gamma_minus},
+        )
+    _, mean_in, var_in, mean_out_raw, var_out_raw = fine
+    if observed or ch.noise_var == 0.0:
+        mean_out, var_out = mean_out_raw, var_out_raw
+    else:
+        # z_out | z_in carries its own posterior spread around phi(z_in)
+        gm = max(gamma_minus, 0.0)
+        v_c = 1.0 / (gm + 1.0 / ch.noise_var)
+        a = v_c / ch.noise_var
+        c0 = v_c * gm * r_minus if gm > 0 else 0.0
+        mean_out = c0 + a * mean_out_raw
+        var_out = a * a * var_out_raw + v_c
+    return mean_in, var_in, mean_out, var_out

@@ -32,7 +32,7 @@ from mlvamp.network import (
     sample_trajectory,
     svd_decompose_stage,
 )
-from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, quad_moments
+from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle
 from mlvamp.state_evolution import compute_tau0, run_se, stats_from_network
 
 
@@ -152,7 +152,7 @@ class TestCriterion4ScalarOracle:
             for _ in range(100):
                 rp, rm = rng.normal(0, 1.5), rng.normal(0, 1.5)
                 gp, gm = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
-                q = quad_moments(ch, rp, rm, gp, gm)
+                q = oracles.quad_moments(ch, rp, rm, gp, gm)
                 mc = oracles.mc_oracle_moments(ch, rp, rm, gp, gm, n_samples=10**6,
                                                seed=int(rng.integers(1 << 30)))
                 worst = max(

@@ -11,8 +11,14 @@ from mlvamp.engine import (
     precision_update,
     run,
 )
-from mlvamp.errors import MlvampError
-from mlvamp.network import LinearStage, NetworkSpec, sample_trajectory, svd_decompose_stage
+from mlvamp.errors import EngineError, MlvampError, QuadratureError
+from mlvamp.network import (
+    LinearStage,
+    NetworkSpec,
+    NonlinearStage,
+    sample_trajectory,
+    svd_decompose_stage,
+)
 
 
 class TestPrecisionUpdate:
@@ -137,6 +143,21 @@ class TestRun:
         with pytest.raises(MlvampError, match="2 non-finite entries"):
             run(net, y, EngineOptions(max_iter=1))
 
+    def test_denoiser_failure_wrapped_with_state(self):
+        # a negative output is impossible under a deterministic relu, so the
+        # first reverse denoise of the last hidden variable fails
+        rng = np.random.default_rng(0)
+        n = 5
+        st = svd_decompose_stage(rng.normal(size=(n, n)), np.zeros(n), math.inf)
+        net = NetworkSpec(n0=n, stages=[st, NonlinearStage("relu", 0.0, n)])
+        y = np.ones(n)
+        y[2] = -1.0
+        with pytest.raises(EngineError) as info:
+            run(net, y, EngineOptions(max_iter=1))
+        dump = info.value.state_dump
+        assert (dump["layer"], dump["direction"], dump["k"]) == (1, "reverse", 0)
+        assert isinstance(info.value.__cause__, QuadratureError)
+
     def test_clamp_events_counted(self):
         # an absurdly tight gamma_max forces clamping that must be reported
         net = oracles.make_gaussian_chain(6, seed=2)
@@ -156,7 +177,6 @@ class TestRun:
     def test_nonlinear_observed_output_end_to_end(self):
         # chain ending in a noisy relu observation exercises the
         # observed-output denoiser and its error-function mirror
-        from mlvamp.network import NonlinearStage
         from mlvamp.state_evolution import run_se, stats_from_network
 
         rng = np.random.default_rng(3)

@@ -141,20 +141,6 @@ class TestSampleTrajectory:
         for a, b in zip(t1.z, t2.z):
             assert np.array_equal(a, b)
 
-    def test_transform_consistency(self):
-        net = paper_net()
-        traj = sample_trajectory(net, 5)
-        for ell in range(len(traj.z)):
-            v, style = net.variable_basis(ell)
-            if v is None:
-                continue
-            if style == "produced":
-                assert np.allclose(traj.p0[ell], v @ traj.q0[ell], atol=1e-12)
-                assert np.allclose(traj.p0[ell], traj.z[ell], atol=1e-12)
-            else:
-                assert np.allclose(traj.p0[ell], v @ traj.q0[ell], atol=1e-12)
-                assert np.allclose(traj.q0[ell], traj.z[ell], atol=1e-12)
-
 
 class TestEmpiricalMoments:
     def test_unit_gaussian_input(self):
@@ -167,11 +153,6 @@ class TestEmpiricalMoments:
         net = NetworkSpec(n0=3, stages=[st])
         m = empirical_layer_moments(sample_trajectory(net, 0))
         assert m[1] == 0.0
-
-    def test_norm_invariance_under_transform(self):
-        traj = sample_trajectory(paper_net(), 9)
-        for q, z in zip(traj.q0, traj.z):
-            assert abs(np.mean(q**2) - np.mean(z**2)) < 1e-10
 
 
 class TestSerialization:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from mlvamp.errors import MonteCarloError, QuadratureError
+from mlvamp.errors import QuadratureError
 from mlvamp.scalar_denoiser import (
     ScalarChannel,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
-    quad_moments,
 )
-from oracles import mc_oracle_moments
+from oracles import MonteCarloError, mc_oracle_moments, quad_moments
 
 RELU = ScalarChannel("relu", 0.0)
 IDENT = ScalarChannel("identity", 0.0)
@@ -191,11 +190,6 @@ class TestQuadraturePath:
                         abs(float(res.var_in) - q[1]) / float(res.var_in),
                         abs(float(res.mean_out) - q[2]) / scale)
         assert worst < 1e-6
-
-    def test_method_dispatch(self):
-        res = denoise_middle(RELU, 0.2, 0.4, 1.0, 1.0, method="quadrature")
-        ref = denoise_middle(RELU, 0.2, 0.4, 1.0, 1.0)
-        assert float(res.mean_in) == pytest.approx(float(ref.mean_in), abs=1e-9)
 
 
 class TestMcOracle:

@@ -291,15 +291,17 @@ class TestRunSe:
             run_se(stats_from_network(net), 0)
 
     def test_gaussian_chain_parity_with_engine(self):
-        # on a Gaussian chain both recursions are closed-form and identical
+        # on a Gaussian chain both recursions are closed-form and identical,
+        # undamped and damped
         net = oracles.make_gaussian_chain(64, seed=3, n_pairs=2)
-        opts = EngineOptions(max_iter=8)
-        se = run_se(stats_from_network(net), 8, opts)
         traj = sample_trajectory(net, 0)
-        recs = run(net, traj.z[-1], opts)
-        for eng_rec, se_rec in zip(recs, se.records):
-            assert np.allclose(eng_rec.gamma_plus, se_rec.gamma_plus, rtol=1e-10)
-            assert np.allclose(eng_rec.gamma_minus, se_rec.gamma_minus, rtol=1e-10)
+        for damping in (1.0, 0.7):
+            opts = EngineOptions(max_iter=8, damping=damping)
+            se = run_se(stats_from_network(net), 8, opts)
+            recs = run(net, traj.z[-1], opts)
+            for eng_rec, se_rec in zip(recs, se.records):
+                assert np.allclose(eng_rec.gamma_plus, se_rec.gamma_plus, rtol=1e-10)
+                assert np.allclose(eng_rec.gamma_minus, se_rec.gamma_minus, rtol=1e-10)
 
     def test_se_fixed_point_matches_dense_variances_smoke(self):
         # small-N smoke version of the dimension-extrapolated acceptance check
