@@ -50,7 +50,6 @@ from .scalar_denoiser import (
     denoise_output_nonlinear,
 )
 from .linear_denoiser import (
-    ComponentSolve,
     component_solve,
     denoise_linear,
     denoise_linear_observed,

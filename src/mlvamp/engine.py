@@ -16,11 +16,12 @@ the damping blend.  ``run`` drives it with the vector denoisers below; the
 state evolution drives it with scalar error functions and no means.
 """
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import EngineError, MlvampError
-from .linear_denoiser import denoise_linear, denoise_linear_observed
+from .linear_denoiser import StageTransforms, denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
     VAR_FLOOR,
     ScalarChannel,
@@ -143,43 +144,32 @@ def _channel(stage):
     return ScalarChannel(stage.activation, stage.noise_var)
 
 
-def _denoise_forward(net, state, ell):
-    """Belief mean/variance of z_ell from factor ell (output side)."""
-    if ell == 0:
+def _belief(net, y, state, transforms, ell, forward):
+    """Belief mean/variance of z_ell: from factor ell (the stage below it) in
+    the forward sweep, from factor ell+1 (the stage above) in the reverse."""
+    if forward and ell == 0:
         mean, var = denoise_input(state.r_minus[0], state.gamma_minus[0])
         return mean, float(var)
-    stage = net.stages[ell - 1]
-    if stage.kind == "linear":
-        res = denoise_linear(stage, state.r_plus[ell - 1], state.r_minus[ell],
-                             state.gamma_plus[ell - 1], state.gamma_minus[ell])
-        return res.z_hat_plus, res.var_out_mean
-    res = denoise_middle(_channel(stage), state.r_plus[ell - 1],
-                         state.r_minus[ell], state.gamma_plus[ell - 1],
-                         state.gamma_minus[ell])
-    return res.mean_out, float(np.mean(res.var_out))
-
-
-def _denoise_reverse(net, y, state, ell):
-    """Belief mean/variance of z_ell from factor ell+1 (input side)."""
-    if ell == net.n_layers - 1:
-        stage = net.stages[-1]
+    i = ell - 1 if forward else ell
+    stage = net.stages[i]
+    if i == net.n_layers - 1:   # the observed stage, reached in reverse only
         if stage.kind == "linear":
-            res = denoise_linear_observed(stage, y, state.r_plus[ell],
-                                          state.gamma_plus[ell])
+            res = denoise_linear_observed(stage, y, state.r_plus[i],
+                                          state.gamma_plus[i], transforms=transforms[i])
             return res.z_hat_minus, res.var_in_mean
-        mean, var = denoise_output_nonlinear(_channel(stage), y,
-                                             state.r_plus[ell],
-                                             state.gamma_plus[ell])
+        mean, var = denoise_output_nonlinear(_channel(stage), y, state.r_plus[i],
+                                             state.gamma_plus[i])
         return mean, float(np.mean(var))
-    stage = net.stages[ell + 1 - 1]
+    args = (state.r_plus[i], state.r_minus[i + 1],
+            state.gamma_plus[i], state.gamma_minus[i + 1])
     if stage.kind == "linear":
-        res = denoise_linear(stage, state.r_plus[ell], state.r_minus[ell + 1],
-                             state.gamma_plus[ell], state.gamma_minus[ell + 1])
-        return res.z_hat_minus, res.var_in_mean
-    res = denoise_middle(_channel(stage), state.r_plus[ell],
-                         state.r_minus[ell + 1], state.gamma_plus[ell],
-                         state.gamma_minus[ell + 1])
-    return res.mean_in, float(np.mean(res.var_in))
+        res = denoise_linear(stage, *args, side="plus" if forward else "minus",
+                             transforms=transforms[i])
+        return ((res.z_hat_plus, res.var_out_mean) if forward
+                else (res.z_hat_minus, res.var_in_mean))
+    res = denoise_middle(_channel(stage), *args)
+    return ((res.mean_out, float(np.mean(res.var_out))) if forward
+            else (res.mean_in, float(np.mean(res.var_in))))
 
 
 def _dump(state, ell, direction):
@@ -194,8 +184,10 @@ def sweep(state, direction, denoise, opts):
     ``denoise(ell)`` returns the belief (z_hat, vbar) of variable ell; a
     z_hat of None (the state evolution) updates only the precisions, leaving
     the means untouched.  Damping blends (gamma, r) with the previous
-    iterate from k = 1 on.  Returns the half-iteration's IterationRecord
-    (without NMSE).
+    iterate from k = 1 on.  Every message update is bound to a fresh array
+    and none is modified in place, which lets ``run`` key its reused
+    transforms on array identity.  Returns the half-iteration's
+    IterationRecord (without NMSE).
     """
     n = len(state.gamma_plus)
     if direction == "forward":
@@ -251,12 +243,14 @@ def run(net, y, options=None, truth=None):
     if bad:
         raise MlvampError(f"observation has {bad} non-finite entries of {y.size}")
     state = init_state(net)
-    denoisers = {"forward": lambda ell: _denoise_forward(net, state, ell),
-                 "reverse": lambda ell: _denoise_reverse(net, y, state, ell)}
+    # both sweeps share these: sweep never modifies a message in place
+    transforms = [StageTransforms(st) if st.kind == "linear" else None
+                  for st in net.stages]
     records = []
     for _ in range(opts.max_iter):
-        for direction in ("forward", "reverse"):
-            rec = sweep(state, direction, denoisers[direction], opts)
+        for forward, direction in ((True, "forward"), (False, "reverse")):
+            denoise = partial(_belief, net, y, state, transforms, forward=forward)
+            rec = sweep(state, direction, denoise, opts)
             if truth is not None:
                 rec.nmse_db = np.array([nmse_db(truth.z[ell], z)
                                         for ell, z in enumerate(rec.z_hat)])

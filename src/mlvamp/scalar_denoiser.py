@@ -96,6 +96,25 @@ def _mix(w_a, m_a, v_a, w_b, m_b, v_b):
     return mean, np.maximum(ex2 - mean**2, 0.0)
 
 
+def _obs_variance(gamma_minus, noise_var, observed):
+    """Variance of r_minus about z_out's noiseless value; inf when
+    gamma_minus = 0 drops the pseudo-observation."""
+    if observed:
+        return noise_var
+    if gamma_minus <= 0:
+        return np.inf
+    return 1.0 / gamma_minus + noise_var
+
+
+def _noisy_output_terms(r_minus, gamma_minus, noise_var):
+    """(c0, a, v_c) with z_out | z_in ~ N(c0 + a z_in, v_c): the channel noise
+    combined with the gamma_minus pseudo-observation r_minus."""
+    gm = max(gamma_minus, 0.0)
+    v_c = 1.0 / (gm + 1.0 / noise_var)
+    c0 = v_c * gm * r_minus if gm > 0 else 0.0
+    return c0, v_c / noise_var, v_c
+
+
 def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
                     observed=False):
     """Closed-form posterior moments for the relu channel.
@@ -106,12 +125,7 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
     """
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    if observed:
-        v_obs = noise_var
-    elif gamma_minus <= 0:
-        v_obs = np.inf
-    else:
-        v_obs = 1.0 / gamma_minus + noise_var
+    v_obs = _obs_variance(gamma_minus, noise_var, observed)
 
     log_w_neg, log_w_pos, m_t, v_t = _relu_branch_weights(
         r_plus, gamma_plus, r_minus, v_obs)
@@ -130,17 +144,12 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
     m_pos, v_pos = truncnorm_lower_moments(m_t, np.sqrt(v_t), 0.0)
     mean_in, var_in = _mix(w_neg, m_neg, v_neg, w_pos, m_pos, v_pos)
 
-    # Output side: posterior of z_out given z_in combines the channel noise
-    # with the gamma_minus pseudo-observation.
     if observed:
         mean_out = var_out = None
     elif noise_var == 0.0:
         mean_out, var_out = _mix(w_neg, 0.0 * m_pos, 0.0 * v_pos, w_pos, m_pos, v_pos)
     else:
-        gm = max(gamma_minus, 0.0)
-        v_c = 1.0 / (gm + 1.0 / noise_var)
-        a = v_c / noise_var
-        c0 = v_c * gm * r_minus if gm > 0 else np.zeros_like(m_t)
+        c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
         mean_out, var_out = _mix(
             w_neg, c0, np.full_like(m_t, v_c),
             w_pos, c0 + a * m_pos, a * a * v_pos + v_c,
@@ -152,12 +161,7 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
                         observed=False):
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    if observed:
-        v_obs = noise_var
-    elif gamma_minus <= 0:
-        v_obs = np.inf
-    else:
-        v_obs = 1.0 / gamma_minus + noise_var
+    v_obs = _obs_variance(gamma_minus, noise_var, observed)
 
     if np.isinf(v_obs):
         mean_in = r_plus + 0.0 * r_minus
@@ -171,10 +175,7 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
         return mean_in, _floor(var_in), None, None
     if noise_var == 0.0:
         return mean_in, _floor(var_in), mean_in.copy(), _floor(var_in.copy())
-    gm = max(gamma_minus, 0.0)
-    v_c = 1.0 / (gm + 1.0 / noise_var)
-    a = v_c / noise_var
-    c0 = v_c * gm * r_minus if gm > 0 else 0.0
+    c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
     mean_out = c0 + a * mean_in
     var_out = a * a * var_in + v_c
     return mean_in, _floor(var_in), mean_out, _floor(var_out)

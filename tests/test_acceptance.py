@@ -68,6 +68,7 @@ def se_gap_figures(res):
 
 
 class TestCriterion1SeAgreement:
+    @pytest.mark.slow
     def test_median_gap_within_tolerance(self, paper_run):
         # the paper configuration's per-trial final NMSE spans ~7 dB, which no
         # prediction can match trial by trial; the tolerances are asserted at
@@ -89,6 +90,7 @@ class TestCriterion1SeAgreement:
 
 
 class TestCriterion2MeasurementSweep:
+    @pytest.mark.slow
     def test_sweep_monotone_and_close_to_se(self):
         # trial count is not fixed by the criterion; 50 trials make the
         # median stable enough to test monotonicity meaningfully
@@ -144,6 +146,7 @@ class TestCriterion3LinearOracle:
 
 
 class TestCriterion4ScalarOracle:
+    @pytest.mark.slow
     def test_quadrature_within_4se_of_mc(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
@@ -168,6 +171,7 @@ class TestCriterion4ScalarOracle:
 
 
 class TestCriterion5GaussianChain:
+    @pytest.mark.slow
     def test_converged_means_match_dense_posterior(self):
         worst = 0.0
         for seed, n, pairs in [(1, 12, 3), (2, 16, 2), (3, 9, 3)]:
@@ -268,6 +272,7 @@ def moment_gaps(scale, seeds=(0, 1, 2), n_traj=200):
 
 
 class TestCriterion7MomentConvergence:
+    @pytest.mark.slow
     def test_wide_layer_moments_match_tau(self):
         # one trajectory's wide-layer moment swings by ~50% with ||z_0||^2/20,
         # and the network itself sits above tau0 while its first weight matrix

@@ -8,10 +8,13 @@ from mlvamp.engine import (
     EngineOptions,
     extrinsic_mean,
     init_state,
+    nmse_db,
     precision_update,
     run,
+    sweep,
 )
 from mlvamp.errors import EngineError, MlvampError, QuadratureError
+from mlvamp.linear_denoiser import denoise_linear, denoise_linear_observed
 from mlvamp.network import (
     LinearStage,
     NetworkSpec,
@@ -19,6 +22,7 @@ from mlvamp.network import (
     sample_trajectory,
     svd_decompose_stage,
 )
+from mlvamp.scalar_denoiser import ScalarChannel, denoise_input, denoise_middle
 
 
 class TestPrecisionUpdate:
@@ -189,6 +193,109 @@ class TestRun:
         se = run_se(stats_from_network(net), 15)
         assert recs[-1].nmse_db[0] < -2.0
         assert abs(recs[-1].nmse_db[0] - se.records[-1].nmse_db[0]) < 1.0
+
+
+def _shape_mix_network():
+    """Every linear-stage shape the engine handles: a deterministic stage with
+    n_out > n_in, a finite-nu stage with n_in > n_out, and a noisy
+    measurement with more outputs than its input (n_meas > n_last)."""
+    rng = np.random.default_rng(11)
+    dims, nus = [6, 14, 9, 20], [math.inf, 40.0, 200.0]
+    stages = []
+    for i, nu in enumerate(nus):
+        W = rng.normal(0, 1 / np.sqrt(dims[i]), (dims[i + 1], dims[i]))
+        stages.append(svd_decompose_stage(W, rng.normal(0, 0.2, dims[i + 1]), nu))
+        if i < len(nus) - 1:
+            stages.append(NonlinearStage("relu", 0.0 if i == 0 else 0.01, dims[i + 1]))
+    return NetworkSpec(n0=dims[0], stages=stages)
+
+
+def _run_recomputing(net, y, opts, truth):
+    """``run`` driven from here: every linear denoise transforms its inputs
+    afresh and returns both sides, so nothing is reused between calls."""
+    state = init_state(net)
+
+    def middle(stage, ell_in, forward):
+        args = (state.r_plus[ell_in], state.r_minus[ell_in + 1],
+                state.gamma_plus[ell_in], state.gamma_minus[ell_in + 1])
+        if stage.kind == "linear":
+            res = denoise_linear(stage, *args)
+            return ((res.z_hat_plus, res.var_out_mean) if forward
+                    else (res.z_hat_minus, res.var_in_mean))
+        res = denoise_middle(ScalarChannel(stage.activation, stage.noise_var), *args)
+        return ((res.mean_out, float(np.mean(res.var_out))) if forward
+                else (res.mean_in, float(np.mean(res.var_in))))
+
+    def forward(ell):
+        if ell == 0:
+            mean, var = denoise_input(state.r_minus[0], state.gamma_minus[0])
+            return mean, float(var)
+        return middle(net.stages[ell - 1], ell - 1, True)
+
+    def reverse(ell):
+        if ell == net.n_layers - 1:
+            res = denoise_linear_observed(net.stages[ell], y, state.r_plus[ell],
+                                          state.gamma_plus[ell])
+            return res.z_hat_minus, res.var_in_mean
+        return middle(net.stages[ell], ell, False)
+
+    records = []
+    for _ in range(opts.max_iter):
+        for direction, denoise in (("forward", forward), ("reverse", reverse)):
+            rec = sweep(state, direction, denoise, opts)
+            rec.nmse_db = np.array([nmse_db(truth.z[ell], z)
+                                    for ell, z in enumerate(rec.z_hat)])
+            records.append(rec)
+        state.k += 1
+    return records
+
+
+class _CountingFactor(np.ndarray):
+    """An orthogonal factor that counts the matvecs taken with it or with its
+    transpose (views share the counter)."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __matmul__(self, other):
+        self.counter[0] += 1
+        return np.asarray(self) @ other
+
+
+class TestTransformReuse:
+    def test_records_match_recomputing_reference(self):
+        net = _shape_mix_network()
+        traj = sample_trajectory(net, 4)
+        for damping in (1.0, 0.85):
+            opts = EngineOptions(max_iter=12, damping=damping)
+            ref = _run_recomputing(net, traj.z[-1], opts, traj)
+            got = run(net, traj.z[-1], opts, truth=traj)
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                for field in ("eta", "alpha", "gamma_plus", "gamma_minus", "nmse_db"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                assert a.clamp_events == b.clamp_events
+                for za, zb in zip(a.z_hat, b.z_hat):
+                    assert np.array_equal(za, zb)
+
+    def test_factor_matvecs_per_iteration(self):
+        # one iteration: V_in r+, V_out^T r-, and one back-transform per call
+        # for a middle stage; V_in r+ and V_in^T g for the observed stage.
+        # Once per run on top: V_out^T of a middle stage's initial r- and
+        # V_out^T y of the observed stage
+        net = _shape_mix_network()
+        y = sample_trajectory(net, 4).z[-1]
+        linear = [st for st in net.stages if st.kind == "linear"]
+        counters = []
+        for st in linear:
+            counters.append([0])
+            st.v_in = st.v_in.view(_CountingFactor)
+            st.v_out = st.v_out.view(_CountingFactor)
+            st.v_in.counter = st.v_out.counter = counters[-1]
+        n_iter = 5
+        run(net, y, EngineOptions(max_iter=n_iter, damping=0.85))
+        assert [c[0] for c in counters] == [4 * n_iter + 1, 4 * n_iter + 1,
+                                            2 * n_iter + 1]
 
 
 class TestInitState:

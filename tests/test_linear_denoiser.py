@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import oracles
 from mlvamp.errors import MlvampError
 from mlvamp.linear_denoiser import (
+    StageTransforms,
     component_solve,
     component_variances,
     denoise_linear,
@@ -21,14 +24,14 @@ def random_stage(rng, n_out=8, n_in=12, nu=3.0):
 
 class TestComponentSolve:
     def test_s_zero_decouples(self):
-        cs = component_solve(0.7, -0.4, 0.0, 1.1, 2.0, 3.0, 5.0)
-        assert cs.g_minus == pytest.approx(0.7, rel=1e-12)
-        assert cs.g_plus == pytest.approx((3.0 * -0.4 + 5.0 * 1.1) / 8.0, rel=1e-12)
+        g_minus, g_plus, _, _ = component_solve(0.7, -0.4, 0.0, 1.1, 2.0, 3.0, 5.0)
+        assert g_minus == pytest.approx(0.7, rel=1e-12)
+        assert g_plus == pytest.approx((3.0 * -0.4 + 5.0 * 1.1) / 8.0, rel=1e-12)
 
     def test_hard_constraint_average(self):
-        cs = component_solve(1.0, 3.0, 1.0, 0.0, 2.0, 2.0, math.inf)
-        assert cs.g_minus == pytest.approx(2.0, rel=1e-12)
-        assert cs.g_plus == pytest.approx(2.0, rel=1e-12)
+        g_minus, g_plus, _, _ = component_solve(1.0, 3.0, 1.0, 0.0, 2.0, 2.0, math.inf)
+        assert g_minus == pytest.approx(2.0, rel=1e-12)
+        assert g_plus == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_explicit_2x2_inverse(self):
         rng = np.random.default_rng(0)
@@ -40,22 +43,30 @@ class TestComponentSolve:
             d = np.array([gp * u_in - nu * s * b, gm * u_out + nu * b])
             ref = np.linalg.solve(P, d)
             cov = np.linalg.inv(P)
-            cs = component_solve(u_in, u_out, s, b, gp, gm, nu)
-            assert cs.g_minus == pytest.approx(ref[0], abs=1e-12, rel=1e-12)
-            assert cs.g_plus == pytest.approx(ref[1], abs=1e-12, rel=1e-12)
-            assert cs.d_minus == pytest.approx(gp * cov[0, 0], rel=1e-12)
-            assert cs.d_plus == pytest.approx(gm * cov[1, 1], rel=1e-12)
-            assert 0 < cs.d_minus < 1 and 0 < cs.d_plus < 1
+            g_minus, g_plus, var_in, var_out = component_solve(u_in, u_out, s, b,
+                                                               gp, gm, nu)
+            assert g_minus == pytest.approx(ref[0], abs=1e-12, rel=1e-12)
+            assert g_plus == pytest.approx(ref[1], abs=1e-12, rel=1e-12)
+            assert var_in == pytest.approx(cov[0, 0], rel=1e-12)
+            assert var_out == pytest.approx(cov[1, 1], rel=1e-12)
+            assert 0 < gp * var_in < 1 and 0 < gm * var_out < 1
 
     def test_deterministic_limit_matches_large_nu(self):
         # finite-nu solve approaches the exact constrained branch as nu grows
         # (nu kept moderate: the 2x2 determinant cancels catastrophically at
         # huge nu, which is why the nu = inf branch exists)
+        # (g_minus, g_plus, var_in, var_out); var_out carries alpha+
         cs_inf = component_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, math.inf)
         cs_big = component_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, 1e8)
-        assert cs_inf.g_minus == pytest.approx(cs_big.g_minus, rel=1e-6)
-        assert cs_inf.g_plus == pytest.approx(cs_big.g_plus, rel=1e-6)
-        assert cs_inf.d_plus == pytest.approx(cs_big.d_plus, rel=1e-6)
+        for i in (0, 1, 3):
+            assert cs_inf[i] == pytest.approx(cs_big[i], rel=1e-6)
+
+    def test_no_cancellation_at_large_nu_s2(self):
+        # gamma_minus = 0 leaves var_in = 1/gamma_plus exactly; a determinant
+        # formed as a11 a22 - (nu s)^2 loses ~eps nu s^2 / gamma_plus (1.3e-5)
+        for nu, s, gp in ((1e4, 3.0, 1e-6), (10.0, 1.05, 1e-4)):
+            _, _, var_in, _ = component_solve(0.0, 0.0, s, 0.0, gp, 0.0, nu)
+            assert var_in == pytest.approx(1 / gp, rel=1e-13)
 
     def test_singular_rejected(self):
         with pytest.raises(MlvampError):
@@ -103,14 +114,15 @@ class TestDenoiseLinear:
         rng = np.random.default_rng(4)
         for _ in range(30):
             st = random_stage(rng, n_out=6, n_in=9, nu=float(rng.uniform(0.5, 20)))
-            res = denoise_linear(st, rng.normal(size=9), rng.normal(size=6),
-                                 float(10**rng.uniform(-2, 2)),
-                                 float(10**rng.uniform(-2, 2)))
-            assert 0 < res.alpha_minus < 1
-            assert 0 < res.alpha_plus < 1
+            rp, rm = rng.normal(size=9), rng.normal(size=6)
+            gp, gm = float(10**rng.uniform(-2, 2)), float(10**rng.uniform(-2, 2))
+            res = denoise_linear(st, rp, rm, gp, gm)
+            assert 0 < gp * res.var_in_mean < 1
+            assert 0 < gm * res.var_out_mean < 1
 
     def test_finite_difference_divergence(self):
-        # <d z_hat+ / d r-> in transformed coordinates matches alpha+
+        # <d z_hat+ / d r-> in transformed coordinates matches
+        # alpha+ = gamma- <var_out>
         rng = np.random.default_rng(5)
         st = random_stage(rng, n_out=10, n_in=6, nu=2.0)
         rp, rm = rng.normal(size=6), rng.normal(size=10)
@@ -124,7 +136,7 @@ class TestDenoiseLinear:
             zp = denoise_linear(st, rp, rm + st.v_out @ e, gp, gm).z_hat_plus
             zm = denoise_linear(st, rp, rm - st.v_out @ e, gp, gm).z_hat_plus
             fd[n] = (st.v_out.T @ (zp - zm))[n] / (2 * eps)
-        assert np.mean(fd) == pytest.approx(res.alpha_plus, rel=1e-6)
+        assert np.mean(fd) == pytest.approx(gm * res.var_out_mean, rel=1e-6)
 
     def test_orthogonal_invariance(self):
         # same s, b_bar and transformed inputs => same componentwise outputs
@@ -144,7 +156,7 @@ class TestDenoiseLinear:
             rm = v_out @ u_out
             res = denoise_linear(st, rp, rm, gp, gm)
             outs.append((v_in @ res.z_hat_minus, v_out.T @ res.z_hat_plus,
-                         res.alpha_minus, res.alpha_plus))
+                         gp * res.var_in_mean, gm * res.var_out_mean))
         assert np.allclose(outs[0][0], outs[1][0], atol=1e-10)
         assert np.allclose(outs[0][1], outs[1][1], atol=1e-10)
         assert outs[0][2] == pytest.approx(outs[1][2], rel=1e-12)
@@ -154,6 +166,34 @@ class TestDenoiseLinear:
         st = random_stage(rng)
         with pytest.raises(ValueError):
             denoise_linear(st, np.zeros(3), np.zeros(8), 1.0, 1.0)
+
+
+    def test_one_sided_calls_skip_the_other_side(self):
+        rng = np.random.default_rng(7)
+        st = random_stage(rng)
+        rp, rm = rng.normal(size=12), rng.normal(size=8)
+        both = denoise_linear(st, rp, rm, 0.9, 1.7)
+        minus = denoise_linear(st, rp, rm, 0.9, 1.7, side="minus")
+        plus = denoise_linear(st, rp, rm, 0.9, 1.7, side="plus")
+        assert minus.z_hat_plus is None and plus.z_hat_minus is None
+        assert np.array_equal(minus.z_hat_minus, both.z_hat_minus)
+        assert np.array_equal(plus.z_hat_plus, both.z_hat_plus)
+        with pytest.raises(ValueError):
+            denoise_linear(st, rp, rm, 0.9, 1.7, side="up")
+
+    def test_shared_transforms_follow_new_arrays(self):
+        # a shared StageTransforms serves an input again only while the very
+        # same array is passed; a new array is transformed afresh
+        rng = np.random.default_rng(8)
+        st = random_stage(rng)
+        tr = StageTransforms(st)
+        rp, rm = rng.normal(size=12), rng.normal(size=8)
+        denoise_linear(st, rp, rm, 0.9, 1.7, transforms=tr)
+        for rp, rm in ((rp, rng.normal(size=8)), (rng.normal(size=12), rm)):
+            shared = denoise_linear(st, rp, rm, 0.9, 1.7, transforms=tr)
+            fresh = denoise_linear(st, rp, rm, 0.9, 1.7)
+            assert np.array_equal(shared.z_hat_minus, fresh.z_hat_minus)
+            assert np.array_equal(shared.z_hat_plus, fresh.z_hat_plus)
 
 
 class TestDenoiseLinearObserved:
@@ -189,6 +229,18 @@ class TestDenoiseLinearObserved:
             denoise_linear_observed(st, np.zeros(8), np.zeros(12), 1.0)
 
 
+    def test_shared_transforms_match_fresh(self):
+        rng = np.random.default_rng(4)
+        st = random_stage(rng, n_out=10, n_in=6, nu=4.0)
+        y = rng.normal(size=10)
+        tr = StageTransforms(st)
+        for _ in range(3):
+            rp = rng.normal(size=6)
+            shared = denoise_linear_observed(st, y, rp, 1.3, transforms=tr)
+            fresh = denoise_linear_observed(st, y, rp, 1.3)
+            assert np.array_equal(shared.z_hat_minus, fresh.z_hat_minus)
+
+
 class TestComponentVariances:
     def test_matches_inverse_diagonal(self):
         s = np.array([0.0, 0.5, 2.0])
@@ -199,3 +251,56 @@ class TestComponentVariances:
             cov = np.linalg.inv(P)
             assert vi[i] == pytest.approx(cov[0, 0], rel=1e-12)
             assert vo[i] == pytest.approx(cov[1, 1], rel=1e-12)
+
+
+PRECISIONS = hs.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)
+
+
+@hs.composite
+def linear_cases(draw, finite_nu_only=False):
+    """A random linear stage of any shape (n_in above, below or equal to
+    n_out, rank up to min(n_in, n_out)) with messages and precisions."""
+    n_in, n_out = draw(hs.integers(1, 8)), draw(hs.integers(1, 8))
+    rank = draw(hs.integers(0, min(n_in, n_out)))
+    finite = hs.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
+    nu = draw(finite if finite_nu_only else hs.one_of(hs.just(math.inf), finite))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    st = LinearStage(v_out=haar_orthogonal(n_out, rng),
+                     v_in=haar_orthogonal(n_in, rng), s=rng.uniform(0.0, 3.0, rank),
+                     b=rng.normal(size=n_out), nu=nu)
+    scale = draw(PRECISIONS) ** 0.25
+    return (st, scale * rng.normal(size=n_in), scale * rng.normal(size=n_out),
+            draw(PRECISIONS), draw(hs.one_of(hs.just(0.0), PRECISIONS)))
+
+
+# The mean variances may exceed their bound by rounding only (a few ulps).
+ULPS = 1e-12
+
+
+class TestLinearDenoiserProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(linear_cases())
+    def test_moments_bounded_and_sides_consistent(self, case):
+        st, rp, rm, gp, gm = case
+        both = denoise_linear(st, rp, rm, gp, gm)
+        assert np.all(np.isfinite(both.z_hat_minus))
+        assert np.all(np.isfinite(both.z_hat_plus))
+        assert 0 < both.var_in_mean <= (1 + ULPS) / gp
+        assert both.var_out_mean >= 0
+        if gm > 0:
+            assert both.var_out_mean <= (1 + ULPS) / gm
+        for side, kept, dropped in (("minus", "z_hat_minus", "z_hat_plus"),
+                                    ("plus", "z_hat_plus", "z_hat_minus")):
+            one = denoise_linear(st, rp, rm, gp, gm, side=side)
+            assert getattr(one, dropped) is None
+            assert np.array_equal(getattr(one, kept), getattr(both, kept))
+            assert (one.var_in_mean, one.var_out_mean) == (both.var_in_mean,
+                                                           both.var_out_mean)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(linear_cases(finite_nu_only=True))
+    def test_observed_moments_bounded(self, case):
+        st, rp, y, gp, _ = case
+        res = denoise_linear_observed(st, y, rp, gp)
+        assert np.all(np.isfinite(res.z_hat_minus))
+        assert 0 < res.var_in_mean <= (1 + ULPS) / gp

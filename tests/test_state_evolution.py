@@ -243,8 +243,9 @@ class TestErrorFunctions:
             p0 = rng.normal(0, 1, n) / math.sqrt(gp)
             q0 = s * p0 + rng.normal(0, 1, n) / math.sqrt(stat.nu)
             rm = q0 + rng.normal(0, 1, n) / math.sqrt(gm)
-            cs = component_solve(np.zeros(n), rm, s, np.zeros(n), gp, gm, stat.nu)
-            return (cs.g_minus - p0) ** 2, (cs.g_plus - q0) ** 2
+            g_minus, g_plus, _, _ = component_solve(np.zeros(n), rm, s, np.zeros(n),
+                                                    gp, gm, stat.nu)
+            return (g_minus - p0) ** 2, (g_plus - q0) ** 2
 
         err_in, _ = mc(stat.n_in)
         _, err_out = mc(stat.n_out)
@@ -324,6 +325,7 @@ class TestRunSe:
         # trajectory decreasing then flat
         assert all(b <= a + 1e-6 for a, b in zip(curve, curve[1:]))
 
+    @pytest.mark.slow
     def test_paper_config_matches_engine_precision(self, paper_chain):
         # the SE's final input-layer 1/eta must sit on the engine's own
         # precision (median over trials), not merely near the simulated NMSE.
