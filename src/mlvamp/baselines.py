@@ -60,11 +60,7 @@ def hamiltonian(ctx, z0):
 
 def _linear_t_apply(stage, g):
     """W^T g through the SVD factors."""
-    u = stage.v_out.T @ g
-    out = np.zeros(stage.n_in)
-    r = len(stage.s)
-    out[:r] = stage.s * u[:r]
-    return stage.v_in.T @ out
+    return stage.v_in.T @ (stage.s * (stage.v_out.T @ g))
 
 
 def grad_hamiltonian(ctx, z0):

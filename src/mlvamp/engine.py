@@ -184,9 +184,10 @@ def sweep(state, direction, denoise, opts):
     ``denoise(ell)`` returns the belief (z_hat, vbar) of variable ell; a
     z_hat of None (the state evolution) updates only the precisions, leaving
     the means untouched.  Damping blends (gamma, r) with the previous
-    iterate from k = 1 on.  Every message update is bound to a fresh array
-    and none is modified in place, which lets ``run`` key its reused
-    transforms on array identity.  Returns the half-iteration's
+    iterate from k = 1 on.  A non-finite updated message (gamma, or r when
+    the means move) raises EngineError.  Every message update is bound to a
+    fresh array and none is modified in place, which lets ``run`` key its
+    reused transforms on array identity.  Returns the half-iteration's
     IterationRecord (without NMSE).
     """
     n = len(state.gamma_plus)
@@ -218,6 +219,11 @@ def sweep(state, direction, denoise, opts):
             g_new = damp * g_new + (1 - damp) * g_own[ell]
             eta = g_new + g_opp[ell]
         g_own[ell] = g_new
+        if not np.isfinite(g_new) or (z_hat is not None
+                                      and not np.all(np.isfinite(r_own[ell]))):
+            raise EngineError(
+                f"non-finite message at layer {ell} ({direction}, k={state.k})",
+                state_dump=_dump(state, ell, direction))
         etas[ell], alphas[ell] = eta, alpha
         events += ev
         z_hats[ell] = z_hat

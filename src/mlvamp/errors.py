@@ -32,7 +32,7 @@ class DivergenceError(MlvampError):
 
 
 class EngineError(MlvampError):
-    """A denoiser failed inside the message-passing sweep.
+    """A denoiser failed, or a message turned non-finite, inside the sweep.
 
     ``state_dump`` holds iteration/layer context plus the message state at
     the time of failure.

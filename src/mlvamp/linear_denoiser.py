@@ -11,9 +11,18 @@ component solves the 2x2 system P u = d with
 whose inverse diagonal yields the posterior variances.  nu = inf is the
 deterministic stage and is solved as the exact equality-constrained limit.
 
-The cost is the matvecs with V_in and V_out.  A call transforms back only
-the side asked for, and a shared StageTransforms lets the forward and the
-reverse call of a stage reuse each other's input transforms.
+The factors are thin (r = len(s) directions).  The other n_in - r input and
+n_out - r output components are the s = 0 case, whose solve has a closed
+form: there z- keeps r+, and z+ blends r- and b with weight
+w = gamma- / (gamma- + nu) (w = 0 at nu = inf).  So
+
+    z- = V_in^T (g- - u_in) + r+
+    z+ = V_out (g+ - w u_out - (1 - w) b_bar) + w r- + (1 - w) b
+
+with u_in = V_in r+ and u_out = V_out^T r-.  The cost is the matvecs with
+V_in and V_out.  A call transforms back only the side asked for, and a
+shared StageTransforms lets the forward and the reverse call of a stage
+reuse each other's input transforms.
 """
 from dataclasses import dataclass
 
@@ -22,46 +31,39 @@ import numpy as np
 from .errors import MlvampError
 
 
-def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
-    """Posterior means and variances (g_minus, g_plus, var_in, var_out) of
-    one or a batch of transformed components; see the module docstring.
+def component_variances(s, gamma_plus, gamma_minus, nu):
+    """Posterior variances (var_in, var_out) of the 2x2 belief per component
+    for singular values s: the diagonal of P^{-1}.
 
     gamma_minus = 0 is permitted (uninformative output message); the formulas
     stay regular because det = nu * gamma_plus > 0.
     """
+    s = np.asarray(s, dtype=float)
     if np.isinf(nu):
         denom = gamma_plus + gamma_minus * s * s
         if np.any(denom <= 0):
             raise MlvampError("singular constrained solve: both precisions vanish")
         var_in = 1.0 / denom
-        g_minus = (gamma_plus * u_in + gamma_minus * s * (u_out - b_bar)) * var_in
-        g_plus = s * g_minus + b_bar
-        var_out = s * s * var_in
-        return g_minus, g_plus, var_in, var_out
-    a11 = gamma_plus + nu * s * s
+        return var_in, s * s * var_in
     a22 = gamma_minus + nu
     # a11 a22 - (nu s)^2 without its cancellation when nu s^2 >> gamma_plus
     det = gamma_plus * a22 + nu * s * s * gamma_minus
     if np.any(det <= 0):
         raise MlvampError("singular 2x2 belief precision (zero precisions?)")
+    return a22 / det, (gamma_plus + nu * s * s) / det
+
+
+def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
+    """Posterior means and variances (g_minus, g_plus, var_in, var_out) of
+    one or a batch of transformed components; see the module docstring."""
+    var_in, var_out = component_variances(s, gamma_plus, gamma_minus, nu)
+    if np.isinf(nu):
+        g_minus = (gamma_plus * u_in + gamma_minus * s * (u_out - b_bar)) * var_in
+        return g_minus, s * g_minus + b_bar, var_in, var_out
     d1 = gamma_plus * u_in - nu * s * b_bar
     d2 = gamma_minus * u_out + nu * b_bar
-    g_minus = (a22 * d1 + nu * s * d2) / det
-    g_plus = (nu * s * d1 + a11 * d2) / det
-    return g_minus, g_plus, a22 / det, a11 / det
-
-
-def component_variances(s, gamma_plus, gamma_minus, nu):
-    """Posterior variances (var_in, var_out) per component for given singular
-    values; shared with the SE linear error functions."""
-    s = np.asarray(s, dtype=float)
-    if np.isinf(nu):
-        var_in = 1.0 / (gamma_plus + gamma_minus * s * s)
-        return var_in, s * s * var_in
-    a11 = gamma_plus + nu * s * s
-    a22 = gamma_minus + nu
-    det = a11 * a22 - (nu * s) ** 2
-    return a22 / det, a11 / det
+    cov = nu * s * var_in / (gamma_minus + nu)   # off-diagonal of P^{-1}
+    return var_in * d1 + cov * d2, cov * d1 + var_out * d2, var_in, var_out
 
 
 class StageTransforms:
@@ -87,26 +89,16 @@ class StageTransforms:
         return self._get("out", r_minus, lambda r: self.stage.v_out.T @ r)
 
     def observed(self, y):
-        """(nu s^2, nu s (y_bar - b_bar)) over the input coordinates, with
-        y_bar = V_out^T y and zeros beyond the rank."""
-        return self._get("y", y, self._observed_terms)
-
-    def _observed_terms(self, y):
+        """(nu s^2, nu s (y_bar - b_bar)) over the singular directions, with
+        y_bar = V_out^T y."""
         st = self.stage
-        r = min(len(st.s), st.n_in)
-        s_in = st.s_padded(st.n_in)
-        y_res = np.zeros(st.n_in)
-        y_res[:r] = (st.v_out.T @ y)[:r] - st.b_bar[:r]
-        return st.nu * s_in * s_in, st.nu * s_in * y_res
+        return self._get("y", y, lambda v: (st.nu * st.s * st.s,
+                                            st.nu * st.s * (st.v_out.T @ v - st.b_bar)))
 
 
-def _padded(v, n):
-    """v followed by zeros up to length n."""
-    if len(v) == n:
-        return v
-    out = np.zeros(n)
-    out[:len(v)] = v
-    return out
+def _mean_with_rest(v, n, v_rest):
+    """Mean over n components: v followed by n - len(v) copies of v_rest."""
+    return float((np.sum(v) + (n - len(v)) * v_rest) / n)
 
 
 @dataclass
@@ -121,15 +113,11 @@ class LinearDenoised:
 
 def denoise_linear(stage, r_plus, r_minus, gamma_plus, gamma_minus,
                    side="both", transforms=None):
-    """Belief means of a middle linear stage, Eq.-style
-
-        z_hat_plus  = V_out G+(V_in r+, V_out^T r-, s, b_bar, g+, g-)
-        z_hat_minus = V_in^T G-(...)
-
-    plus the mean posterior variances on the input (over N_in) and output
-    (over N_out) sides.  Only the means of ``side`` ("minus", "plus" or
-    "both") are transformed back; ``transforms`` may share input transforms
-    across calls.
+    """Belief means z- and z+ of a middle linear stage (see the module
+    docstring) plus the mean posterior variances on the input (over N_in)
+    and output (over N_out) sides.  Only the means of ``side`` ("minus",
+    "plus" or "both") are transformed back; ``transforms`` may share input
+    transforms across calls.
     """
     if side not in ("minus", "plus", "both"):
         raise ValueError(f"side must be 'minus', 'plus' or 'both', not {side!r}")
@@ -140,23 +128,20 @@ def denoise_linear(stage, r_plus, r_minus, gamma_plus, gamma_minus,
         raise ValueError("r vectors do not match stage dimensions")
     transforms = transforms or StageTransforms(stage)
 
-    # coordinates past the rank, or with no partner on the other side, are
-    # the s = 0 case of the 2x2 solve; their zero padding never reaches a mean
-    n_max = max(n_in, n_out)
+    u_in, u_out = transforms.u_in(r_plus), transforms.u_out(r_minus)
     g_minus, g_plus, var_in, var_out = component_solve(
-        _padded(transforms.u_in(r_plus), n_max),
-        _padded(transforms.u_out(r_minus), n_max),
-        stage.s_padded(n_max), _padded(stage.b_bar, n_max),
-        gamma_plus, gamma_minus, stage.nu)
-    g_minus, var_in = g_minus[:n_in], var_in[:n_in]
-    g_plus, var_out = g_plus[:n_out], var_out[:n_out]
-
-    return LinearDenoised(
-        z_hat_minus=stage.v_in.T @ g_minus if side != "plus" else None,
-        z_hat_plus=stage.v_out @ g_plus if side != "minus" else None,
-        var_in_mean=float(np.mean(var_in)),
-        var_out_mean=float(np.mean(var_out)),
-    )
+        u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, stage.nu)
+    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, stage.nu)
+    z_hat_minus = z_hat_plus = None
+    if side != "plus":
+        z_hat_minus = stage.v_in.T @ (g_minus - u_in) + r_plus
+    if side != "minus":
+        w = gamma_minus / (gamma_minus + stage.nu)
+        z_hat_plus = (stage.v_out @ (g_plus - w * u_out - (1 - w) * stage.b_bar)
+                      + w * r_minus + (1 - w) * stage.b)
+    return LinearDenoised(z_hat_minus, z_hat_plus,
+                          _mean_with_rest(var_in, n_in, rest_in),
+                          _mean_with_rest(var_out, n_out, rest_out))
 
 
 @dataclass
@@ -185,9 +170,10 @@ def denoise_linear_observed(stage, y, r_plus, gamma_plus, transforms=None):
 
     nu_s2, nu_s_y = transforms.observed(y)
     prec = gamma_plus + nu_s2
-    g = (gamma_plus * transforms.u_in(r_plus) + nu_s_y) / prec
-    var_in = 1.0 / prec
+    u_in = transforms.u_in(r_plus)
+    g = (gamma_plus * u_in + nu_s_y) / prec
+    # past the rank z- keeps r+ with variance 1/gamma+
     return ObservedLinearDenoised(
-        z_hat_minus=stage.v_in.T @ g,
-        var_in_mean=float(np.mean(var_in)),
+        z_hat_minus=stage.v_in.T @ (g - u_in) + r_plus,
+        var_in_mean=_mean_with_rest(1.0 / prec, stage.n_in, 1.0 / gamma_plus),
     )

@@ -3,9 +3,10 @@ SVD-form storage and JSON serialization.
 
 A network is a chain  z_0 -> z_1 -> ... -> z_L  where z_0 is a standard
 Gaussian input, each stage maps z_{l-1} to z_l, and the final stage output
-z_L = y is the observation.  Linear stages are held in factored form
-W = V_out diag(s) V_in (V_in applied directly, not transposed) because the
-inference algorithm and the SE recursion only ever need (V, s, b_bar).
+z_L = y is the observation.  Linear stages are held in thin factored form
+W = V_out diag(s) V_in (V_in applied directly, not transposed): V_out is
+n_out x r and V_in is r x n_in for the r = len(s) singular directions, which
+is all the inference algorithm and the SE recursion need.
 """
 import json
 import math
@@ -19,6 +20,7 @@ from .gauss import relu_gauss_moments
 
 BUILDER_PROCEDURE = "build_synthetic_network/v1"
 HAAR_PROCEDURE = "haar_qr_sign/v1"
+DOCUMENT_VERSION = 2
 
 
 def haar_orthogonal(n, rng):
@@ -33,8 +35,12 @@ def haar_orthogonal(n, rng):
 class LinearStage:
     """z_out = V_out diag(s) V_in z_in + b + noise, noise ~ N(0, I/nu).
 
-    nu = inf marks a deterministic stage.  b_bar = V_out^T b is cached since
-    both the denoiser and the SE statistics consume the transformed bias.
+    The factors are thin: V_out is n_out x r with orthonormal columns and
+    V_in is r x n_in with orthonormal rows, r = len(s).  Wider factors (the
+    square ones of a version-1 network document) are cut to their first r
+    columns of V_out and rows of V_in; every stored factor owns its memory,
+    so a cut never keeps a square array alive.  nu = inf marks a
+    deterministic stage.  b_bar = V_out^T b is cached for the denoiser.
     """
 
     v_out: np.ndarray
@@ -47,11 +53,19 @@ class LinearStage:
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
+        r = len(self.s)
+        v_out, v_in = np.asarray(self.v_out), np.asarray(self.v_in)
+        self.v_out = np.require(v_out[:, :r] if v_out.shape[1] > r else v_out,
+                                float, ["C", "O"])
+        self.v_in = np.require(v_in[:r] if v_in.shape[0] > r else v_in,
+                               float, ["C", "O"])
+        if self.v_out.shape[1] != r or self.v_in.shape[0] != r:
+            raise ValueError("V_out needs len(s) columns and V_in len(s) rows")
         if self.b.shape != (self.n_out,):
             raise ValueError("bias length must equal the output dimension")
         if np.any(self.s < 0):
             raise ValueError("singular values must be nonnegative")
-        if len(self.s) > min(self.n_in, self.n_out):
+        if r > min(self.n_in, self.n_out):
             raise ValueError("more singular values than min dimension")
         if not (self.nu > 0):
             raise ValueError("nu must be positive (inf for deterministic)")
@@ -64,30 +78,17 @@ class LinearStage:
 
     @property
     def n_in(self):
-        return self.v_in.shape[0]
+        return self.v_in.shape[1]
 
     @property
     def n_out(self):
         return self.v_out.shape[0]
 
-    def s_padded(self, n):
-        out = np.zeros(n)
-        r = min(len(self.s), n)
-        out[:r] = self.s[:r]
-        return out
-
     def to_dense(self):
-        sigma = np.zeros((self.n_out, self.n_in))
-        r = len(self.s)
-        sigma[:r, :r] = np.diag(self.s)
-        return self.v_out @ sigma @ self.v_in
+        return (self.v_out * self.s) @ self.v_in
 
     def apply(self, z):
-        u = self.v_in @ z
-        out = np.zeros(self.n_out)
-        r = len(self.s)
-        out[:r] = self.s * u[:r]
-        return self.v_out @ out + self.b
+        return self.v_out @ (self.s * (self.v_in @ z)) + self.b
 
     def sample_output(self, z, rng):
         out = self.apply(z)
@@ -96,8 +97,9 @@ class LinearStage:
         return out
 
     def validate(self, tol=1e-10):
-        for v in (self.v_out, self.v_in):
-            err = np.max(np.abs(v.T @ v - np.eye(v.shape[0])))
+        eye = np.eye(len(self.s))
+        for v in (self.v_out, self.v_in.T):
+            err = np.max(np.abs(v.T @ v - eye), initial=0.0)
             if err > tol:
                 raise MlvampError(f"orthogonality violated: max |V^T V - I| = {err:.2e}")
 
@@ -182,12 +184,13 @@ class Trajectory:
 
 
 def svd_decompose_stage(W, b, nu):
-    """Factor a dense weight matrix into a LinearStage (W = V_out diag(s) V_in)."""
+    """Factor a dense weight matrix into a LinearStage (W = V_out diag(s) V_in,
+    thin factors of the numerical rank)."""
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(W)) or not np.all(np.isfinite(b)):
         raise ValueError("non-finite entries in weight matrix or bias")
-    u, s, vh = np.linalg.svd(W, full_matrices=True)
+    u, s, vh = np.linalg.svd(W, full_matrices=False)
     if s.size and s[0] > 0:
         r = int(np.sum(s > s[0] * max(W.shape) * np.finfo(float).eps))
     else:
@@ -247,19 +250,18 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
     rng_v = np.random.default_rng(children[2 * n_hidden + 1])
     s = np.logspace(-math.log10(kappa), 0.0, rank)
     s = s / math.sqrt(np.mean(s**2))
-    v_out = haar_orthogonal(n_meas, rng_u)
-    v_in = haar_orthogonal(n_last, rng_v)
-
-    # pilot trajectories fix the measurement noise relative to signal power
-    meas_clean = LinearStage(v_out=v_out, v_in=v_in, s=s,
+    # the stage keeps the first `rank` columns / rows of the square Haar draws
+    meas_clean = LinearStage(v_out=haar_orthogonal(n_meas, rng_u),
+                             v_in=haar_orthogonal(n_last, rng_v), s=s,
                              b=np.zeros(n_meas), nu=math.inf)
+    # pilot trajectories fix the measurement noise relative to signal power
     rng_pilot = np.random.default_rng(children[2 * n_hidden + 2])
     power = float(np.mean([
         np.sum(meas_clean.apply(_hidden_chain_sample(stages, dims[0], rng_pilot))**2)
         for _ in range(10)
     ]))
     sigma2 = power * 10.0 ** (-snr_db / 10.0) / n_meas
-    meas = LinearStage(v_out=v_out, v_in=v_in, s=s,
+    meas = LinearStage(v_out=meas_clean.v_out, v_in=meas_clean.v_in, s=s,
                        b=np.zeros(n_meas), nu=1.0 / sigma2)
 
     meta = {
@@ -306,13 +308,15 @@ def network_to_json(net, mode="auto"):
 
     mode "recipe" stores the builder arguments (orthogonal factors regenerate
     from the seed); "explicit" embeds the matrices; "auto" picks recipe when
-    the network came from build_synthetic_network.
+    the network came from build_synthetic_network.  Version 2 documents hold
+    the thin factors; a version-1 document's square factors load through the
+    LinearStage constructor, which keeps their first len(s) columns / rows.
     """
     if mode == "auto":
         mode = "recipe" if net.meta.get("builder") else "explicit"
     if mode == "recipe" and not net.meta.get("builder"):
         raise ConfigError("network has no builder recipe; use explicit mode")
-    doc = {"format": "mlvamp-network", "version": 1, "mode": mode,
+    doc = {"format": "mlvamp-network", "version": DOCUMENT_VERSION, "mode": mode,
            "dims": net.dims, "n0": net.n0, "stages": [], "meta": net.meta}
     for st in net.stages:
         if st.kind == "linear":
@@ -333,6 +337,8 @@ def network_to_json(net, mode="auto"):
 def network_from_json(doc):
     if doc.get("format") != "mlvamp-network":
         raise ConfigError("not a network document")
+    if doc.get("version") not in (1, DOCUMENT_VERSION):
+        raise ConfigError(f"unsupported network document version {doc.get('version')!r}")
     if doc["mode"] == "recipe":
         args = doc["meta"]["builder_args"]
         net = build_synthetic_network(**args)
@@ -345,7 +351,8 @@ def network_from_json(doc):
     for entry in doc["stages"]:
         if entry["kind"] == "linear":
             stages.append(LinearStage(
-                v_out=np.array(entry["v_out"]), v_in=np.array(entry["v_in"]),
+                v_out=np.array(entry["v_out"]),
+                v_in=np.array(entry["v_in"]).reshape(-1, entry["n_in"]),
                 s=np.array(entry["s"]), b=np.array(entry["b"]),
                 nu=_nu_from_json(entry["nu"])))
         else:

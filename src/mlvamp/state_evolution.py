@@ -31,7 +31,6 @@ from .engine import EngineOptions, MessageState, sweep
 from .errors import MlvampError
 from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
 from .linear_denoiser import component_variances
-from .network import LinearStage
 from .scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 
 _NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
@@ -47,24 +46,27 @@ _KINK_HALF_WIDTH = 6.0
 class LayerStatistics:
     """Scalar-limit description of one stage.
 
-    Linear stages carry the empirical (singular value, transformed bias)
-    samples, the noise precision, and the componentwise bias mean (the one
-    piece of the original-coordinate bias that survives the Haar rotations:
-    it shifts the law of the stage output that the next activation sees).
-    Nonlinear stages carry the activation and its noise law.
+    Linear stages carry the empirical singular values, the noise precision,
+    the bias energy mean(b^2) over the N_out outputs and the componentwise
+    bias mean (the one piece of the original-coordinate bias that survives
+    the Haar rotations: it shifts the law of the stage output that the next
+    activation sees).  Nonlinear stages carry the activation and its noise
+    law.
     """
 
     kind: str
     n_in: int = 0
     n_out: int = 0
     s: np.ndarray = None
-    b_bar: np.ndarray = None
+    b_sq_mean: float = 0.0
     nu: float = None
     b_mean: float = 0.0
     activation: str = None
     noise_var: float = 0.0
 
-    s_padded = LinearStage.s_padded
+    def s_padded(self, n):
+        """The singular values followed by zeros up to length n >= len(s)."""
+        return np.concatenate([self.s, np.zeros(n - len(self.s))])
 
 
 def stats_from_network(net):
@@ -72,7 +74,8 @@ def stats_from_network(net):
     for st in net.stages:
         if st.kind == "linear":
             out.append(LayerStatistics(kind="linear", n_in=st.n_in, n_out=st.n_out,
-                                       s=np.array(st.s), b_bar=np.array(st.b_bar),
+                                       s=np.array(st.s),
+                                       b_sq_mean=float(np.mean(st.b**2)),
                                        nu=st.nu, b_mean=float(np.mean(st.b))))
         else:
             out.append(LayerStatistics(kind="nonlinear", n_in=st.n, n_out=st.n,
@@ -99,7 +102,7 @@ def tau_mean_chain(stats):
                 raise MlvampError("unbounded singular-value samples")
             s_out = stat.s_padded(stat.n_out)
             noise = 0.0 if math.isinf(stat.nu) else 1.0 / stat.nu
-            tau.append(float(np.mean(s_out**2) * prev + np.mean(stat.b_bar**2) + noise))
+            tau.append(float(np.mean(s_out**2) * prev + stat.b_sq_mean + noise))
             mean.append(stat.b_mean)
         elif stat.activation == "relu":
             v = max(prev - m_prev**2, 1e-30)

@@ -162,6 +162,17 @@ class TestRun:
         assert (dump["layer"], dump["direction"], dump["k"]) == (1, "reverse", 0)
         assert isinstance(info.value.__cause__, QuadratureError)
 
+    def test_nonfinite_message_raises_with_state(self):
+        # a NaN mean with a finite variance, or a NaN variance, stops the sweep
+        net = oracles.make_gaussian_chain(4, seed=0)
+        for mean, var in ((np.nan, 0.5), (0.0, np.nan)):
+            state = init_state(net)
+            with pytest.raises(EngineError, match="non-finite message") as info:
+                sweep(state, "forward",
+                      lambda ell: (np.full(len(state.r_plus[ell]), mean), var),
+                      EngineOptions())
+            assert (info.value.state_dump["layer"], info.value.state_dump["k"]) == (0, 0)
+
     def test_clamp_events_counted(self):
         # an absurdly tight gamma_max forces clamping that must be reported
         net = oracles.make_gaussian_chain(6, seed=2)

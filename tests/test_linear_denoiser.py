@@ -121,21 +121,22 @@ class TestDenoiseLinear:
             assert 0 < gm * res.var_out_mean < 1
 
     def test_finite_difference_divergence(self):
-        # <d z_hat+ / d r-> in transformed coordinates matches
-        # alpha+ = gamma- <var_out>
+        # <d z_hat+ / d r-> matches alpha+ = gamma- <var_out>; the trace is
+        # the same in any orthonormal basis, here one completing V_out
         rng = np.random.default_rng(5)
         st = random_stage(rng, n_out=10, n_in=6, nu=2.0)
         rp, rm = rng.normal(size=6), rng.normal(size=10)
         gp, gm = 1.3, 0.7
         eps = 1e-6
         res = denoise_linear(st, rp, rm, gp, gm)
+        basis = np.linalg.qr(st.v_out, mode="complete")[0]
         fd = np.zeros(10)
         for n in range(10):
             e = np.zeros(10)
             e[n] = eps
-            zp = denoise_linear(st, rp, rm + st.v_out @ e, gp, gm).z_hat_plus
-            zm = denoise_linear(st, rp, rm - st.v_out @ e, gp, gm).z_hat_plus
-            fd[n] = (st.v_out.T @ (zp - zm))[n] / (2 * eps)
+            zp = denoise_linear(st, rp, rm + basis @ e, gp, gm).z_hat_plus
+            zm = denoise_linear(st, rp, rm - basis @ e, gp, gm).z_hat_plus
+            fd[n] = (basis.T @ (zp - zm))[n] / (2 * eps)
         assert np.mean(fd) == pytest.approx(gm * res.var_out_mean, rel=1e-6)
 
     def test_orthogonal_invariance(self):
@@ -242,6 +243,11 @@ class TestDenoiseLinearObserved:
 
 
 class TestComponentVariances:
+    def test_no_cancellation_at_large_nu_s2(self):
+        # the failing point of the cancelling determinant a11 a22 - (nu s)^2
+        var_in, _ = component_variances(3.0, 1e-6, 0.0, 1e4)
+        assert var_in == pytest.approx(1e6, rel=1e-12)
+
     def test_matches_inverse_diagonal(self):
         s = np.array([0.0, 0.5, 2.0])
         gp, gm, nu = 1.2, 0.8, 3.0
@@ -251,6 +257,61 @@ class TestComponentVariances:
             cov = np.linalg.inv(P)
             assert vi[i] == pytest.approx(cov[0, 0], rel=1e-12)
             assert vo[i] == pytest.approx(cov[1, 1], rel=1e-12)
+
+
+# (n_out, n_in, rank): n_out > n_in, n_in > n_out, rank < min(n_in, n_out)
+THIN_SHAPES = [(9, 5, 5), (5, 9, 5), (8, 7, 3)]
+
+
+def thin_case(rng, n_out, n_in, rank, nu):
+    """A stage cut from square Haar factors, its dense W and two messages.
+    The bias is generic, so it has energy outside span(V_out) when
+    rank < n_out."""
+    u, v = haar_orthogonal(n_out, rng), haar_orthogonal(n_in, rng)
+    s = rng.uniform(0.3, 2.0, rank)
+    st = LinearStage(v_out=u, v_in=v, s=s, b=rng.normal(size=n_out), nu=nu)
+    W = u[:, :rank] @ np.diag(s) @ v[:rank]
+    return st, W, rng.normal(size=n_in), rng.normal(size=n_out)
+
+
+class TestThinComplement:
+    """The components past the rank take the closed forms of the module
+    docstring; dense solves over the full W check them."""
+
+    @pytest.mark.parametrize("nu", [math.inf, 2.5])
+    @pytest.mark.parametrize("shape", THIN_SHAPES)
+    def test_matches_dense_solves(self, shape, nu):
+        n_out, n_in, rank = shape
+        rng = np.random.default_rng(n_out * n_in + rank)
+        st, W, rp, rm = thin_case(rng, n_out, n_in, rank, nu)
+        assert st.v_out.shape == (n_out, rank) and st.v_in.shape == (rank, n_in)
+        if rank < n_out:
+            outside = st.b - st.v_out @ st.b_bar
+            assert np.linalg.norm(outside) > 0.1 * np.linalg.norm(st.b)
+        for gp, gm in ((0.7, 1.9), (3.0, 0.0)):
+            res = denoise_linear(st, rp, rm, gp, gm)
+            if math.isinf(nu):
+                zi, zo = oracles.dense_constrained_linear_solve(W, st.b, rp, rm, gp, gm)
+                cov = np.linalg.inv(gp * np.eye(n_in) + gm * W.T @ W)
+                vi, vo = np.mean(np.diag(cov)), np.mean(np.diag(W @ cov @ W.T))
+            else:
+                zi, zo, vi, vo = oracles.dense_joint_linear_solve(W, st.b, nu, rp, rm,
+                                                                  gp, gm)
+            assert np.allclose(res.z_hat_minus, zi, rtol=1e-10, atol=1e-12)
+            assert np.allclose(res.z_hat_plus, zo, rtol=1e-10, atol=1e-12)
+            assert res.var_in_mean == pytest.approx(vi, rel=1e-10)
+            assert res.var_out_mean == pytest.approx(vo, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("n_meas", [11, 4])   # above and below n_last = 7
+    def test_observed_matches_ridge(self, n_meas):
+        rng = np.random.default_rng(n_meas)
+        st, W, rp, y = thin_case(rng, n_meas, 7, min(n_meas, 7), 4.0)
+        gp = 1.3
+        res = denoise_linear_observed(st, y, rp, gp)
+        ref = oracles.ridge_solve(W, st.b, st.nu, y, rp, gp)
+        var = np.mean(np.diag(np.linalg.inv(gp * np.eye(7) + st.nu * W.T @ W)))
+        assert np.allclose(res.z_hat_minus, ref, rtol=1e-10, atol=1e-12)
+        assert res.var_in_mean == pytest.approx(var, rel=1e-10)
 
 
 PRECISIONS = hs.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)

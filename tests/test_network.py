@@ -12,6 +12,7 @@ from mlvamp.network import (
     NetworkSpec,
     build_synthetic_network,
     empirical_layer_moments,
+    haar_orthogonal,
     network_from_json,
     network_to_json,
     sample_trajectory,
@@ -97,6 +98,15 @@ class TestBuildSyntheticNetwork:
                 assert np.array_equal(sa.v_in, sb.v_in)
                 assert sa.nu == sb.nu
 
+    def test_factors_thin_and_own_their_memory(self):
+        for n_meas in (300, 900):   # below and above the last width 784
+            for st in paper_net(n_meas=n_meas).stages:
+                if st.kind == "linear":
+                    r = len(st.s)
+                    assert st.v_out.shape == (st.n_out, r)
+                    assert st.v_in.shape == (r, st.n_in)
+                    assert st.v_out.flags.owndata and st.v_in.flags.owndata
+
     def test_rank_deficient_measurement_flagged(self):
         net = build_synthetic_network([4, 16], 0.4, 2.0, 20.0, 24, 1)
         assert net.meta["rank_deficient_measurement"]
@@ -175,6 +185,38 @@ class TestSerialization:
         loaded = network_from_json(doc)
         assert np.allclose(loaded.stages[0].to_dense(), st.to_dense(), atol=1e-12)
         assert loaded.stages[0].nu == 2.5
+
+    def test_explicit_documents_hold_thin_factors(self):
+        rng = np.random.default_rng(1)
+        net = NetworkSpec(n0=4, stages=[
+            svd_decompose_stage(rng.normal(size=(6, 4)), rng.normal(size=6), math.inf),
+            NonlinearStage("relu", 0.0, 6),
+            svd_decompose_stage(np.zeros((3, 6)), rng.normal(size=3), 2.0)])   # rank 0
+        doc = json.loads(json.dumps(network_to_json(net, mode="explicit")))
+        assert doc["version"] == 2
+        loaded = network_from_json(doc)
+        for entry, st, st2 in zip(doc["stages"], net.stages, loaded.stages):
+            if st.kind == "linear":
+                assert len(entry["v_out"][0]) == len(entry["v_in"]) == len(st.s)
+                assert np.array_equal(st2.v_out, st.v_out)
+                assert np.array_equal(st2.v_in, st.v_in)
+
+    def test_version1_square_factors_load_thin(self):
+        rng = np.random.default_rng(2)
+        u, v = haar_orthogonal(5, rng), haar_orthogonal(4, rng)
+        s, b = np.array([1.5, 0.5]), rng.normal(size=5)
+        doc = {"format": "mlvamp-network", "version": 1, "mode": "explicit",
+               "dims": [4, 5], "n0": 4, "meta": {},
+               "stages": [{"kind": "linear", "n_in": 4, "n_out": 5, "s": s.tolist(),
+                           "b_bar": (u.T @ b).tolist(), "nu": 3.0, "v_out": u.tolist(),
+                           "v_in": v.tolist(), "b": b.tolist()}]}
+        st = network_from_json(doc).stages[0]
+        assert np.array_equal(st.v_out, u[:, :2]) and np.array_equal(st.v_in, v[:2])
+        assert st.v_out.flags.owndata and st.v_in.flags.owndata
+        assert np.allclose(st.to_dense(), u[:, :2] @ np.diag(s) @ v[:2], atol=1e-14)
+        doc["version"] = 3
+        with pytest.raises(ConfigError):
+            network_from_json(doc)
 
     def test_recipe_mode_requires_builder(self):
         net = identity_chain()

@@ -7,7 +7,14 @@ import oracles
 from mlvamp.engine import EngineOptions, run
 from mlvamp.errors import MlvampError
 from mlvamp import state_evolution
-from mlvamp.network import build_synthetic_network, sample_trajectory
+from mlvamp.network import (
+    LinearStage,
+    NetworkSpec,
+    NonlinearStage,
+    build_synthetic_network,
+    haar_orthogonal,
+    sample_trajectory,
+)
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
 from mlvamp.state_evolution import (
     LayerStatistics,
@@ -46,10 +53,9 @@ def sample_relu_law(rng, n, tau, mean, gp, v_e):
     return rp, z_out, z_out + rng.normal(0, math.sqrt(v_e), n)
 
 
-def linear_stat(s, n_in, n_out, nu, b_bar=None, b_mean=0.0):
+def linear_stat(s, n_in, n_out, nu, b_sq_mean=0.0, b_mean=0.0):
     return LayerStatistics(kind="linear", n_in=n_in, n_out=n_out,
-                           s=np.asarray(s, float),
-                           b_bar=np.zeros(n_out) if b_bar is None else b_bar,
+                           s=np.asarray(s, float), b_sq_mean=b_sq_mean,
                            nu=nu, b_mean=b_mean)
 
 
@@ -77,7 +83,7 @@ class TestTau0:
         stat = stats[0]
         s_out = stat.s_padded(stat.n_out)
         idx = rng.integers(0, stat.n_out, n)
-        q = s_out[idx] * rng.normal(0, math.sqrt(tau[0]), n) + stat.b_bar[idx]
+        q = s_out[idx] * rng.normal(0, math.sqrt(tau[0]), n) + net.stages[0].b[idx]
         est = np.mean(q**2)
         se = np.std(q**2) / math.sqrt(n)
         assert abs(est - tau[1]) < 3 * se
@@ -94,6 +100,19 @@ class TestTau0:
         for ell in (1, 2, 3):
             assert moms[ell] == pytest.approx(tau[ell], rel=0.1)
             assert means[ell] == pytest.approx(mean[ell], abs=0.08)
+
+    def test_bias_energy_outside_thin_factor(self):
+        # V_out spans 3 of 8 output directions; tau counts all of mean(b^2)
+        rng = np.random.default_rng(0)
+        s = np.array([0.5, 1.0, 2.0])
+        st = LinearStage(v_out=haar_orthogonal(8, rng), v_in=haar_orthogonal(3, rng),
+                         s=s, b=rng.normal(1.0, 1.0, 8), nu=4.0)
+        net = NetworkSpec(n0=3, stages=[st, NonlinearStage("relu", 0.0, 8)])
+        tau, mean = tau_mean_chain(stats_from_network(net))
+        assert np.mean(st.b_bar**2) * 3 < 0.9 * np.sum(st.b**2)
+        assert tau[1] == pytest.approx(np.sum(s**2) / 8 + np.mean(st.b**2) + 0.25,
+                                       rel=1e-12)
+        assert mean[1] == pytest.approx(np.mean(st.b), rel=1e-12)
 
     def test_unbounded_singular_values_rejected(self):
         stats = [linear_stat([np.inf], 2, 2, 1.0)]
