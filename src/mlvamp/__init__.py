@@ -26,7 +26,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     paper_config,
-    run_baseline_comparison,
     run_iteration_experiment,
     run_measurement_sweep,
 )

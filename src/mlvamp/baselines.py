@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DivergenceError, MlvampError
 
 DIVERGENCE_LOSS = 1e12
+# Adaptive-moment (Adam) decay rates and denominator guard of map_estimate.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(eq=False)
@@ -86,8 +88,8 @@ class MapResult:
 
 
 def map_estimate(ctx, steps=500, step_size=0.01, seed=0, init=None,
-                 safeguard=False, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adaptive-moment gradient descent on H (beta1=0.9, beta2=0.999, eps=1e-8).
+                 safeguard=False):
+    """Adaptive-moment gradient descent on H (BETA1, BETA2, EPS).
 
     ``init=None`` starts at the prior mean (zero), which lands in markedly
     better basins than a random start on stiff relu chains; ``init="random"``
@@ -106,11 +108,11 @@ def map_estimate(ctx, steps=500, step_size=0.01, seed=0, init=None,
     v = np.zeros_like(x)
     for t in range(1, steps + 1):
         g, loss, _ = grad_hamiltonian(ctx, x)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        step = step_size * m_hat / (np.sqrt(v_hat) + eps)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        step = step_size * m_hat / (np.sqrt(v_hat) + EPS)
         if safeguard:
             factor = 1.0
             for _ in range(30):

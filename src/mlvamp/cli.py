@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -16,23 +17,18 @@ from .errors import ConfigError, MlvampError
 from .experiment import (
     PAPER_SWEEP_N_MEAS,
     ExperimentConfig,
+    config_network,
     record_rows,
-    run_baseline_comparison,
     run_iteration_experiment,
     run_measurement_sweep,
     se_to_rows,
     write_rows_csv,
 )
-from .network import (
-    build_synthetic_network,
-    load_network,
-    sample_trajectory,
-    save_network,
-)
+from .network import load_network, sample_trajectory, save_network
 from .state_evolution import run_se, se_state_to_json, stats_from_network
 
 
-def _add_config_args(p, sweep=False):
+def _add_config_args(p):
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--paper", action="store_true",
                    help="use the built-in synthetic-experiment preset")
@@ -89,11 +85,7 @@ def _outdir(args):
 def _net_from_args(args):
     if getattr(args, "net", None):
         return load_network(args.net)
-    cfg = load_config(args)
-    if not np.isscalar(cfg.n_meas):
-        raise ConfigError("network generation needs a single n_meas")
-    return build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
-                                   int(cfg.n_meas), cfg.seed)
+    return config_network(load_config(args))
 
 
 def cmd_generate(args):
@@ -152,13 +144,18 @@ def cmd_se(args):
     return 0
 
 
-def cmd_experiment_iters(args):
+def cmd_experiment(args, csv_name="iters.csv", json_name="result.json",
+                   default_baselines=()):
+    """experiment-iters and baselines: run exactly ``cfg.methods`` on shared
+    trials; ``default_baselines`` join a request that names no baseline."""
     out = _outdir(args)
     cfg = load_config(args)
+    if not set(cfg.methods) - {"mlvamp"}:
+        cfg.methods += default_baselines
     result = run_iteration_experiment(cfg)
-    result.write_csv(os.path.join(out, "iters.csv"))
-    result.write_json(os.path.join(out, "result.json"))
-    print(os.path.join(out, "iters.csv"))
+    result.write_csv(os.path.join(out, csv_name))
+    result.write_json(os.path.join(out, json_name))
+    print(os.path.join(out, csv_name))
     return 2 if result.partial else 0
 
 
@@ -175,19 +172,6 @@ def cmd_experiment_sweep(args):
         json.dump(doc, fh)
     print(os.path.join(out, "sweep_summary.csv"))
     return 2 if sweep.partial else 0
-
-
-def cmd_baselines(args):
-    out = _outdir(args)
-    cfg = load_config(args)
-    if not set(cfg.methods) - {"mlvamp"}:
-        cfg.methods = tuple(cfg.methods) + ("map", "sgld")
-        cfg.validate()
-    result = run_baseline_comparison(cfg)
-    result.write_csv(os.path.join(out, "baselines.csv"))
-    result.write_json(os.path.join(out, "baselines.json"))
-    print(os.path.join(out, "baselines.csv"))
-    return 2 if result.partial else 0
 
 
 def build_parser():
@@ -225,15 +209,17 @@ def build_parser():
 
     x = sub.add_parser("experiment-iters", help="NMSE-vs-iteration experiment")
     _add_config_args(x)
-    x.set_defaults(func=cmd_experiment_iters)
+    x.set_defaults(func=cmd_experiment)
 
     w = sub.add_parser("experiment-sweep", help="final NMSE vs measurement count")
-    _add_config_args(w, sweep=True)
+    _add_config_args(w)
     w.set_defaults(func=cmd_experiment_sweep)
 
     b = sub.add_parser("baselines", help="MAP/SGLD comparison on shared trials")
     _add_config_args(b)
-    b.set_defaults(func=cmd_baselines)
+    b.set_defaults(func=partial(cmd_experiment, csv_name="baselines.csv",
+                                json_name="baselines.json",
+                                default_baselines=("map", "sgld")))
     return p
 
 
@@ -242,10 +228,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except MlvampError as exc:

@@ -14,6 +14,7 @@ import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -119,9 +120,10 @@ def trial_seed(seed, trial):
     return (int(seed), 71, int(trial))
 
 
-def _build_network(cfg):
+def config_network(cfg):
+    """The synthetic network a config describes (one n_meas)."""
     if not np.isscalar(cfg.n_meas):
-        raise ConfigError("this experiment needs a single n_meas")
+        raise ConfigError("building one network needs a single n_meas")
     return build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
                                    int(cfg.n_meas), cfg.seed)
 
@@ -147,68 +149,59 @@ def record_rows(records, se, trial, method="mlvamp", runtime=""):
     return rows
 
 
-def _mlvamp_rows(net, se, cfg, trial, traj):
-    start = time.perf_counter()
-    records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
-    runtime = 1000.0 * (time.perf_counter() - start)
-    rows = record_rows(records, se, trial,
-                       runtime=runtime if cfg.include_runtime else "")
-    return rows, runtime, sum(rec.clamp_events for rec in records)
-
-
-def _baseline_rows(net, cfg, trial, traj):
-    """MAP/SGLD rows for one trial; a diverging method is recorded as a
-    failure without voiding the other methods' results."""
-    rows, runtimes, failures = [], {}, []
+def _append_baselines(out, net, cfg, traj):
+    """Append one trial's MAP/SGLD rows to the trial entry ``out``; a
+    diverging method is recorded as a failure without voiding the other
+    methods' results."""
+    trial = out["trial"]
     ctx = bl.HamiltonianContext(net, traj.z[-1])
     seed = trial_seed(cfg.seed, trial) + (13,)
-
-    def attempt(method, fn, estimate_of):
+    estimators = {
+        "map": lambda: bl.map_estimate(ctx, steps=cfg.map_steps,
+                                       step_size=cfg.map_step_size,
+                                       seed=seed).z0_hat,
+        "sgld": lambda: bl.sgld_run(ctx, steps=cfg.sgld_steps, lam=cfg.sgld_lambda,
+                                    burn_in=cfg.sgld_burn_in, seed=seed).z0_mean,
+    }
+    for method, estimate in estimators.items():
         if method not in cfg.methods:
-            return
+            continue
         start = time.perf_counter()
         try:
-            res = fn()
+            z0_hat = estimate()
         except MlvampError as exc:
-            failures.append({"trial": trial, "method": method, "error": str(exc)})
-            return
-        runtimes[method] = 1000.0 * (time.perf_counter() - start)
-        rows.append({
+            out["failures"].append({"trial": trial, "method": method,
+                                    "error": str(exc)})
+            continue
+        runtime = out["runtimes"][method] = 1000.0 * (time.perf_counter() - start)
+        out["rows"].append({
             "trial": trial, "method": method, "half_iter": "", "layer": 0,
-            "nmse_db": nmse_db(traj.z[0], estimate_of(res)), "se_nmse_db": "",
+            "nmse_db": nmse_db(traj.z[0], z0_hat), "se_nmse_db": "",
             "gamma_plus": "", "gamma_minus": "", "clamp_events": "",
-            "runtime_ms": runtimes[method] if cfg.include_runtime else "",
+            "runtime_ms": runtime if cfg.include_runtime else "",
         })
 
-    attempt("map",
-            lambda: bl.map_estimate(ctx, steps=cfg.map_steps,
-                                    step_size=cfg.map_step_size, seed=seed),
-            lambda r: r.z0_hat)
-    attempt("sgld",
-            lambda: bl.sgld_run(ctx, steps=cfg.sgld_steps, lam=cfg.sgld_lambda,
-                                burn_in=cfg.sgld_burn_in, seed=seed),
-            lambda r: r.z0_mean)
-    return rows, runtimes, failures
 
-
-def _trial_job(net, se, cfg_dict, trial, with_baselines):
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
-    rows = []
-    runtimes = {}
-    failures = []
-    clamp_total = 0
-    if "mlvamp" in cfg.methods:
-        mrows, runtime, clamp_total = _mlvamp_rows(net, se, cfg, trial, traj)
-        rows += mrows
-        runtimes["mlvamp"] = runtime
-    if with_baselines:
-        brows, brt, bfail = _baseline_rows(net, cfg, trial, traj)
-        rows += brows
-        runtimes.update(brt)
-        failures += bfail
-    return {"trial": trial, "rows": rows, "runtimes": runtimes,
-            "clamp_total": clamp_total, "failures": failures}
+def _trial_job(net, se, cfg, trial):
+    """Rows, runtimes and clamp total of every method in ``cfg.methods`` on
+    one shared trajectory.  A library error that stops the whole trial comes
+    back as the trial's ``{"trial", "error"}`` failure entry."""
+    out = {"trial": trial, "rows": [], "runtimes": {}, "clamp_total": 0,
+           "failures": []}
+    try:
+        traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
+        if "mlvamp" in cfg.methods:
+            start = time.perf_counter()
+            records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
+            runtime = out["runtimes"]["mlvamp"] = 1000.0 * (time.perf_counter() - start)
+            out["rows"] += record_rows(records, se, trial,
+                                       runtime=runtime if cfg.include_runtime else "")
+            out["clamp_total"] = sum(rec.clamp_events for rec in records)
+        if set(cfg.methods) - {"mlvamp"}:
+            _append_baselines(out, net, cfg, traj)
+    except MlvampError as exc:
+        return {"trial": trial, "error": str(exc)}
+    return out
 
 
 def _sort_key(row):
@@ -297,29 +290,23 @@ def se_to_rows(se, method="se"):
     return record_rows(se.records, se, trial="", method=method)
 
 
-def _run_trials(net, se, cfg, with_baselines):
-    rows, failures = [], []
-    runtimes, clamps = {}, {}
-    cfg_dict = cfg.to_dict()
-    jobs = list(range(cfg.n_trials))
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {t: pool.submit(_trial_job, net, se, cfg_dict, t,
-                                      with_baselines) for t in jobs}
-            results = []
-            for t, fut in futures.items():
-                try:
-                    results.append(fut.result())
-                except MlvampError as exc:
-                    failures.append({"trial": t, "error": str(exc)})
+def _run_trials(net, se, cfg):
+    """Every trial in order: in this process for one worker, otherwise one
+    chunk of trials per worker process (the network is pickled per chunk)."""
+    job = partial(_trial_job, net, se, cfg)
+    trials = range(cfg.n_trials)
+    workers = min(cfg.workers, cfg.n_trials)
+    if workers > 1:
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(job, trials,
+                                    chunksize=-(-cfg.n_trials // workers)))
     else:
-        results = []
-        for t in jobs:
-            try:
-                results.append(_trial_job(net, se, cfg_dict, t, with_baselines))
-            except MlvampError as exc:
-                failures.append({"trial": t, "error": str(exc)})
+        results = map(job, trials)
+    rows, failures, runtimes, clamps = [], [], {}, {}
     for res in results:
+        if "error" in res:
+            failures.append(res)
+            continue
         rows += res["rows"]
         runtimes[res["trial"]] = res["runtimes"]
         clamps[res["trial"]] = res["clamp_total"]
@@ -328,12 +315,15 @@ def _run_trials(net, se, cfg, with_baselines):
     return rows, failures, runtimes, clamps
 
 
-def _experiment(cfg, net, with_baselines):
+def run_iteration_experiment(cfg, net=None):
+    """Per-half-iteration NMSE curves for one n_meas with the SE overlay, and
+    a final-NMSE row per trial for each baseline: exactly the methods in
+    ``cfg.methods``, all on shared trajectories."""
     cfg.validate()
     if net is None:
-        net = _build_network(cfg)
+        net = config_network(cfg)
     se = run_se(stats_from_network(net), cfg.n_iter, cfg.engine_options())
-    rows, failures, runtimes, clamps = _run_trials(net, se, cfg, with_baselines)
+    rows, failures, runtimes, clamps = _run_trials(net, se, cfg)
     meta = {"failures": failures, "runtimes_ms": runtimes,
             "clamp_totals": clamps, "network_meta": net.meta,
             "n_layers": net.n_layers, "dims": net.dims,
@@ -341,18 +331,6 @@ def _experiment(cfg, net, with_baselines):
     result = ExperimentResult(config=cfg.to_dict(), rows=rows, se=se, metadata=meta)
     meta["median_abs_se_gap_db"] = {int(h): float(g) for h, g
                                      in zip(*result.median_abs_se_gap(0))}
-    return result, net
-
-
-def run_iteration_experiment(cfg, net=None):
-    """Per-half-iteration NMSE curves for one n_meas, with the SE overlay."""
-    result, _ = _experiment(cfg, net, with_baselines=False)
-    return result
-
-
-def run_baseline_comparison(cfg, net=None):
-    """ML-VAMP plus MAP/SGLD reconstructions on shared trajectories."""
-    result, _ = _experiment(cfg, net, with_baselines=True)
     return result
 
 

@@ -171,8 +171,11 @@ class NetworkSpec:
         return [self.n0] + [st.n_out for st in self.stages]
 
     def validate(self, tol=1e-10):
-        for st in self.stages:
-            st.validate(tol)
+        for i, st in enumerate(self.stages):
+            try:
+                st.validate(tol)
+            except (MlvampError, NotImplementedError) as exc:
+                raise ConfigError(f"stage {i + 1}: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -358,7 +361,9 @@ def network_from_json(doc):
         else:
             stages.append(NonlinearStage(entry["activation"],
                                          entry["noise_var"], entry["n"]))
-    return NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
+    net = NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
+    net.validate()
+    return net
 
 
 def save_network(net, path, mode="auto"):

@@ -70,6 +70,18 @@ class TestGenerateSampleInfer:
                    "--out", out])
         assert rc == 0
 
+    def test_infer_rejects_tampered_explicit_network(self, tiny_config_file, tmp_path):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out, "--explicit"])
+        path = os.path.join(out, "network.json")
+        doc = json.loads(open(path).read())
+        doc["stages"][0]["v_out"] = (2 * np.array(doc["stages"][0]["v_out"])).tolist()
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["infer", "--net", path, "--sample-seed", "5",
+                   "--config", tiny_config_file, "--out", out])
+        assert rc == 1
+
     def test_infer_requires_input(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "o")
         main(["generate", "--config", tiny_config_file, "--out", out])
@@ -112,6 +124,24 @@ class TestExperiments:
         assert os.path.exists(os.path.join(out, "sweep_summary.csv"))
         assert os.path.exists(os.path.join(out, "iters_M4.csv"))
         assert os.path.exists(os.path.join(out, "iters_M6.csv"))
+
+    def test_experiment_iters_runs_requested_baseline(self, tiny_config_file, tmp_path):
+        out = str(tmp_path / "x")
+        rc = main(["experiment-iters", "--config", tiny_config_file,
+                   "--methods", "mlvamp,map", "--out", out])
+        assert rc == 0
+        doc = json.loads((tmp_path / "x" / "result.json").read_text())
+        assert {r["method"] for r in doc["rows"]} == {"mlvamp", "map"}
+        assert ",map," in open(os.path.join(out, "iters.csv")).read()
+
+    def test_baselines_default_methods(self, tiny_config_file, tmp_path):
+        out = str(tmp_path / "b")
+        rc = main(["baselines", "--config", tiny_config_file, "--out", out])
+        assert rc == 0
+        doc = json.loads((tmp_path / "b" / "baselines.json").read_text())
+        assert doc["config"]["methods"] == ["mlvamp", "map", "sgld"]
+        assert {r["method"] for r in doc["rows"]} == {"mlvamp", "map", "sgld"}
+        assert read_header(os.path.join(out, "baselines.csv")) == ",".join(CSV_COLUMNS)
 
     def test_baselines_command(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "b")

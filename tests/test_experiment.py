@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,16 +8,16 @@ import pytest
 import oracles
 from mlvamp.baselines import HamiltonianContext, map_estimate, sgld_run
 from mlvamp.engine import EngineOptions, run
-from mlvamp.errors import ConfigError
+from mlvamp.errors import ConfigError, MlvampError
 from mlvamp.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     nmse_db,
     paper_config,
-    run_baseline_comparison,
     run_iteration_experiment,
     run_measurement_sweep,
     se_to_rows,
+    trial_seed,
 )
 from mlvamp.network import (
     NetworkSpec,
@@ -128,6 +129,27 @@ class TestIterationExperiment:
         r2 = run_iteration_experiment(cfg2)
         assert r1.rows == r2.rows
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched module only when forked")
+    def test_workers_match_sequential_with_a_failed_trial(self, monkeypatch):
+        import mlvamp.experiment as exp
+        real_run = exp.run
+
+        def fail_trial_1(net, y, options=None, truth=None):
+            if truth.seed == trial_seed(1, 1):
+                raise MlvampError("injected failure")
+            return real_run(net, y, options, truth)
+
+        monkeypatch.setattr(exp, "run", fail_trial_1)
+        over = dict(n_trials=3, methods=("mlvamp", "map"))
+        r1 = run_iteration_experiment(tiny_config(workers=1, **over))
+        r2 = run_iteration_experiment(tiny_config(workers=2, **over))
+        assert r1.metadata["failures"] == [{"trial": 1, "error": "injected failure"}]
+        assert r2.metadata["failures"] == r1.metadata["failures"]
+        assert r2.rows == r1.rows
+        assert {(r["trial"], r["method"]) for r in r1.rows} == {
+            (0, "mlvamp"), (0, "map"), (2, "mlvamp"), (2, "map")}
+
 
 class TestBaselineComparison:
     def test_methods_mlvamp_only_has_no_baseline_rows(self):
@@ -137,7 +159,7 @@ class TestBaselineComparison:
 
     def test_baseline_rows_present(self):
         cfg = tiny_config(methods=("mlvamp", "map", "sgld"))
-        res = run_baseline_comparison(cfg)
+        res = run_iteration_experiment(cfg)
         methods = {r["method"] for r in res.rows}
         assert methods == {"mlvamp", "map", "sgld"}
         map_rows = [r for r in res.rows if r["method"] == "map"]
@@ -156,7 +178,7 @@ class TestBaselineComparison:
             return traj
 
         monkeypatch.setattr(exp, "sample_trajectory", spy)
-        run_baseline_comparison(tiny_config(methods=("mlvamp", "map"), n_trials=1))
+        run_iteration_experiment(tiny_config(methods=("mlvamp", "map"), n_trials=1))
         assert len(seen) == 1  # one draw serves all methods
 
     def test_gaussian_chain_methods_agree_with_posterior_mean(self):

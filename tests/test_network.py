@@ -201,6 +201,17 @@ class TestSerialization:
                 assert np.array_equal(st2.v_out, st.v_out)
                 assert np.array_equal(st2.v_in, st.v_in)
 
+    def test_explicit_document_with_broken_factor_rejected(self):
+        rng = np.random.default_rng(3)
+        net = NetworkSpec(n0=4, stages=[
+            svd_decompose_stage(rng.normal(size=(6, 4)), rng.normal(size=6), math.inf),
+            NonlinearStage("relu", 0.0, 6),
+            svd_decompose_stage(rng.normal(size=(3, 6)), rng.normal(size=3), 2.0)])
+        doc = json.loads(json.dumps(network_to_json(net, mode="explicit")))
+        doc["stages"][2]["v_out"] = (2 * np.array(doc["stages"][2]["v_out"])).tolist()
+        with pytest.raises(ConfigError, match="stage 3: orthogonality violated"):
+            network_from_json(doc)
+
     def test_version1_square_factors_load_thin(self):
         rng = np.random.default_rng(2)
         u, v = haar_orthogonal(5, rng), haar_orthogonal(4, rng)
