@@ -20,7 +20,7 @@ from .errors import (
     DivergenceError,
     EngineError,
     MlvampError,
-    QuadratureError,
+    ObservationError,
 )
 from .experiment import (
     ExperimentConfig,

@@ -41,8 +41,9 @@ class EngineOptions:
     store_estimates: bool = True
 
 
-def precision_update(alpha, gamma_opposite,
-                     gamma_min=1e-8, gamma_max=1e11, alpha_min=1e-6):
+def precision_update(alpha, gamma_opposite, gamma_min=EngineOptions.gamma_min,
+                     gamma_max=EngineOptions.gamma_max,
+                     alpha_min=EngineOptions.alpha_min):
     """eta = gamma_opp / alpha and gamma_new = eta - gamma_opp, with clamps.
 
     alpha is clamped into [alpha_min, 1 - alpha_min] and gamma_new into

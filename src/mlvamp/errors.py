@@ -9,17 +9,12 @@ class ConfigError(MlvampError):
     """Invalid configuration or arguments."""
 
 
-class QuadratureError(MlvampError):
-    """Numerical integration did not reach the requested accuracy.
+class ObservationError(MlvampError):
+    """An observation the model cannot produce, so the posterior has no mass;
+    ``context`` holds the offending inputs."""
 
-    Carries the best estimate and the estimated truncation error so the
-    caller can inspect what went wrong instead of silently using a bad value.
-    """
-
-    def __init__(self, message, estimate=None, error_estimate=None, context=None):
+    def __init__(self, message, context=None):
         super().__init__(message)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
         self.context = context or {}
 
 

@@ -61,9 +61,9 @@ class ExperimentConfig:
     sgld_steps: int = 10000
     sgld_lambda: float = 0.002
     sgld_burn_in: int = 5000
-    gamma_min: float = 1e-8
-    gamma_max: float = 1e11
-    alpha_min: float = 1e-6
+    gamma_min: float = EngineOptions.gamma_min
+    gamma_max: float = EngineOptions.gamma_max
+    alpha_min: float = EngineOptions.alpha_min
 
     def validate(self):
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not 0 < self.damping <= 1:
+            raise ConfigError(f"damping must lie in (0, 1], not {self.damping!r}")
 
     def engine_options(self):
         return EngineOptions(max_iter=self.n_iter, gamma_min=self.gamma_min,

@@ -22,7 +22,8 @@ w = gamma- / (gamma- + nu) (w = 0 at nu = inf).  So
 with u_in = V_in r+ and u_out = V_out^T r-.  The cost is the matvecs with
 V_in and V_out.  A call transforms back only the side asked for, and a
 shared StageTransforms lets the forward and the reverse call of a stage
-reuse each other's input transforms.
+reuse each other's input transforms.  The observed stage is the
+deterministic stage (nu = inf) whose output message r- = y has gamma- = nu.
 """
 from dataclasses import dataclass
 
@@ -68,8 +69,8 @@ def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
 
 class StageTransforms:
     """Input transforms of one linear stage, kept while their source arrays
-    stay the same: V_in r+, V_out^T r- and the measurement terms of y.  The
-    key is the array's identity, so callers that share an instance must
+    stay the same: V_in r+ and V_out^T r- (V_out^T y on the observed stage).
+    The key is the array's identity, so callers that share an instance must
     never modify a message in place."""
 
     def __init__(self, stage):
@@ -88,17 +89,21 @@ class StageTransforms:
     def u_out(self, r_minus):
         return self._get("out", r_minus, lambda r: self.stage.v_out.T @ r)
 
-    def observed(self, y):
-        """(nu s^2, nu s (y_bar - b_bar)) over the singular directions, with
-        y_bar = V_out^T y."""
-        st = self.stage
-        return self._get("y", y, lambda v: (st.nu * st.s * st.s,
-                                            st.nu * st.s * (st.v_out.T @ v - st.b_bar)))
-
 
 def _mean_with_rest(v, n, v_rest):
     """Mean over n components: v followed by n - len(v) copies of v_rest."""
     return float((np.sum(v) + (n - len(v)) * v_rest) / n)
+
+
+def mean_variances(stage, gamma_plus, gamma_minus, nu, variances=None):
+    """Mean posterior variances (over N_in, over N_out) at noise precision
+    ``nu``: ``variances`` (``component_variances`` of stage.s unless given)
+    over the singular directions and the s = 0 closed form past them."""
+    if variances is None:
+        variances = component_variances(stage.s, gamma_plus, gamma_minus, nu)
+    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, nu)
+    return (_mean_with_rest(variances[0], stage.n_in, rest_in),
+            _mean_with_rest(variances[1], stage.n_out, rest_out))
 
 
 @dataclass
@@ -111,6 +116,29 @@ class LinearDenoised:
     var_out_mean: float
 
 
+def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms):
+    """The stage's belief at noise precision ``nu``; see ``denoise_linear``."""
+    if side not in ("minus", "plus", "both"):
+        raise ValueError(f"side must be 'minus', 'plus' or 'both', not {side!r}")
+    r_plus = np.asarray(r_plus, dtype=float)
+    r_minus = np.asarray(r_minus, dtype=float)
+    if r_plus.shape != (stage.n_in,) or r_minus.shape != (stage.n_out,):
+        raise ValueError("r vectors do not match stage dimensions")
+    transforms = transforms or StageTransforms(stage)
+    u_in, u_out = transforms.u_in(r_plus), transforms.u_out(r_minus)
+    g_minus, g_plus, var_in, var_out = component_solve(
+        u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, nu)
+    z_hat_minus = z_hat_plus = None
+    if side != "plus":
+        z_hat_minus = stage.v_in.T @ (g_minus - u_in) + r_plus
+    if side != "minus":
+        w = gamma_minus / (gamma_minus + nu)
+        z_hat_plus = (stage.v_out @ (g_plus - w * u_out - (1 - w) * stage.b_bar)
+                      + w * r_minus + (1 - w) * stage.b)
+    return LinearDenoised(z_hat_minus, z_hat_plus, *mean_variances(
+        stage, gamma_plus, gamma_minus, nu, (var_in, var_out)))
+
+
 def denoise_linear(stage, r_plus, r_minus, gamma_plus, gamma_minus,
                    side="both", transforms=None):
     """Belief means z- and z+ of a middle linear stage (see the module
@@ -119,61 +147,18 @@ def denoise_linear(stage, r_plus, r_minus, gamma_plus, gamma_minus,
     "plus" or "both") are transformed back; ``transforms`` may share input
     transforms across calls.
     """
-    if side not in ("minus", "plus", "both"):
-        raise ValueError(f"side must be 'minus', 'plus' or 'both', not {side!r}")
-    r_plus = np.asarray(r_plus, dtype=float)
-    r_minus = np.asarray(r_minus, dtype=float)
-    n_in, n_out = stage.n_in, stage.n_out
-    if r_plus.shape != (n_in,) or r_minus.shape != (n_out,):
-        raise ValueError("r vectors do not match stage dimensions")
-    transforms = transforms or StageTransforms(stage)
-
-    u_in, u_out = transforms.u_in(r_plus), transforms.u_out(r_minus)
-    g_minus, g_plus, var_in, var_out = component_solve(
-        u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, stage.nu)
-    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, stage.nu)
-    z_hat_minus = z_hat_plus = None
-    if side != "plus":
-        z_hat_minus = stage.v_in.T @ (g_minus - u_in) + r_plus
-    if side != "minus":
-        w = gamma_minus / (gamma_minus + stage.nu)
-        z_hat_plus = (stage.v_out @ (g_plus - w * u_out - (1 - w) * stage.b_bar)
-                      + w * r_minus + (1 - w) * stage.b)
-    return LinearDenoised(z_hat_minus, z_hat_plus,
-                          _mean_with_rest(var_in, n_in, rest_in),
-                          _mean_with_rest(var_out, n_out, rest_out))
-
-
-@dataclass
-class ObservedLinearDenoised:
-    z_hat_minus: np.ndarray
-    var_in_mean: float
+    return _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, stage.nu,
+                  side, transforms)
 
 
 def denoise_linear_observed(stage, y, r_plus, gamma_plus, transforms=None):
-    """Posterior mean of z_{L-1} when the stage output y is observed exactly.
-
-    The gamma_minus pseudo-observation is replaced by the measurement
-    likelihood, still componentwise in SVD coordinates; equivalent to the
-    dense ridge solve (g+ I + nu W^T W)^{-1} (g+ r+ + nu W^T (y - b)).
+    """Belief on z_{L-1} when the stage output is observed as y: the middle
+    solve at nu = inf with r- = y, gamma- = stage.nu and side "minus", equal
+    to the dense ridge solve (g+ I + nu W^T W)^{-1} (g+ r+ + nu W^T (y - b)).
     ``transforms`` may share the transforms of r+ and y across calls.
     """
     if not np.isfinite(stage.nu):
         raise MlvampError("observed linear stage requires finite noise precision")
     if gamma_plus <= 0:
         raise ValueError("gamma_plus must be positive")
-    y = np.asarray(y, dtype=float)
-    r_plus = np.asarray(r_plus, dtype=float)
-    if y.shape != (stage.n_out,) or r_plus.shape != (stage.n_in,):
-        raise ValueError("dimension mismatch with stage")
-    transforms = transforms or StageTransforms(stage)
-
-    nu_s2, nu_s_y = transforms.observed(y)
-    prec = gamma_plus + nu_s2
-    u_in = transforms.u_in(r_plus)
-    g = (gamma_plus * u_in + nu_s_y) / prec
-    # past the rank z- keeps r+ with variance 1/gamma+
-    return ObservedLinearDenoised(
-        z_hat_minus=stage.v_in.T @ (g - u_in) + r_plus,
-        var_in_mean=_mean_with_rest(1.0 / prec, stage.n_in, 1.0 / gamma_plus),
-    )
+    return _solve(stage, r_plus, y, gamma_plus, stage.nu, np.inf, "minus", transforms)

@@ -8,13 +8,15 @@ componentwise and we need its first two moments on both sides.
 
 For the supported activations (relu, identity) the moments have closed forms
 built from truncated Gaussians.
+An output observed through channel noise is the middle case of the
+noiseless channel with r_minus = y and gamma_minus = 1/noise_var.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import QuadratureError
+from .errors import ObservationError
 from .gauss import log_norm_pdf, truncnorm_lower_moments, truncnorm_upper_moments
 
 VAR_FLOOR = 1e-15
@@ -96,14 +98,10 @@ def _mix(w_a, m_a, v_a, w_b, m_b, v_b):
     return mean, np.maximum(ex2 - mean**2, 0.0)
 
 
-def _obs_variance(gamma_minus, noise_var, observed):
+def _obs_variance(gamma_minus, noise_var):
     """Variance of r_minus about z_out's noiseless value; inf when
     gamma_minus = 0 drops the pseudo-observation."""
-    if observed:
-        return noise_var
-    if gamma_minus <= 0:
-        return np.inf
-    return 1.0 / gamma_minus + noise_var
+    return np.inf if gamma_minus <= 0 else 1.0 / gamma_minus + noise_var
 
 
 def _noisy_output_terms(r_minus, gamma_minus, noise_var):
@@ -115,23 +113,18 @@ def _noisy_output_terms(r_minus, gamma_minus, noise_var):
     return c0, v_c / noise_var, v_c
 
 
-def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
-                    observed=False):
-    """Closed-form posterior moments for the relu channel.
-
-    observed=True treats r_minus as the exact channel output y (requires
-    noise_var > 0); otherwise r_minus is a pseudo-observation of z_out with
-    precision gamma_minus.
-    """
+def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
+    """Closed-form posterior moments for the relu channel, with r_minus a
+    pseudo-observation of z_out with precision gamma_minus."""
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    v_obs = _obs_variance(gamma_minus, noise_var, observed)
+    v_obs = _obs_variance(gamma_minus, noise_var)
 
     log_w_neg, log_w_pos, m_t, v_t = _relu_branch_weights(
         r_plus, gamma_plus, r_minus, v_obs)
     log_norm = np.logaddexp(log_w_neg, log_w_pos)
     if np.any(np.isneginf(log_norm)):
-        raise QuadratureError(
+        raise ObservationError(
             "posterior mass underflows to zero (inconsistent observation)",
             context={"r_plus": r_plus, "r_minus": r_minus},
         )
@@ -144,9 +137,7 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
     m_pos, v_pos = truncnorm_lower_moments(m_t, np.sqrt(v_t), 0.0)
     mean_in, var_in = _mix(w_neg, m_neg, v_neg, w_pos, m_pos, v_pos)
 
-    if observed:
-        mean_out = var_out = None
-    elif noise_var == 0.0:
+    if noise_var == 0.0:
         mean_out, var_out = _mix(w_neg, 0.0 * m_pos, 0.0 * v_pos, w_pos, m_pos, v_pos)
     else:
         c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
@@ -154,14 +145,13 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
             w_neg, c0, np.full_like(m_t, v_c),
             w_pos, c0 + a * m_pos, a * a * v_pos + v_c,
         )
-    return mean_in, _floor(var_in), mean_out, None if var_out is None else _floor(var_out)
+    return mean_in, _floor(var_in), mean_out, _floor(var_out)
 
 
-def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
-                        observed=False):
+def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    v_obs = _obs_variance(gamma_minus, noise_var, observed)
+    v_obs = _obs_variance(gamma_minus, noise_var)
 
     if np.isinf(v_obs):
         mean_in = r_plus + 0.0 * r_minus
@@ -171,8 +161,6 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var,
         var_in = np.full_like(r_plus, 1.0 / (gamma_plus + g_eff))
         mean_in = (gamma_plus * r_plus + g_eff * r_minus) * var_in
 
-    if observed:
-        return mean_in, _floor(var_in), None, None
     if noise_var == 0.0:
         return mean_in, _floor(var_in), mean_in.copy(), _floor(var_in.copy())
     c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
@@ -215,21 +203,22 @@ def denoise_input(r_minus, gamma_minus):
 
 def denoise_output_nonlinear(ch, y, r_plus, gamma_plus):
     """Posterior (mean_in, var_in) of z_{L-1} when z_L = y is observed
-    through a nonlinear channel."""
+    through a nonlinear channel (see the module docstring)."""
     if gamma_plus <= 0:
         raise ValueError("gamma_plus must be positive")
     y = np.asarray(y, dtype=float)
     r_plus = np.asarray(r_plus, dtype=float)
     if ch.noise_var > 0:
-        post = _relu_posterior if ch.activation == "relu" else _identity_posterior
-        mi, vi, _, _ = post(r_plus, y, gamma_plus, 0.0, ch.noise_var, observed=True)
-        return mi, vi
-    # Deterministic channels: the observation pins the input (identity) or
-    # pins/truncates it (relu).
+        res = denoise_middle(ScalarChannel(ch.activation), r_plus, y, gamma_plus,
+                             1.0 / ch.noise_var)
+        return res.mean_in, res.var_in
+    # Deterministic channels (gamma- = inf, which has no middle form): the
+    # observation pins the input (identity) or pins/truncates it (relu).
     if ch.activation == "identity":
         return y.copy(), np.full_like(y, VAR_FLOOR)
     if np.any(y < 0):
-        raise QuadratureError("y < 0 is impossible under a deterministic relu channel")
+        raise ObservationError("y < 0 is impossible under a deterministic relu channel",
+                               context={"y": y})
     sp = np.sqrt(1.0 / gamma_plus)
     m_trunc, v_trunc = truncnorm_upper_moments(r_plus, sp, 0.0)
     mean = np.where(y > 0, y, m_trunc)

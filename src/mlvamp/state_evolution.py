@@ -7,8 +7,10 @@ of a stage's input/output under the matched scalar channel
     R+ ~ N(0, tau_prev - 1/gamma+),   Z_in ~ N(R+, 1/gamma+),
     Z_out = phi(Z_in) + xi,           R- = Z_out + N(0, 1/gamma-).
 
-Linear stages reduce to the componentwise 2x2 conditional variances averaged
-over the empirical singular-value samples, so they are exact at any size.
+Each error function takes its variances from its stage's vector denoiser.
+Linear stages average the componentwise 2x2 variances over the empirical
+singular values (``mean_variances``), so they are exact at any size.  The
+observed stage enters as a middle stage (``_as_middle``).
 Relu stages are integrated numerically over (R+, R-), with Z_in integrated
 out analytically: given R+ the law of R- is a closed-form two-branch mixture
 (``_relu_r_minus_law``).  Every axis that crosses a relu layer is split
@@ -22,7 +24,7 @@ re-evaluated at doubled node counts; the worst relative change is kept as
 Predicted MSE per layer and half-iteration is 1/eta_bar.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -30,8 +32,8 @@ from scipy import special
 from .engine import EngineOptions, MessageState, sweep
 from .errors import MlvampError
 from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
-from .linear_denoiser import component_variances
-from .scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
+from .linear_denoiser import mean_variances
+from .scalar_denoiser import ScalarChannel, denoise_middle
 
 _NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
 _T_PIECE_NODES = 20        # per piece of the three-piece t axis of the z_in > 0 branch
@@ -63,10 +65,6 @@ class LayerStatistics:
     b_mean: float = 0.0
     activation: str = None
     noise_var: float = 0.0
-
-    def s_padded(self, n):
-        """The singular values followed by zeros up to length n >= len(s)."""
-        return np.concatenate([self.s, np.zeros(n - len(self.s))])
 
 
 def stats_from_network(net):
@@ -100,9 +98,9 @@ def tau_mean_chain(stats):
         if stat.kind == "linear":
             if not np.all(np.isfinite(stat.s)):
                 raise MlvampError("unbounded singular-value samples")
-            s_out = stat.s_padded(stat.n_out)
             noise = 0.0 if math.isinf(stat.nu) else 1.0 / stat.nu
-            tau.append(float(np.mean(s_out**2) * prev + stat.b_sq_mean + noise))
+            tau.append(float(np.sum(stat.s**2) / stat.n_out * prev
+                             + stat.b_sq_mean + noise))
             mean.append(stat.b_mean)
         elif stat.activation == "relu":
             v = max(prev - m_prev**2, 1e-30)
@@ -127,26 +125,43 @@ def error_input(gamma_minus):
     return 1.0 / (1.0 + gamma_minus)
 
 
+def _observed_as_middle(stat, gamma_plus):
+    """(stat, gamma+, gamma-) of the observed stage as a middle stage: the
+    noiseless stage whose output message r- = y has the noise precision."""
+    if stat.kind == "linear":
+        if math.isinf(stat.nu):
+            raise MlvampError("observed linear stage requires finite noise precision")
+        return replace(stat, nu=math.inf), gamma_plus, stat.nu
+    if stat.noise_var <= 0:
+        raise MlvampError(
+            "SE for a deterministic nonlinear observed stage is not defined; "
+            "use a noisy channel or a linear measurement stage")
+    return replace(stat, noise_var=0.0), gamma_plus, 1.0 / stat.noise_var
+
+
+def _as_middle(stats, j, gamma_plus, gamma_minus):
+    """(stat, gamma+, gamma-) of stage j, between variables j and j+1, as a
+    middle stage."""
+    if j == len(stats) - 1:
+        return _observed_as_middle(stats[j], gamma_plus[j])
+    return stats[j], gamma_plus[j], gamma_minus[j + 1]
+
+
 def error_linear(stat, gamma_plus, gamma_minus):
-    """(E+, E-) for a middle linear stage: averaged 2x2 conditional variances.
+    """(E+, E-) for a middle linear stage: ``denoise_linear``'s mean variances.
 
     Gaussian conditional variances do not depend on the observation values,
-    so these are exact closed forms over the empirical singular values,
-    including the zero-padded region on either side.
+    so these are exact closed forms over the empirical singular values and
+    the s = 0 rest on either side.
     """
-    var_in, _ = component_variances(stat.s_padded(stat.n_in),
-                                    gamma_plus, gamma_minus, stat.nu)
-    _, var_out = component_variances(stat.s_padded(stat.n_out),
-                                     gamma_plus, gamma_minus, stat.nu)
-    return float(np.mean(var_out)), float(np.mean(var_in))
+    e_minus, e_plus = mean_variances(stat, gamma_plus, gamma_minus, stat.nu)
+    return e_plus, e_minus
 
 
 def error_observed_linear(stat, gamma_plus):
     """E- for the final linear stage with its output observed exactly."""
-    if math.isinf(stat.nu):
-        raise MlvampError("observed linear stage requires finite noise precision")
-    s = stat.s_padded(stat.n_in)
-    return float(np.mean(1.0 / (gamma_plus + stat.nu * s * s)))
+    stat, gamma_plus, gamma_minus = _observed_as_middle(stat, gamma_plus)
+    return mean_variances(stat, gamma_plus, gamma_minus, stat.nu)[0]
 
 
 def _cdf_mapped(a, b, n_nodes):
@@ -227,45 +242,37 @@ def _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine=1):
             np.hstack([w_neg, w_pos]))
 
 
-def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev,
-                 observed=False, refine=1):
-    """Expected posterior variances of a relu stage and the R+ clamp flag.
-
-    Returns ((E+, E-), clamped) for a middle stage and ((E-,), clamped) when
-    the output is observed through the channel noise (``gamma_minus`` unused).
-    ``refine`` multiplies every node count.
+def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1):
+    """Expected posterior variances ((E+, E-), clamped) of a relu stage and
+    the R+ clamp flag.  ``refine`` multiplies every node count.
     """
     ch = ScalarChannel("relu", stat.noise_var)
     r_nodes, w_o, clamped = _outer_nodes(tau_prev, gamma_plus, mean_prev, refine)
-    if not observed and gamma_minus <= 0:
-        res = denoise_middle(ch, r_nodes, np.zeros_like(r_nodes), gamma_plus, 0.0)
-        return (float(w_o @ res.var_out), float(w_o @ res.var_in)), clamped
-    v_e = stat.noise_var if observed else 1.0 / gamma_minus + stat.noise_var
-    r_minus, w_m = _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine)
-    r_plus = np.broadcast_to(r_nodes[:, None], r_minus.shape)
-    if observed:
-        variances = (denoise_output_nonlinear(ch, r_minus, r_plus, gamma_plus)[1],)
+    if gamma_minus <= 0:   # no output message: one R- node that carries nothing
+        r_minus, w_m = np.zeros((len(r_nodes), 1)), np.ones((len(r_nodes), 1))
     else:
-        res = denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus)
-        variances = (res.var_out, res.var_in)
-    return tuple(float(w_o @ np.sum(v * w_m, axis=1)) for v in variances), clamped
+        r_minus, w_m = _relu_r_minus_law(r_nodes, gamma_plus,
+                                         1.0 / gamma_minus + stat.noise_var, refine)
+    r_plus = np.broadcast_to(r_nodes[:, None], r_minus.shape)
+    res = denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus)
+    return tuple(float(w_o @ np.sum(v * w_m, axis=1))
+                 for v in (res.var_out, res.var_in)), clamped
 
 
 def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
     """(E+, E-, r_plus_var_clamped) for a middle nonlinear stage.
 
-    Identity channels are exact Gaussian algebra.  Relu channels integrate
-    the posterior variances over the (R+, R-) law: a kink-split R+ axis
-    (``_outer_nodes``) and, per R+ node, the two-branch R- law of
-    ``_relu_r_minus_law``.  ``mean_prev`` shifts the input law: the stage
-    input is N(mean_prev, tau_prev - mean_prev^2) componentwise (nonzero when
-    the preceding bias has a mean).
+    Identity variances do not depend on (r+, r-): one ``denoise_middle``
+    point gives them.  Relu channels integrate the posterior variances over
+    the (R+, R-) law: a kink-split R+ axis (``_outer_nodes``) and, per R+
+    node, the two-branch R- law of ``_relu_r_minus_law``.  ``mean_prev``
+    shifts the input law: the stage input is N(mean_prev, tau_prev -
+    mean_prev^2) componentwise (nonzero when the preceding bias has a mean).
     """
     if stat.activation == "identity":
-        nu = math.inf if stat.noise_var == 0 else 1.0 / stat.noise_var
-        var_in, var_out = component_variances(np.ones(1), gamma_plus,
-                                              gamma_minus, nu)
-        return float(var_out[0]), float(var_in[0]), False
+        res = denoise_middle(ScalarChannel("identity", stat.noise_var), 0.0, 0.0,
+                             gamma_plus, gamma_minus)
+        return float(res.var_out), float(res.var_in), False
     (e_plus, e_minus), clamped = _relu_errors(stat, gamma_plus, gamma_minus,
                                               tau_prev, mean_prev)
     return e_plus, e_minus, clamped
@@ -273,15 +280,8 @@ def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
 
 def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
     """E- for a final nonlinear stage observed through Gaussian channel noise."""
-    if stat.noise_var <= 0:
-        raise MlvampError(
-            "SE for a deterministic nonlinear observed stage is not defined; "
-            "use a noisy channel or a linear measurement stage")
-    if stat.activation == "identity":
-        ch = ScalarChannel("identity", stat.noise_var)
-        _, var = denoise_output_nonlinear(ch, 0.0, 0.0, gamma_plus)
-        return float(var)
-    return _relu_errors(stat, gamma_plus, None, tau_prev, mean_prev, observed=True)[0][0]
+    return error_nonlinear(*_observed_as_middle(stat, gamma_plus), tau_prev,
+                           mean_prev)[1]
 
 
 @dataclass
@@ -300,24 +300,20 @@ class SEState:
 def quadrature_rel_err(stats, records, tau0, means):
     """Node-doubling error estimate of the relu quadrature.
 
-    Each relu stage j is called with (gamma+_j, gamma-_{j+1}) in both sweep
-    directions (a final observed stage with gamma+_j alone), so re-evaluating
-    it at those precisions of the given records, once at the standard and
-    once at doubled node counts, reproduces the calls the records came from.
+    Each relu stage j is called with its middle-stage precisions
+    (``_as_middle``) in both sweep directions, so re-evaluating it at those
+    precisions of the given records, once at the standard and once at
+    doubled node counts, reproduces the calls the records came from.
     """
     worst = 0.0
-    n = len(stats)
     for rec in records:
         for j, stat in enumerate(stats):
             if stat.kind != "nonlinear" or stat.activation != "relu":
                 continue
-            observed = j == n - 1
-            if observed and rec.direction == "forward":
-                continue
-            args = (stat, rec.gamma_plus[j],
-                    None if observed else rec.gamma_minus[j + 1], tau0[j], means[j])
-            base, _ = _relu_errors(*args, observed=observed)
-            fine, _ = _relu_errors(*args, observed=observed, refine=2)
+            args = (*_as_middle(stats, j, rec.gamma_plus, rec.gamma_minus),
+                    tau0[j], means[j])
+            base, _ = _relu_errors(*args)
+            fine, _ = _relu_errors(*args, refine=2)
             worst = max(worst, *(abs(b / f - 1) for b, f in zip(base, fine)))
     return worst
 
@@ -342,14 +338,11 @@ def run_se(stats, n_iter, options=None):
 
     def stage_error(j, side):
         """E+ (side 0) or E- (side 1) of stage j, between variables j and j+1."""
-        stat = stats[j]
-        if j == n - 1:
-            if stat.kind == "linear":
-                return error_observed_linear(stat, gp[j])
-            return error_observed_nonlinear(stat, gp[j], tau0[j], means[j])
-        if stat.kind == "linear":
-            return error_linear(stat, gp[j], gm[j + 1])[side]
-        errors = error_nonlinear(stat, gp[j], gm[j + 1], tau0[j], means[j])
+        if stats[j].kind == "linear":
+            if j == n - 1:   # its own entry point, timed apart by perfbench
+                return error_observed_linear(stats[j], gp[j])
+            return error_linear(stats[j], gp[j], gm[j + 1])[side]
+        errors = error_nonlinear(*_as_middle(stats, j, gp, gm), tau0[j], means[j])
         se.variance_clamps += int(errors[2])
         return errors[side]
 

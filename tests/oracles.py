@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from mlvamp.errors import MlvampError, QuadratureError
+from mlvamp.errors import MlvampError
 from mlvamp.gauss import gh_nodes, log_norm_pdf
 from mlvamp.network import NetworkSpec, NonlinearStage, svd_decompose_stage
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
@@ -381,6 +381,20 @@ def mc_oracle_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
 # ---------------------------------------------------------------------------
 # Generic quadrature path for the scalar posterior moments (scalar arguments).
 # ---------------------------------------------------------------------------
+
+class QuadratureError(MlvampError):
+    """The generic quadrature path did not reach the requested accuracy.
+
+    Carries the best estimate and the estimated truncation error so the
+    caller can inspect what went wrong instead of silently using a bad value.
+    """
+
+    def __init__(self, message, estimate=None, error_estimate=None, context=None):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error_estimate = error_estimate
+        self.context = context or {}
+
 
 def _log_likelihood_factory(ch, r_minus, gamma_minus, observed):
     """Effective log-likelihood of z_in after marginalizing z_out analytically."""

@@ -168,6 +168,15 @@ class TestExitCodes:
         assert main(["experiment-iters", "--config", str(bad),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("damping", [0.0, -0.5])
+    def test_damping_outside_unit_interval_exit_1(self, tiny_config_file, tmp_path,
+                                                  damping):
+        cfg = json.loads(open(tiny_config_file).read())
+        bad = tmp_path / "damping.json"
+        bad.write_text(json.dumps(dict(cfg, damping=damping)))
+        assert main(["experiment-iters", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["experiment-iters", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1

@@ -13,7 +13,7 @@ from mlvamp.engine import (
     run,
     sweep,
 )
-from mlvamp.errors import EngineError, MlvampError, QuadratureError
+from mlvamp.errors import EngineError, MlvampError, ObservationError
 from mlvamp.linear_denoiser import denoise_linear, denoise_linear_observed
 from mlvamp.network import (
     LinearStage,
@@ -160,7 +160,7 @@ class TestRun:
             run(net, y, EngineOptions(max_iter=1))
         dump = info.value.state_dump
         assert (dump["layer"], dump["direction"], dump["k"]) == (1, "reverse", 0)
-        assert isinstance(info.value.__cause__, QuadratureError)
+        assert isinstance(info.value.__cause__, ObservationError)
 
     def test_nonfinite_message_raises_with_state(self):
         # a NaN mean with a finite variance, or a NaN variance, stops the sweep

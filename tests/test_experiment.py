@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"dims": [4, 8], "foo": 1})
 
+    @pytest.mark.parametrize("damping", [0.0, -0.5])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        # damping 0 freezes every message after the first iteration; a
+        # negative one reaches the SE quadrature as a negative variance
+        with pytest.raises(ConfigError, match="damping"):
+            ExperimentConfig.from_dict({"damping": damping})
+
     def test_roundtrip(self):
         cfg = tiny_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlvamp.errors import QuadratureError
+from mlvamp.errors import ObservationError
 from mlvamp.scalar_denoiser import (
     ScalarChannel,
     denoise_input,
@@ -103,6 +103,11 @@ class TestDenoiseMiddle:
         with pytest.raises(NotImplementedError):
             ScalarChannel("sigmoid", 0.0)
 
+    def test_relu_message_without_posterior_mass_errors(self):
+        # an output message so far out that both branch masses underflow
+        with np.errstate(over="ignore"), pytest.raises(ObservationError):
+            denoise_middle(RELU, np.array([0.0]), np.array([1e200]), 1.0, 1.0)
+
     def test_bad_precisions_rejected(self):
         with pytest.raises(ValueError):
             denoise_middle(RELU, 0.0, 0.0, -1.0, 1.0)
@@ -168,7 +173,7 @@ class TestDenoiseOutputNonlinear:
         assert var[0] == pytest.approx(1 - 2 / np.pi, rel=1e-9)
 
     def test_deterministic_relu_negative_y_errors(self):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ObservationError):
             denoise_output_nonlinear(RELU, np.array([-0.5]), np.array([0.0]), 1.0)
 
 

@@ -53,6 +53,11 @@ def sample_relu_law(rng, n, tau, mean, gp, v_e):
     return rp, z_out, z_out + rng.normal(0, math.sqrt(v_e), n)
 
 
+def padded(s, n):
+    """Singular values s followed by zeros up to length n >= len(s)."""
+    return np.concatenate([s, np.zeros(n - len(s))])
+
+
 def linear_stat(s, n_in, n_out, nu, b_sq_mean=0.0, b_mean=0.0):
     return LayerStatistics(kind="linear", n_in=n_in, n_out=n_out,
                            s=np.asarray(s, float), b_sq_mean=b_sq_mean,
@@ -81,7 +86,7 @@ class TestTau0:
         rng = np.random.default_rng(0)
         n = 10**6
         stat = stats[0]
-        s_out = stat.s_padded(stat.n_out)
+        s_out = padded(stat.s, stat.n_out)
         idx = rng.integers(0, stat.n_out, n)
         q = s_out[idx] * rng.normal(0, math.sqrt(tau[0]), n) + net.stages[0].b[idx]
         est = np.mean(q**2)
@@ -257,7 +262,7 @@ class TestErrorFunctions:
         n = 10**6
 
         def mc(side_dim):
-            s_pad = stat.s_padded(side_dim)
+            s_pad = padded(stat.s, side_dim)
             s = s_pad[rng.integers(0, side_dim, n)]
             p0 = rng.normal(0, 1, n) / math.sqrt(gp)
             q0 = s * p0 + rng.normal(0, 1, n) / math.sqrt(stat.nu)
@@ -312,16 +317,22 @@ class TestRunSe:
 
     def test_gaussian_chain_parity_with_engine(self):
         # on a Gaussian chain both recursions are closed-form and identical,
-        # undamped and damped
-        net = oracles.make_gaussian_chain(64, seed=3, n_pairs=2)
-        traj = sample_trajectory(net, 0)
-        for damping in (1.0, 0.7):
-            opts = EngineOptions(max_iter=8, damping=damping)
-            se = run_se(stats_from_network(net), 8, opts)
-            recs = run(net, traj.z[-1], opts)
-            for eng_rec, se_rec in zip(recs, se.records):
-                assert np.allclose(eng_rec.gamma_plus, se_rec.gamma_plus, rtol=1e-10)
-                assert np.allclose(eng_rec.gamma_minus, se_rec.gamma_minus, rtol=1e-10)
+        # undamped and damped; observed through the linear measurement and
+        # through a noisy identity output after it
+        chain = oracles.make_gaussian_chain(64, seed=3, n_pairs=2)
+        observed_identity = NetworkSpec(
+            n0=chain.n0, stages=chain.stages + (NonlinearStage("identity", 0.05, 64),))
+        for net in (chain, observed_identity):
+            traj = sample_trajectory(net, 0)
+            for damping in (1.0, 0.7):
+                opts = EngineOptions(max_iter=8, damping=damping)
+                se = run_se(stats_from_network(net), 8, opts)
+                recs = run(net, traj.z[-1], opts)
+                for eng_rec, se_rec in zip(recs, se.records):
+                    assert np.allclose(eng_rec.gamma_plus, se_rec.gamma_plus,
+                                       rtol=1e-10)
+                    assert np.allclose(eng_rec.gamma_minus, se_rec.gamma_minus,
+                                       rtol=1e-10)
 
     def test_se_fixed_point_matches_dense_variances_smoke(self):
         # small-N smoke version of the dimension-extrapolated acceptance check
