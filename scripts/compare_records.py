@@ -1,20 +1,25 @@
 """Dump and compare engine and state-evolution records of two checkouts.
 
-    PYTHONPATH=src python scripts/compare_records.py dump OUT.npz
-    python scripts/compare_records.py compare A.npz B.npz
+    PYTHONPATH=src python scripts/compare_records.py dump OUT.npz [--trials T]
+        [--batch] [--ulp]
+    python scripts/compare_records.py compare A.npz B.npz [--rtol R]
 
 ``dump`` builds the paper configuration (x1) and the same preset with dims
 and M scaled by 4 (x4; network seed 0, damping 0.85, 50 iterations).  For
-each it stores the engine records of trials (0, 71, 0) and (0, 71, 1)
+each it stores the engine records of trials (0, 71, 0) to (0, 71, T - 1)
 (``eta``, ``alpha``, ``gamma_plus``, ``gamma_minus``, ``nmse_db``,
-``clamp_events`` and the per-layer ``z_hat``) and every ``run_se`` record
-(the same fields without ``z_hat``, plus ``tau0``).  Run it once per
-checkout, with that checkout's ``src`` on ``PYTHONPATH``.
+``clamp_events`` and the per-layer ``z_hat``; T = 2 unless given) and every
+``run_se`` record (the same fields without ``z_hat``, plus ``tau0``).
+``--batch`` runs the T trials as one batched ``engine.run`` instead of one
+run each; ``--ulp`` moves y[0] of every trial up by one ulp, to measure how
+far rounding alone moves the records.  Run it once per checkout, with that
+checkout's ``src`` on ``PYTHONPATH``.
 
 ``compare`` prints the worst relative difference per field: elementwise
 |a - b| / |b| (|a - b| where b = 0) for the scalar-per-layer fields, and
-max |a - b| / max |b| per record and layer for ``z_hat``.  It exits 1 when a
-field exceeds 1e-12 or the two files hold different keys or shapes.
+max |a - b| / max |b| per record and layer for ``z_hat``; ``nmse_db`` also
+gets its worst absolute difference in dB.  It exits 1 when a field exceeds
+``--rtol`` (1e-12) or the two files hold different keys or shapes.
 """
 import argparse
 import sys
@@ -24,7 +29,6 @@ import numpy as np
 
 RTOL = 1e-12
 SCALES = (1, 4)
-TRIALS = (0, 1)
 FIELDS = ("eta", "alpha", "gamma_plus", "gamma_minus", "nmse_db", "clamp_events")
 
 
@@ -37,7 +41,7 @@ def _records_arrays(prefix, records, out):
             out[f"{prefix}/z_hat{ell}"] = np.array([r.z_hat[ell] for r in records])
 
 
-def dump(path):
+def dump(path, n_trials=2, batch=False, ulp=False):
     from mlvamp.engine import run
     from mlvamp.experiment import paper_config, trial_seed
     from mlvamp.network import build_synthetic_network, sample_trajectory
@@ -53,9 +57,18 @@ def dump(path):
         se = run_se(stats_from_network(net), cfg.n_iter, cfg.engine_options())
         _records_arrays(f"x{scale}/se", se.records, out)
         out[f"x{scale}/se/tau0"] = se.tau0
-        for trial in TRIALS:
-            traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
-            records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
+        trajs = [sample_trajectory(net, trial_seed(cfg.seed, t)) for t in range(n_trials)]
+        if ulp:
+            for traj in trajs:
+                traj.z[-1][0] = np.nextafter(traj.z[-1][0], np.inf)
+        if batch:
+            flat = run(net, np.array([tr.z[-1] for tr in trajs]), cfg.engine_options(),
+                       truth=trajs)
+            per = len(flat) // n_trials
+            runs = [flat[t * per:(t + 1) * per] for t in range(n_trials)]
+        else:
+            runs = [run(net, tr.z[-1], cfg.engine_options(), truth=tr) for tr in trajs]
+        for trial, records in enumerate(runs):
             _records_arrays(f"x{scale}/trial{trial}", records, out)
         print(f"x{scale}: dims {cfg.dims}, M {cfg.n_meas}", flush=True)
     np.savez_compressed(path, **out)
@@ -69,7 +82,7 @@ def _rel_diff(key, a, b):
     return float(np.max(diff / np.where(ref > 0, ref, 1.0)))
 
 
-def compare(path_a, path_b):
+def compare(path_a, path_b, rtol=RTOL):
     a, b = np.load(path_a), np.load(path_b)
     if set(a.files) != set(b.files):
         print("different keys:", sorted(set(a.files) ^ set(b.files)))
@@ -83,24 +96,32 @@ def compare(path_a, path_b):
         field = "z_hat" if name.startswith("z_hat") else name
         group = f"{scale}/{'se' if source == 'se' else 'engine'}/{field}"
         worst[group] = max(worst[group], _rel_diff(key, a[key], b[key]))
+        if field == "nmse_db":
+            group = group.replace("nmse_db", "nmse_db_abs_db")
+            worst[group] = max(worst[group], float(np.max(np.abs(a[key] - b[key]))))
     for group, val in worst.items():
-        flag = "" if val <= RTOL else f"  > {RTOL:g}"
+        flag = "" if val <= rtol or "_abs_" in group else f"  > {rtol:g}"
         print(f"{group:28s} {val:.3e}{flag}")
-    return int(max(worst.values()) > RTOL)
+    return int(max(v for g, v in worst.items() if "_abs_" not in g) > rtol)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("dump").add_argument("out")
+    dump_p = sub.add_parser("dump")
+    dump_p.add_argument("out")
+    dump_p.add_argument("--trials", type=int, default=2)
+    dump_p.add_argument("--batch", action="store_true")
+    dump_p.add_argument("--ulp", action="store_true")
     cmp_p = sub.add_parser("compare")
     cmp_p.add_argument("a")
     cmp_p.add_argument("b")
+    cmp_p.add_argument("--rtol", type=float, default=RTOL)
     args = parser.parse_args(argv)
     if args.cmd == "dump":
-        dump(args.out)
+        dump(args.out, args.trials, args.batch, args.ulp)
         return 0
-    return compare(args.a, args.b)
+    return compare(args.a, args.b, args.rtol)
 
 
 if __name__ == "__main__":

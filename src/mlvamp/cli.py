@@ -37,7 +37,6 @@ def _add_config_args(p):
     p.add_argument("--iters", type=int)
     p.add_argument("--n-meas", help="measurement count (comma list for sweeps)")
     p.add_argument("--methods", help="comma list from mlvamp,map,sgld")
-    p.add_argument("--workers", type=int)
     p.add_argument("--no-runtime", action="store_true",
                    help="leave the runtime_ms column empty (byte-reproducible CSV)")
     p.add_argument("--out", default=".", help="output directory")
@@ -68,8 +67,6 @@ def load_config(args, sweep=False):
         cfg.n_meas = _parse_n_meas(args.n_meas)
     if getattr(args, "methods", None):
         cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     if getattr(args, "no_runtime", False):
         cfg.include_runtime = False
     cfg.out_dir = args.out

@@ -14,13 +14,19 @@ takes the eta = 1/<var> route since gamma_opp/alpha is 0/0 there.
 ``sweep`` holds the only copy of the visit order, the precision algebra and
 the damping blend.  ``run`` drives it with the vector denoisers below; the
 state evolution drives it with scalar error functions and no means.
+
+``run`` also takes T observations at once, the matrix-valued form of the
+iteration: every message is then a (T, N) array with a (T, 1) column of
+per-trial precisions, and the precision algebra, its clamps and the
+first-pass route apply to each trial separately.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import EngineError, MlvampError
+from .gauss import any_true
 from .linear_denoiser import StageTransforms, denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
     VAR_FLOOR,
@@ -48,47 +54,60 @@ def precision_update(alpha, gamma_opposite, gamma_min=EngineOptions.gamma_min,
 
     alpha is clamped into [alpha_min, 1 - alpha_min] and gamma_new into
     [gamma_min, gamma_max]; eta is recomputed after clamping so that
-    eta = gamma_new + gamma_opp holds exactly.  Returns
-    (eta, gamma_new, clamped).
+    eta = gamma_new + gamma_opp holds exactly.  Scalars or per-trial arrays;
+    returns (eta, gamma_new, clamped), ``clamped`` per element.
     """
-    if not np.isfinite(alpha):
+    if any_true(~np.isfinite(alpha)):
         raise MlvampError(f"non-finite alpha {alpha!r} in precision update")
-    a = min(max(alpha, alpha_min), 1.0 - alpha_min)
-    clamped = a != alpha
+    a = _clip(alpha, alpha_min, 1.0 - alpha_min)
     eta = gamma_opposite / a
     g = eta - gamma_opposite
-    g_cl = min(max(g, gamma_min), gamma_max)
-    clamped = clamped or (g_cl != g)
-    return g_cl + gamma_opposite, g_cl, clamped
+    g_cl = _clip(g, gamma_min, gamma_max)
+    return g_cl + gamma_opposite, g_cl, (a != alpha) | (g_cl != g)
+
+
+def _clip(x, lo, hi):
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def extrinsic_mean(eta, z_hat, gamma_opposite, r_opposite, gamma_new):
     """r = (eta * z_hat - gamma_opp * r_opp) / gamma_new."""
-    if gamma_new <= 0:
+    if any_true(gamma_new <= 0):
         raise MlvampError("gamma_new must be positive (clamp upstream)")
     return (eta * z_hat - gamma_opposite * r_opposite) / gamma_new
 
 
 def posterior_to_message(var_mean, gamma_opposite, opts):
-    """Turn an average posterior variance into (eta, alpha, gamma_new, events).
+    """Turn an average posterior variance into (eta, alpha, gamma_new, clamped).
 
     gamma_opposite = 0 (iteration-0 initialization) takes the direct
     eta = 1/var route with alpha = 0; that path is not counted as a clamp.
+    Per-trial arrays choose the route per element.
     """
-    v = max(float(var_mean), VAR_FLOOR)
-    if gamma_opposite <= 0:
-        eta_raw = 1.0 / v
-        g = min(max(eta_raw, opts.gamma_min), opts.gamma_max)
-        return g, 0.0, g, 0
+    v = np.maximum(var_mean, VAR_FLOOR)
+    first = gamma_opposite <= 0
+    if any_true(first):
+        g_first = _clip(1.0 / v, opts.gamma_min, opts.gamma_max)
+        if not any_true(gamma_opposite > 0):
+            return g_first, 0.0, g_first, False
     eta, g, clamped = precision_update(
         gamma_opposite * v, gamma_opposite,
         gamma_min=opts.gamma_min, gamma_max=opts.gamma_max,
         alpha_min=opts.alpha_min)
-    return eta, gamma_opposite / eta, g, int(clamped)
+    alpha = gamma_opposite / eta
+    if any_true(first):   # a batch with trials on both routes
+        eta, g = np.where(first, g_first, eta), np.where(first, g_first, g)
+        alpha = np.where(first, 0.0, alpha)
+        clamped = clamped & ~first
+    return eta, alpha, g, clamped
 
 
 @dataclass
 class MessageState:
+    """Messages per hidden variable: means r of shape (N,), precisions of
+    shape (L,); for a batch of T observations (T, N) means and (L, T, 1)
+    precisions, one column per variable."""
+
     r_plus: list
     r_minus: list
     gamma_plus: np.ndarray
@@ -116,41 +135,49 @@ class IterationRecord:
     clamp_events: int = 0
 
 
-def init_state(net):
+def init_state(net, batch=None):
+    """Zero messages for one observation, or for ``batch`` observations."""
     dims = net.dims[:-1]
+    rows, col = ((), ()) if batch is None else ((batch,), (batch, 1))
     return MessageState(
-        r_plus=[np.zeros(d) for d in dims],
-        r_minus=[np.zeros(d) for d in dims],
-        gamma_plus=np.zeros(len(dims)),
-        gamma_minus=np.zeros(len(dims)),
+        r_plus=[np.zeros(rows + (d,)) for d in dims],
+        r_minus=[np.zeros(rows + (d,)) for d in dims],
+        gamma_plus=np.zeros((len(dims),) + col),
+        gamma_minus=np.zeros((len(dims),) + col),
     )
 
 
 def nmse_db(truth, estimate):
-    """10 log10(||truth - estimate||^2 / ||truth||^2), clipped below at -200 dB."""
+    """10 log10(||truth - estimate||^2 / ||truth||^2), clipped below at -200 dB;
+    one value per row of (T, N) arrays."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape:
         raise ValueError("truth and estimate must have equal dimensions")
-    ref = float(np.sum(truth**2))
-    if ref <= 0:
+    ref = (truth**2).sum(axis=-1)
+    if any_true(ref <= 0):
         raise ValueError("zero-norm truth vector")
-    err = float(np.sum((truth - estimate) ** 2))
-    if err == 0:
-        return -200.0
-    return max(10.0 * np.log10(err / ref), -200.0)
+    ratio = ((truth - estimate) ** 2).sum(axis=-1) / ref
+    # ratios below 1e-30 (0 included) clip to -200 dB either way
+    db = np.maximum(10.0 * np.log10(np.maximum(ratio, 1e-30)), -200.0)
+    return float(db) if np.ndim(db) == 0 else db
 
 
 def _channel(stage):
     return ScalarChannel(stage.activation, stage.noise_var)
 
 
+def _avg(var):
+    """Mean over each observation's components: a scalar for one
+    observation, a (T, 1) column for a batch."""
+    return np.mean(var, axis=-1, keepdims=var.ndim > 1)
+
+
 def _belief(net, y, state, transforms, ell, forward):
     """Belief mean/variance of z_ell: from factor ell (the stage below it) in
     the forward sweep, from factor ell+1 (the stage above) in the reverse."""
     if forward and ell == 0:
-        mean, var = denoise_input(state.r_minus[0], state.gamma_minus[0])
-        return mean, float(var)
+        return denoise_input(state.r_minus[0], state.gamma_minus[0])
     i = ell - 1 if forward else ell
     stage = net.stages[i]
     if i == net.n_layers - 1:   # the observed stage, reached in reverse only
@@ -160,7 +187,7 @@ def _belief(net, y, state, transforms, ell, forward):
             return res.z_hat_minus, res.var_in_mean
         mean, var = denoise_output_nonlinear(_channel(stage), y, state.r_plus[i],
                                              state.gamma_plus[i])
-        return mean, float(np.mean(var))
+        return mean, _avg(var)
     args = (state.r_plus[i], state.r_minus[i + 1],
             state.gamma_plus[i], state.gamma_minus[i + 1])
     if stage.kind == "linear":
@@ -169,8 +196,8 @@ def _belief(net, y, state, transforms, ell, forward):
         return ((res.z_hat_plus, res.var_out_mean) if forward
                 else (res.z_hat_minus, res.var_in_mean))
     res = denoise_middle(_channel(stage), *args)
-    return ((res.mean_out, float(np.mean(res.var_out))) if forward
-            else (res.mean_in, float(np.mean(res.var_in))))
+    return ((res.mean_out, _avg(res.var_out)) if forward
+            else (res.mean_in, _avg(res.var_in)))
 
 
 def _dump(state, ell, direction):
@@ -189,7 +216,8 @@ def sweep(state, direction, denoise, opts):
     the means move) raises EngineError.  Every message update is bound to a
     fresh array and none is modified in place, which lets ``run`` key its
     reused transforms on array identity.  Returns the half-iteration's
-    IterationRecord (without NMSE).
+    IterationRecord (without NMSE); for a batch its precisions keep the
+    state's (L, T, 1) shape and ``clamp_events`` is a (T, 1) column.
     """
     n = len(state.gamma_plus)
     if direction == "forward":
@@ -200,9 +228,9 @@ def sweep(state, direction, denoise, opts):
         order = range(n - 1, -1, -1)
         g_own, r_own = state.gamma_minus, state.r_minus
         g_opp, r_opp = state.gamma_plus, state.r_plus
-    etas, alphas = np.zeros(n), np.zeros(n)
+    etas, alphas = np.zeros_like(g_own), np.zeros_like(g_own)
+    clamps = np.zeros(g_own.shape, dtype=int)
     z_hats = [None] * n
-    events = 0
     damp = opts.damping
     blend = damp < 1.0 and state.k >= 1
     for ell in order:
@@ -212,7 +240,7 @@ def sweep(state, direction, denoise, opts):
             raise EngineError(
                 f"denoiser failed at layer {ell} ({direction}, k={state.k}): {exc}",
                 state_dump=_dump(state, ell, direction)) from exc
-        eta, alpha, g_new, ev = posterior_to_message(vbar, g_opp[ell], opts)
+        eta, alpha, g_new, clamped = posterior_to_message(vbar, g_opp[ell], opts)
         if z_hat is not None:
             r_new = extrinsic_mean(eta, z_hat, g_opp[ell], r_opp[ell], g_new)
             r_own[ell] = damp * r_new + (1 - damp) * r_own[ell] if blend else r_new
@@ -220,36 +248,66 @@ def sweep(state, direction, denoise, opts):
             g_new = damp * g_new + (1 - damp) * g_own[ell]
             eta = g_new + g_opp[ell]
         g_own[ell] = g_new
-        if not np.isfinite(g_new) or (z_hat is not None
-                                      and not np.all(np.isfinite(r_own[ell]))):
+        if any_true(~np.isfinite(g_new)) or (
+                z_hat is not None and not np.all(np.isfinite(r_own[ell]))):
             raise EngineError(
                 f"non-finite message at layer {ell} ({direction}, k={state.k})",
                 state_dump=_dump(state, ell, direction))
-        etas[ell], alphas[ell] = eta, alpha
-        events += ev
+        etas[ell], alphas[ell], clamps[ell] = eta, alpha, clamped
         z_hats[ell] = z_hat
     half = 2 * state.k + (1 if direction == "forward" else 2)
+    events = clamps.sum(axis=0)
     return IterationRecord(
         k=state.k, half_iter=half, direction=direction, z_hat=z_hats,
         eta=etas, alpha=alphas,
         gamma_plus=state.gamma_plus.copy(), gamma_minus=state.gamma_minus.copy(),
-        clamp_events=events)
+        clamp_events=int(events) if events.ndim == 0 else events)
+
+
+def _check_observations(net, y, truth):
+    """Reject a y whose width is not the network output, a truth list that
+    does not match a batch, and non-finite entries (naming the trial)."""
+    if y.ndim not in (1, 2) or y.shape[-1] != net.dims[-1]:
+        raise MlvampError(
+            f"observation length {y.shape} does not match network output "
+            f"dimension {net.dims[-1]}")
+    if y.ndim == 2 and truth is not None and len(truth) != len(y):
+        raise MlvampError(f"{len(truth)} truth trajectories for {len(y)} observations")
+    bad = np.count_nonzero(~np.isfinite(np.atleast_2d(y)), axis=1)
+    if bad.any():
+        t = int(np.flatnonzero(bad)[0])
+        whose = f"observation of trial {t}" if y.ndim == 2 else "observation"
+        raise MlvampError(f"{whose} has {bad[t]} non-finite entries of {y.shape[-1]}")
+
+
+def _trial_record(rec, t):
+    """Trial t's record out of a batch record."""
+    return replace(
+        rec, z_hat=None if rec.z_hat is None else [z[t] for z in rec.z_hat],
+        nmse_db=None if rec.nmse_db is None else rec.nmse_db[t],
+        clamp_events=int(rec.clamp_events[t, 0]),
+        **{f: getattr(rec, f)[:, t, 0]
+           for f in ("eta", "alpha", "gamma_plus", "gamma_minus")})
 
 
 def run(net, y, options=None, truth=None):
     """Run max_iter iterations (two half-iterations each); returns the
     per-half-iteration records.  ``truth`` (a Trajectory) enables per-layer
-    NMSE tracking."""
+    NMSE tracking.
+
+    A (T, M) ``y`` runs its T observations as one batch, each linear
+    transform as one product with T rows; ``truth`` is then a list of T
+    trajectories or None.  The result is every trial's records in turn
+    (trial-major), as T single-observation runs would return them.
+    """
     opts = options or EngineOptions()
     y = np.asarray(y, dtype=float)
-    if y.shape != (net.dims[-1],):
-        raise MlvampError(
-            f"observation length {y.shape} does not match network output "
-            f"dimension {net.dims[-1]}")
-    bad = int(np.count_nonzero(~np.isfinite(y)))
-    if bad:
-        raise MlvampError(f"observation has {bad} non-finite entries of {y.size}")
-    state = init_state(net)
+    _check_observations(net, y, truth)
+    batch = len(y) if y.ndim == 2 else None
+    state = init_state(net, batch)
+    if truth is not None:   # per layer: the truth, or the T truths stacked
+        truth_z = truth.z if batch is None else [
+            np.array([tr.z[ell] for tr in truth]) for ell in range(len(state.r_plus))]
     # both sweeps share these: sweep never modifies a message in place
     transforms = [StageTransforms(st) if st.kind == "linear" else None
                   for st in net.stages]
@@ -258,11 +316,13 @@ def run(net, y, options=None, truth=None):
         for forward, direction in ((True, "forward"), (False, "reverse")):
             denoise = partial(_belief, net, y, state, transforms, forward=forward)
             rec = sweep(state, direction, denoise, opts)
-            if truth is not None:
-                rec.nmse_db = np.array([nmse_db(truth.z[ell], z)
-                                        for ell, z in enumerate(rec.z_hat)])
+            if truth is not None:   # (L,), or (T, L) for a batch
+                rec.nmse_db = np.array([nmse_db(tz, z)
+                                        for tz, z in zip(truth_z, rec.z_hat)]).T
             if not opts.store_estimates:
                 rec.z_hat = None
             records.append(rec)
         state.k += 1
-    return records
+    if batch is None:
+        return records
+    return [_trial_record(rec, t) for t in range(batch) for rec in records]

@@ -3,7 +3,8 @@ baseline comparisons, with CSV/JSON output.
 
 Within a trial every method sees the bit-identical trajectory (shared seeds);
 one network per experiment configuration, re-sampled trajectories per trial.
-The per-half-iteration CSV schema is fixed:
+ML-VAMP runs every trial of an experiment as one batch; MAP and SGLD run
+trial by trial.  The per-half-iteration CSV schema is fixed:
 
     trial, method, half_iter, layer, nmse_db, se_nmse_db,
     gamma_plus, gamma_minus, clamp_events, runtime_ms
@@ -12,9 +13,7 @@ import csv
 import json
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class ExperimentConfig:
     out_dir: str = None
     damping: float = 0.85
     include_runtime: bool = True
-    workers: int = 1
     store_estimates: bool = False
     map_steps: int = 500
     map_step_size: float = 0.01
@@ -77,8 +75,6 @@ class ExperimentConfig:
             raise ConfigError("n_iter must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not 0 < self.damping <= 1:
             raise ConfigError(f"damping must lie in (0, 1], not {self.damping!r}")
 
@@ -184,26 +180,28 @@ def _append_baselines(out, net, cfg, traj):
         })
 
 
-def _trial_job(net, se, cfg, trial):
-    """Rows, runtimes and clamp total of every method in ``cfg.methods`` on
-    one shared trajectory.  A library error that stops the whole trial comes
-    back as the trial's ``{"trial", "error"}`` failure entry."""
-    out = {"trial": trial, "rows": [], "runtimes": {}, "clamp_total": 0,
-           "failures": []}
-    try:
-        traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
-        if "mlvamp" in cfg.methods:
-            start = time.perf_counter()
-            records = run(net, traj.z[-1], cfg.engine_options(), truth=traj)
-            runtime = out["runtimes"]["mlvamp"] = 1000.0 * (time.perf_counter() - start)
-            out["rows"] += record_rows(records, se, trial,
-                                       runtime=runtime if cfg.include_runtime else "")
-            out["clamp_total"] = sum(rec.clamp_events for rec in records)
-        if set(cfg.methods) - {"mlvamp"}:
-            _append_baselines(out, net, cfg, traj)
-    except MlvampError as exc:
-        return {"trial": trial, "error": str(exc)}
-    return out
+def _append_mlvamp(entries, net, se, cfg, trajs):
+    """Run ML-VAMP on ``trajs`` (trial -> trajectory) and add each trial's
+    rows, runtime and clamp total to its entry in ``entries``.  Several
+    trajectories run as one batch, whose runtime per trial is the batch wall
+    time over the trial count; a single one runs alone."""
+    trials = list(trajs)
+    ys = np.array([trajs[t].z[-1] for t in trials])
+    truth = [trajs[t] for t in trials]
+    start = time.perf_counter()
+    if len(trials) == 1:
+        records = run(net, ys[0], cfg.engine_options(), truth=truth[0])
+    else:
+        records = run(net, ys, cfg.engine_options(), truth=truth)
+    runtime = 1000.0 * (time.perf_counter() - start) / len(trials)
+    per_trial = len(records) // len(trials)
+    for i, trial in enumerate(trials):
+        own = records[i * per_trial:(i + 1) * per_trial]
+        entry = entries[trial]
+        entry["runtimes"]["mlvamp"] = runtime
+        entry["rows"] += record_rows(own, se, trial,
+                                     runtime=runtime if cfg.include_runtime else "")
+        entry["clamp_total"] = sum(rec.clamp_events for rec in own)
 
 
 def _sort_key(row):
@@ -293,19 +291,41 @@ def se_to_rows(se, method="se"):
 
 
 def _run_trials(net, se, cfg):
-    """Every trial in order: in this process for one worker, otherwise one
-    chunk of trials per worker process (the network is pickled per chunk)."""
-    job = partial(_trial_job, net, se, cfg)
-    trials = range(cfg.n_trials)
-    workers = min(cfg.workers, cfg.n_trials)
-    if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(job, trials,
-                                    chunksize=-(-cfg.n_trials // workers)))
-    else:
-        results = map(job, trials)
+    """Every trial on its own trajectory: ML-VAMP on all of them as one
+    batch, then the baselines trial by trial.  A library error that stops a
+    trial leaves only its ``{"trial", "error"}`` failure entry.  When the
+    batch raises, its trials re-run one at a time, so the other trials'
+    rows and the failure entries are those of single-trial runs."""
+    entries, trajs = {}, {}
+
+    def fail(trial, exc):
+        entries[trial] = {"trial": trial, "error": str(exc)}
+        trajs.pop(trial, None)
+
+    for trial in range(cfg.n_trials):
+        entries[trial] = {"trial": trial, "rows": [], "runtimes": {},
+                          "clamp_total": 0, "failures": []}
+        try:
+            trajs[trial] = sample_trajectory(net, trial_seed(cfg.seed, trial))
+        except MlvampError as exc:
+            fail(trial, exc)
+    if "mlvamp" in cfg.methods and trajs:
+        try:
+            _append_mlvamp(entries, net, se, cfg, trajs)
+        except MlvampError:
+            for trial, traj in list(trajs.items()):
+                try:
+                    _append_mlvamp(entries, net, se, cfg, {trial: traj})
+                except MlvampError as exc:
+                    fail(trial, exc)
+    if set(cfg.methods) - {"mlvamp"}:
+        for trial, traj in list(trajs.items()):
+            try:
+                _append_baselines(entries[trial], net, cfg, traj)
+            except MlvampError as exc:
+                fail(trial, exc)
     rows, failures, runtimes, clamps = [], [], {}, {}
-    for res in results:
+    for res in entries.values():
         if "error" in res:
             failures.append(res)
             continue

@@ -13,6 +13,13 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
+def any_true(mask):
+    """np.any(mask) for a per-trial array, plain truth for a scalar: the
+    guards run on every denoise, where np.any's wrapper would cost more
+    than the test."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def log_norm_pdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 

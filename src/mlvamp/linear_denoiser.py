@@ -24,12 +24,17 @@ V_in and V_out.  A call transforms back only the side asked for, and a
 shared StageTransforms lets the forward and the reverse call of a stage
 reuse each other's input transforms.  The observed stage is the
 deterministic stage (nu = inf) whose output message r- = y has gamma- = nu.
+
+A batch of T messages, (T, N) means with (T, 1) precision columns, takes
+each transform as one matrix product with T rows (``_product``).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MlvampError
+from .gauss import any_true
 
 
 def component_variances(s, gamma_plus, gamma_minus, nu):
@@ -67,6 +72,12 @@ def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
     return var_in * d1 + cov * d2, cov * d1 + var_out * d2, var_in, var_out
 
 
+def _product(mat, x):
+    """mat @ x for a vector; for a (T, n) batch, mat applied to every row as
+    one product with T rows."""
+    return mat @ x if x.ndim == 1 else x @ mat.T
+
+
 class StageTransforms:
     """Input transforms of one linear stage, kept while their source arrays
     stay the same: V_in r+ and V_out^T r- (V_out^T y on the observed stage).
@@ -84,15 +95,31 @@ class StageTransforms:
         return held[1]
 
     def u_in(self, r_plus):
-        return self._get("in", r_plus, lambda r: self.stage.v_in @ r)
+        return self._get("in", r_plus, lambda r: _product(self.stage.v_in, r))
 
     def u_out(self, r_minus):
-        return self._get("out", r_minus, lambda r: self.stage.v_out.T @ r)
+        return self._get("out", r_minus, lambda r: _product(self.stage.v_out.T, r))
+
+
+def _rest_variances(gamma_plus, gamma_minus, nu):
+    """``component_variances`` at s = 0, where every s term vanishes: the
+    same values from plain arithmetic."""
+    if math.isinf(nu):
+        det, rest = gamma_plus, (1.0 / gamma_plus, 0.0)
+    else:
+        a22 = gamma_minus + nu
+        det = gamma_plus * a22
+        rest = a22 / det, gamma_plus / det
+    if any_true(det <= 0):
+        raise MlvampError("singular belief precision in the s = 0 components")
+    return rest
 
 
 def _mean_with_rest(v, n, v_rest):
-    """Mean over n components: v followed by n - len(v) copies of v_rest."""
-    return float((np.sum(v) + (n - len(v)) * v_rest) / n)
+    """Mean over n components of v followed by n - len(v) copies of v_rest,
+    per row of a batch."""
+    total = np.sum(v, axis=-1, keepdims=v.ndim > 1)
+    return (total + (n - v.shape[-1]) * v_rest) / n
 
 
 def mean_variances(stage, gamma_plus, gamma_minus, nu, variances=None):
@@ -101,7 +128,7 @@ def mean_variances(stage, gamma_plus, gamma_minus, nu, variances=None):
     over the singular directions and the s = 0 closed form past them."""
     if variances is None:
         variances = component_variances(stage.s, gamma_plus, gamma_minus, nu)
-    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, nu)
+    rest_in, rest_out = _rest_variances(gamma_plus, gamma_minus, nu)
     return (_mean_with_rest(variances[0], stage.n_in, rest_in),
             _mean_with_rest(variances[1], stage.n_out, rest_out))
 
@@ -112,7 +139,7 @@ class LinearDenoised:
 
     z_hat_minus: np.ndarray
     z_hat_plus: np.ndarray
-    var_in_mean: float
+    var_in_mean: float          # (T, 1) columns for a batch
     var_out_mean: float
 
 
@@ -122,7 +149,8 @@ def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms
         raise ValueError(f"side must be 'minus', 'plus' or 'both', not {side!r}")
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    if r_plus.shape != (stage.n_in,) or r_minus.shape != (stage.n_out,):
+    if (r_plus.ndim not in (1, 2) or r_plus.shape[:-1] != r_minus.shape[:-1]
+            or (r_plus.shape[-1], r_minus.shape[-1]) != (stage.n_in, stage.n_out)):
         raise ValueError("r vectors do not match stage dimensions")
     transforms = transforms or StageTransforms(stage)
     u_in, u_out = transforms.u_in(r_plus), transforms.u_out(r_minus)
@@ -130,10 +158,10 @@ def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms
         u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, nu)
     z_hat_minus = z_hat_plus = None
     if side != "plus":
-        z_hat_minus = stage.v_in.T @ (g_minus - u_in) + r_plus
+        z_hat_minus = _product(stage.v_in.T, g_minus - u_in) + r_plus
     if side != "minus":
         w = gamma_minus / (gamma_minus + nu)
-        z_hat_plus = (stage.v_out @ (g_plus - w * u_out - (1 - w) * stage.b_bar)
+        z_hat_plus = (_product(stage.v_out, g_plus - w * u_out - (1 - w) * stage.b_bar)
                       + w * r_minus + (1 - w) * stage.b)
     return LinearDenoised(z_hat_minus, z_hat_plus, *mean_variances(
         stage, gamma_plus, gamma_minus, nu, (var_in, var_out)))
@@ -159,6 +187,6 @@ def denoise_linear_observed(stage, y, r_plus, gamma_plus, transforms=None):
     """
     if not np.isfinite(stage.nu):
         raise MlvampError("observed linear stage requires finite noise precision")
-    if gamma_plus <= 0:
+    if any_true(gamma_plus <= 0):
         raise ValueError("gamma_plus must be positive")
     return _solve(stage, r_plus, y, gamma_plus, stage.nu, np.inf, "minus", transforms)

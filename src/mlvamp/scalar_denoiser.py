@@ -10,6 +10,10 @@ For the supported activations (relu, identity) the moments have closed forms
 built from truncated Gaussians.
 An output observed through channel noise is the middle case of the
 noiseless channel with r_minus = y and gamma_minus = 1/noise_var.
+
+The precisions are scalars, or (T, 1) columns for a batch of T observations
+whose r arrays are (T, N); each row then gets what the call with its own
+scalar precisions returns.
 """
 from dataclasses import dataclass
 
@@ -17,7 +21,12 @@ import numpy as np
 from scipy import special
 
 from .errors import ObservationError
-from .gauss import log_norm_pdf, truncnorm_lower_moments, truncnorm_upper_moments
+from .gauss import (
+    any_true,
+    log_norm_pdf,
+    truncnorm_lower_moments,
+    truncnorm_upper_moments,
+)
 
 VAR_FLOOR = 1e-15
 
@@ -69,22 +78,31 @@ def _relu_branch_weights(r_plus, gamma_plus, r_minus, v_obs):
     """Log masses of the z_in < 0 / z_in > 0 branches and the positive-branch
     Gaussian parameters, for obs model r_minus ~ N(relu(z_in), v_obs).
 
-    ``v_obs = inf`` drops the output observation entirely.
+    ``v_obs = inf`` (everywhere, or in some rows of a batch) drops the output
+    observation entirely.
     """
     vp = 1.0 / gamma_plus
     sp = np.sqrt(vp)
-    if np.isinf(v_obs):
+    drop = np.isinf(v_obs)
+    if not any_true(~drop):
         log_w_neg = special.log_ndtr(-r_plus / sp)
         log_w_pos = special.log_ndtr(r_plus / sp)
         m_t = np.asarray(r_plus, float)
         v_t = np.broadcast_to(np.asarray(vp, float), np.shape(m_t))
         return log_w_neg, log_w_pos, m_t, v_t
+    mixed = any_true(drop)
+    if mixed:   # rows without an output message: replaced below
+        v_obs = np.where(drop, 1.0, v_obs)
     vs = v_obs + vp
     m_t = (v_obs * r_plus + vp * r_minus) / vs
     v_t = v_obs * vp / vs
     log_w_neg = log_norm_pdf(r_minus, 0.0, v_obs) + special.log_ndtr(-r_plus / sp)
     log_w_pos = log_norm_pdf(r_minus, r_plus, vs) + special.log_ndtr(m_t / np.sqrt(v_t))
-    return log_w_neg, log_w_pos, m_t, np.broadcast_to(np.asarray(v_t, float), np.shape(m_t))
+    out = (log_w_neg, log_w_pos, m_t, np.broadcast_to(np.asarray(v_t, float), np.shape(m_t)))
+    if mixed:
+        dropped = _relu_branch_weights(r_plus, gamma_plus, r_minus, np.inf)
+        out = tuple(np.where(drop, a, b) for a, b in zip(dropped, out))
+    return out
 
 
 def _mix(w_a, m_a, v_a, w_b, m_b, v_b):
@@ -99,18 +117,18 @@ def _mix(w_a, m_a, v_a, w_b, m_b, v_b):
 
 
 def _obs_variance(gamma_minus, noise_var):
-    """Variance of r_minus about z_out's noiseless value; inf when
+    """Variance of r_minus about z_out's noiseless value; inf where
     gamma_minus = 0 drops the pseudo-observation."""
-    return np.inf if gamma_minus <= 0 else 1.0 / gamma_minus + noise_var
+    gm = np.asarray(gamma_minus, dtype=float)
+    return np.divide(1.0, gm, out=np.full_like(gm, np.inf), where=gm > 0) + noise_var
 
 
 def _noisy_output_terms(r_minus, gamma_minus, noise_var):
     """(c0, a, v_c) with z_out | z_in ~ N(c0 + a z_in, v_c): the channel noise
     combined with the gamma_minus pseudo-observation r_minus."""
-    gm = max(gamma_minus, 0.0)
+    gm = np.maximum(gamma_minus, 0.0)
     v_c = 1.0 / (gm + 1.0 / noise_var)
-    c0 = v_c * gm * r_minus if gm > 0 else 0.0
-    return c0, v_c / noise_var, v_c
+    return v_c * gm * r_minus, v_c / noise_var, v_c
 
 
 def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
@@ -152,14 +170,12 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
     v_obs = _obs_variance(gamma_minus, noise_var)
-
-    if np.isinf(v_obs):
-        mean_in = r_plus + 0.0 * r_minus
-        var_in = np.full_like(mean_in, 1.0 / gamma_plus)
-    else:
-        g_eff = 1.0 / v_obs
-        var_in = np.full_like(r_plus, 1.0 / (gamma_plus + g_eff))
-        mean_in = (gamma_plus * r_plus + g_eff * r_minus) * var_in
+    drop = np.isinf(v_obs)
+    g_eff = 1.0 / v_obs                  # 0 where dropped
+    prior = r_plus + 0.0 * r_minus
+    var_in = np.full_like(prior, np.where(drop, 1.0 / gamma_plus,
+                                          1.0 / (gamma_plus + g_eff)))
+    mean_in = np.where(drop, prior, (gamma_plus * r_plus + g_eff * r_minus) * var_in)
 
     if noise_var == 0.0:
         return mean_in, _floor(var_in), mean_in.copy(), _floor(var_in.copy())
@@ -175,9 +191,9 @@ def denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus):
     gamma_minus = 0 is allowed and drops the output pseudo-observation
     (iteration-0 initialization).
     """
-    if gamma_plus <= 0 or not np.isfinite(gamma_plus):
+    if any_true(gamma_plus <= 0) or any_true(~np.isfinite(gamma_plus)):
         raise ValueError("gamma_plus must be positive and finite")
-    if gamma_minus < 0:
+    if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
     if ch.activation == "relu":
         mi, vi, mo, vo = _relu_posterior(r_plus, r_minus, gamma_plus,
@@ -194,7 +210,7 @@ def denoise_input(r_minus, gamma_minus):
     Conjugate update of the N(0, 1) prior with a pseudo-observation of
     precision gamma_minus; gamma_minus = 0 returns the prior.
     """
-    if gamma_minus < 0:
+    if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
     r_minus = np.asarray(r_minus, dtype=float)
     var = 1.0 / (1.0 + gamma_minus)
@@ -204,7 +220,7 @@ def denoise_input(r_minus, gamma_minus):
 def denoise_output_nonlinear(ch, y, r_plus, gamma_plus):
     """Posterior (mean_in, var_in) of z_{L-1} when z_L = y is observed
     through a nonlinear channel (see the module docstring)."""
-    if gamma_plus <= 0:
+    if any_true(gamma_plus <= 0):
         raise ValueError("gamma_plus must be positive")
     y = np.asarray(y, dtype=float)
     r_plus = np.asarray(r_plus, dtype=float)

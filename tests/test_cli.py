@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mlvamp.cli import main
-from mlvamp.errors import MlvampError
 from mlvamp.experiment import CSV_COLUMNS
 
 
@@ -183,17 +182,17 @@ class TestExitCodes:
 
     def test_partial_trial_failure_exit_2(self, tiny_config_file, tmp_path,
                                           monkeypatch):
+        # trial 1's observation is non-finite, so its engine run fails
         import mlvamp.experiment as exp
-        real_run = exp.run
+        real_sample = exp.sample_trajectory
 
-        def flaky(net, y, options=None, truth=None):
-            flaky.calls += 1
-            if flaky.calls == 2:
-                raise MlvampError("injected failure")
-            return real_run(net, y, options, truth)
+        def poisoned(net, seed):
+            traj = real_sample(net, seed)
+            if seed == exp.trial_seed(1, 1):
+                traj.z[-1][0] = np.nan
+            return traj
 
-        flaky.calls = 0
-        monkeypatch.setattr(exp, "run", flaky)
+        monkeypatch.setattr(exp, "sample_trajectory", poisoned)
         out = str(tmp_path / "p")
         rc = main(["experiment-iters", "--config", tiny_config_file, "--out", out])
         assert rc == 2

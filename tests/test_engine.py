@@ -9,6 +9,7 @@ from mlvamp.engine import (
     extrinsic_mean,
     init_state,
     nmse_db,
+    posterior_to_message,
     precision_update,
     run,
     sweep,
@@ -45,6 +46,18 @@ class TestPrecisionUpdate:
     def test_nonfinite_alpha_rejected(self):
         with pytest.raises(MlvampError):
             precision_update(float("nan"), 1.0)
+
+    def test_per_trial_routes_and_clamps(self):
+        # a batch column gives each trial what its scalar call gives,
+        # including the gamma_opp = 0 first-pass route and the clamps
+        opts = EngineOptions(gamma_max=50.0)
+        var = np.array([[0.5], [0.5], [1e-3], [0.2]])
+        g_opp = np.array([[0.0], [2.0], [3.0], [1e3]])
+        got = posterior_to_message(var, g_opp, opts)
+        for t in range(len(var)):
+            one = posterior_to_message(var[t, 0], g_opp[t, 0], opts)
+            assert [float(np.broadcast_to(x, var.shape)[t, 0]) for x in got] == \
+                [float(x) for x in one]
 
 
 class TestExtrinsicMean:
@@ -146,6 +159,38 @@ class TestRun:
         y[[1, 3]] = [np.nan, np.inf]
         with pytest.raises(MlvampError, match="2 non-finite entries"):
             run(net, y, EngineOptions(max_iter=1))
+
+    def test_batch_input_checked(self):
+        net = oracles.make_gaussian_chain(4, seed=0)
+        trajs = [sample_trajectory(net, seed) for seed in (1, 2, 3)]
+        y = np.array([tr.z[-1] for tr in trajs])
+        opts = EngineOptions(max_iter=1)
+        with pytest.raises(MlvampError, match="does not match"):
+            run(net, y[:, :3], opts)
+        with pytest.raises(MlvampError, match="2 truth trajectories for 3"):
+            run(net, y, opts, truth=trajs[:2])
+        y[2, 1] = np.inf
+        with pytest.raises(MlvampError, match="trial 2 has 1 non-finite"):
+            run(net, y, opts, truth=trajs)
+
+    def test_batch_matches_single_runs(self):
+        # one batched run returns each trial's records, trial-major, as its
+        # own run does, up to the order of the sums in the linear products
+        net = _shape_mix_network()
+        trajs = [sample_trajectory(net, seed) for seed in (4, 5, 6)]
+        opts = EngineOptions(max_iter=12, damping=0.85)
+        got = run(net, np.array([tr.z[-1] for tr in trajs]), opts, truth=trajs)
+        ref = [rec for tr in trajs for rec in run(net, tr.z[-1], opts, truth=tr)]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert (a.k, a.half_iter, a.direction) == (b.k, b.half_iter, b.direction)
+            for field in ("eta", "alpha", "gamma_plus", "gamma_minus"):
+                assert np.allclose(getattr(a, field), getattr(b, field),
+                                   rtol=1e-10, atol=0), field
+            assert np.allclose(a.nmse_db, b.nmse_db, rtol=0, atol=1e-10)
+            assert a.clamp_events == b.clamp_events
+            for za, zb in zip(a.z_hat, b.z_hat):
+                assert np.allclose(za, zb, rtol=1e-10, atol=1e-10 * np.max(np.abs(zb)))
 
     def test_denoiser_failure_wrapped_with_state(self):
         # a negative output is impossible under a deterministic relu, so the
@@ -272,6 +317,10 @@ class _CountingFactor(np.ndarray):
         self.counter[0] += 1
         return np.asarray(self) @ other
 
+    def __rmatmul__(self, other):
+        self.counter[0] += 1
+        return other @ np.asarray(self)
+
 
 class TestTransformReuse:
     def test_records_match_recomputing_reference(self):
@@ -305,6 +354,12 @@ class TestTransformReuse:
             st.v_in.counter = st.v_out.counter = counters[-1]
         n_iter = 5
         run(net, y, EngineOptions(max_iter=n_iter, damping=0.85))
+        assert [c[0] for c in counters] == [4 * n_iter + 1, 4 * n_iter + 1,
+                                            2 * n_iter + 1]
+        # a batch takes the same count, each a product with one row per trial
+        for c in counters:
+            c[0] = 0
+        run(net, np.array([y, y, y]), EngineOptions(max_iter=n_iter, damping=0.85))
         assert [c[0] for c in counters] == [4 * n_iter + 1, 4 * n_iter + 1,
                                             2 * n_iter + 1]
 

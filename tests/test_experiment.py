@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -12,8 +11,10 @@ from mlvamp.errors import ConfigError, MlvampError
 from mlvamp.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
+    config_network,
     nmse_db,
     paper_config,
+    record_rows,
     run_iteration_experiment,
     run_measurement_sweep,
     se_to_rows,
@@ -129,33 +130,58 @@ class TestIterationExperiment:
         with pytest.raises(ConfigError):
             run_iteration_experiment(tiny_config(n_meas=[4, 6]))
 
-    def test_workers_match_sequential(self):
-        cfg1 = tiny_config(workers=1)
-        cfg2 = tiny_config(workers=2)
-        r1 = run_iteration_experiment(cfg1)
-        r2 = run_iteration_experiment(cfg2)
-        assert r1.rows == r2.rows
+    def test_batch_rows_match_single_trial_runs(self):
+        # every trial runs in one batch; its rows are those of the trial's
+        # own engine run up to the order of the sums in the linear products
+        cfg = tiny_config(n_trials=3)
+        res = run_iteration_experiment(cfg)
+        net = config_network(cfg)
+        for trial in range(cfg.n_trials):
+            traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
+            own = record_rows(run(net, traj.z[-1], cfg.engine_options(), truth=traj),
+                              res.se, trial)
+            got = [r for r in res.rows if r["trial"] == trial]
+            assert len(got) == len(own)
+            for a, b in zip(got, own):
+                for key in ("half_iter", "layer", "clamp_events", "se_nmse_db"):
+                    assert a[key] == b[key]
+                assert a["nmse_db"] == pytest.approx(b["nmse_db"], rel=0, abs=1e-10)
+                for key in ("gamma_plus", "gamma_minus"):
+                    assert a[key] == pytest.approx(b[key], rel=1e-10)
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the patched module only when forked")
-    def test_workers_match_sequential_with_a_failed_trial(self, monkeypatch):
+    def test_batch_failure_isolated_to_its_trial(self, monkeypatch):
+        # a non-finite observation in trial 1 stops the batch; the trials
+        # re-run one at a time, so trial 1 gets the failure entry of its own
+        # run and trials 0 and 2 keep the rows of theirs
         import mlvamp.experiment as exp
-        real_run = exp.run
+        real_sample = exp.sample_trajectory
 
-        def fail_trial_1(net, y, options=None, truth=None):
-            if truth.seed == trial_seed(1, 1):
-                raise MlvampError("injected failure")
-            return real_run(net, y, options, truth)
+        def poisoned(net, seed):
+            traj = real_sample(net, seed)
+            if seed == trial_seed(1, 1):
+                traj.z[-1][0] = np.nan
+            return traj
 
-        monkeypatch.setattr(exp, "run", fail_trial_1)
-        over = dict(n_trials=3, methods=("mlvamp", "map"))
-        r1 = run_iteration_experiment(tiny_config(workers=1, **over))
-        r2 = run_iteration_experiment(tiny_config(workers=2, **over))
-        assert r1.metadata["failures"] == [{"trial": 1, "error": "injected failure"}]
-        assert r2.metadata["failures"] == r1.metadata["failures"]
-        assert r2.rows == r1.rows
-        assert {(r["trial"], r["method"]) for r in r1.rows} == {
+        monkeypatch.setattr(exp, "sample_trajectory", poisoned)
+        cfg = tiny_config(n_trials=3, methods=("mlvamp", "map"))
+        res = run_iteration_experiment(cfg)
+        net = config_network(cfg)
+        bad = poisoned(net, trial_seed(cfg.seed, 1))
+        with pytest.raises(MlvampError) as info:
+            run(net, bad.z[-1], cfg.engine_options(), truth=bad)
+        assert res.metadata["failures"] == [{"trial": 1, "error": str(info.value)}]
+        assert {(r["trial"], r["method"]) for r in res.rows} == {
             (0, "mlvamp"), (0, "map"), (2, "mlvamp"), (2, "map")}
+        for trial in (0, 2):
+            traj = real_sample(net, trial_seed(cfg.seed, trial))
+            own = record_rows(run(net, traj.z[-1], cfg.engine_options(), truth=traj),
+                              res.se, trial)
+            assert [r for r in res.rows
+                    if r["trial"] == trial and r["method"] == "mlvamp"] == own
+
+    def test_workers_key_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            ExperimentConfig.from_dict({"workers": 2})
 
 
 class TestBaselineComparison:

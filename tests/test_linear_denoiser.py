@@ -365,3 +365,61 @@ class TestLinearDenoiserProperties:
         res = denoise_linear_observed(st, y, rp, gp)
         assert np.all(np.isfinite(res.z_hat_minus))
         assert 0 < res.var_in_mean <= (1 + ULPS) / gp
+
+
+@hs.composite
+def linear_batches(draw, finite_nu_only=False):
+    """A stage of ``linear_cases`` with T rows of messages, each row with
+    its own precisions (gamma- = 0 allowed)."""
+    st, *_ = draw(linear_cases(finite_nu_only))
+    rows = [draw(linear_cases()) for _ in range(draw(hs.integers(1, 4)))]
+    scales = [np.sqrt(np.mean(r[1] ** 2) + 1e-300) for r in rows]
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    rp = np.array([s * rng.normal(size=st.n_in) for s in scales])
+    rm = np.array([s * rng.normal(size=st.n_out) for s in scales])
+    return (st, rp, rm, np.array([[r[3]] for r in rows]),
+            np.array([[r[4]] for r in rows]))
+
+
+def _assert_rows_close(batch, row, tol=1e-13):
+    """Rows of one product with T rows against the matvec of that row: equal
+    to ``tol`` relative to the row's largest entry.  The sums run in another
+    order, so an entry that cancels can differ by more than ``tol`` of
+    itself."""
+    assert np.allclose(batch, row, rtol=tol, atol=tol * np.max(np.abs(row), initial=0.0))
+
+
+class TestBatchedLinearRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(linear_batches(), hs.sampled_from(["minus", "plus", "both"]))
+    def test_rows_match_single_calls(self, case, side):
+        st, rp, rm, gp, gm = case
+        res = denoise_linear(st, rp, rm, gp, gm, side=side)
+        for t in range(len(rp)):
+            one = denoise_linear(st, rp[t], rm[t], gp[t, 0], gm[t, 0], side=side)
+            for field in ("z_hat_minus", "z_hat_plus"):
+                if getattr(one, field) is None:
+                    assert getattr(res, field) is None
+                else:
+                    _assert_rows_close(getattr(res, field)[t], getattr(one, field))
+            assert res.var_in_mean[t, 0] == pytest.approx(one.var_in_mean, rel=1e-13)
+            assert res.var_out_mean[t, 0] == pytest.approx(one.var_out_mean, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(linear_batches(finite_nu_only=True))
+    def test_observed_rows_match_single_calls(self, case):
+        st, rp, y, gp, _ = case
+        res = denoise_linear_observed(st, y, rp, gp)
+        for t in range(len(rp)):
+            one = denoise_linear_observed(st, y[t], rp[t], gp[t, 0])
+            _assert_rows_close(res.z_hat_minus[t], one.z_hat_minus)
+            assert res.var_in_mean[t, 0] == pytest.approx(one.var_in_mean, rel=1e-13)
+
+    def test_bad_precision_in_one_row_raises(self):
+        rng = np.random.default_rng(0)
+        st = random_stage(rng)
+        y, rp = rng.normal(size=(3, st.n_out)), rng.normal(size=(3, st.n_in))
+        with pytest.raises(ValueError):
+            denoise_linear_observed(st, y, rp, np.array([[1.0], [0.0], [2.0]]))
+        with pytest.raises(ValueError, match="dimensions"):
+            denoise_linear(st, rp, y[:2], np.ones((3, 1)), np.ones((3, 1)))

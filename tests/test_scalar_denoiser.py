@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mlvamp.errors import ObservationError
 from mlvamp.scalar_denoiser import (
@@ -224,3 +226,63 @@ class TestMcOracle:
         ch = ScalarChannel("relu", 1.0)
         with pytest.raises(MonteCarloError):
             mc_oracle_moments(ch, 0.0, 60.0, 1.0, 1e6, n_samples=10**4, seed=0)
+
+
+PRECISIONS = hs.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)
+
+
+@hs.composite
+def batches(draw):
+    """(T, N) messages r+ and r- with a (T, 1) precision column each; any
+    row may have gamma- = 0 (no output message)."""
+    t, n = draw(hs.integers(1, 4)), draw(hs.integers(1, 6))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    gp = np.array([[draw(PRECISIONS)] for _ in range(t)])
+    gm = np.array([[draw(hs.one_of(hs.just(0.0), PRECISIONS))] for _ in range(t)])
+    scale = draw(PRECISIONS) ** 0.25
+    return scale * rng.normal(size=(t, n)), scale * rng.normal(size=(t, n)), gp, gm
+
+
+class TestBatchedRows:
+    """A (T, N) batch with per-row precisions gives each row exactly what the
+    call with that row's scalar precisions gives."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batches(), hs.sampled_from(["relu", "identity"]),
+           hs.sampled_from([0.0, 0.3]))
+    def test_middle_rows_bit_identical(self, case, activation, noise_var):
+        rp, rm, gp, gm = case
+        ch = ScalarChannel(activation, noise_var)
+        try:
+            rows = [denoise_middle(ch, rp[t], rm[t], gp[t, 0], gm[t, 0])
+                    for t in range(len(rp))]
+        except ObservationError:   # a row without posterior mass fails the batch too
+            with pytest.raises(ObservationError):
+                denoise_middle(ch, rp, rm, gp, gm)
+            return
+        res = denoise_middle(ch, rp, rm, gp, gm)
+        for t, row in enumerate(rows):
+            for field in ("mean_in", "mean_out", "var_in", "var_out"):
+                assert np.array_equal(getattr(res, field)[t], getattr(row, field)), field
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(batches())
+    def test_input_rows_bit_identical(self, case):
+        _, rm, _, gm = case
+        mean, var = denoise_input(rm, gm)
+        for t in range(len(rm)):
+            m_t, v_t = denoise_input(rm[t], gm[t, 0])
+            assert np.array_equal(mean[t], m_t) and var[t, 0] == v_t
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_bad_precision_in_one_row_raises(self, bad):
+        rp = np.ones((3, 4))
+        gp = np.array([[1.0], [bad], [2.0]])
+        with pytest.raises(ValueError):
+            denoise_middle(RELU, rp, rp, gp, np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            denoise_middle(IDENT, rp, rp, np.ones((3, 1)), np.array([[1.0], [-1.0], [0.0]]))
+        with pytest.raises(ValueError):
+            denoise_input(rp, np.array([[1.0], [-1e-3], [0.0]]))
+        with pytest.raises(ValueError):
+            denoise_output_nonlinear(ScalarChannel("relu", 0.1), rp, rp, gp)
