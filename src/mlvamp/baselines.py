@@ -7,6 +7,8 @@ Both baselines work on the Hamiltonian
 where f is the deterministic composition of the hidden stages and the final
 stage is a linear measurement with noise precision nu.  Gradients are exact
 reverse-mode through the chain; the relu subgradient at the kink is 0.
+A baseline step is one gradient call, which also returns H at the iterate;
+a loss that is NaN or above DIVERGENCE_LOSS raises ``DivergenceError``.
 """
 import math
 from dataclasses import dataclass
@@ -39,6 +41,9 @@ class HamiltonianContext:
                 raise MlvampError("baselines require deterministic hidden stages")
         if self.y.shape != (meas.n_out,):
             raise MlvampError("observation does not match measurement dimension")
+        bad = np.count_nonzero(~np.isfinite(self.y))
+        if bad:
+            raise MlvampError(f"observation has {bad} non-finite entries of {self.y.size}")
         self.meas = meas
         self.hidden = self.net.stages[:-1]
         self.n0 = self.net.n0
@@ -52,12 +57,22 @@ def _forward(ctx, z0):
     return xs
 
 
-def hamiltonian(ctx, z0):
+def _checked_input(ctx, z0):
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (ctx.n0,) or not np.all(np.isfinite(z0)):
         raise ValueError("z0 must be a finite vector of the input dimension")
-    resid = ctx.y - ctx.meas.apply(_forward(ctx, z0)[-1])
-    return 0.5 * ctx.meas.nu * float(resid @ resid) + 0.5 * float(z0 @ z0)
+    return z0
+
+
+def _loss(ctx, z0, x_meas):
+    """H at z0 from x_meas = f(z0), and the residual A x_meas + b - y."""
+    resid = ctx.meas.apply(x_meas) - ctx.y
+    return 0.5 * ctx.meas.nu * float(resid @ resid) + 0.5 * float(z0 @ z0), resid
+
+
+def hamiltonian(ctx, z0):
+    z0 = _checked_input(ctx, z0)
+    return _loss(ctx, z0, _forward(ctx, z0)[-1])[0]
 
 
 def _linear_t_apply(stage, g):
@@ -69,8 +84,7 @@ def grad_hamiltonian(ctx, z0):
     """Exact gradient of H; also returns (H, measurement input) for reuse."""
     z0 = np.asarray(z0, dtype=float)
     xs = _forward(ctx, z0)
-    resid = ctx.meas.apply(xs[-1]) - ctx.y
-    loss = 0.5 * ctx.meas.nu * float(resid @ resid) + 0.5 * float(z0 @ z0)
+    loss, resid = _loss(ctx, z0, xs[-1])
     g = ctx.meas.nu * _linear_t_apply(ctx.meas, resid)
     for st, x_in in zip(reversed(ctx.hidden), reversed(xs[:-1])):
         if st.kind == "linear":
@@ -81,53 +95,47 @@ def grad_hamiltonian(ctx, z0):
     return g + z0, loss, xs[-1]
 
 
+def _check_loss(trace, what):
+    """DivergenceError if the last loss is NaN or above DIVERGENCE_LOSS."""
+    if not trace[-1] <= DIVERGENCE_LOSS:
+        raise DivergenceError(f"{what} diverged", trace=np.array(trace))
+
+
 @dataclass
 class MapResult:
     z0_hat: np.ndarray
     losses: np.ndarray
 
 
-def map_estimate(ctx, steps=500, step_size=0.01, seed=0, init=None,
-                 safeguard=False):
+def map_estimate(ctx, steps=500, step_size=0.01, seed=0, init=None):
     """Adaptive-moment gradient descent on H (BETA1, BETA2, EPS).
 
     ``init=None`` starts at the prior mean (zero), which lands in markedly
     better basins than a random start on stiff relu chains; ``init="random"``
-    draws N(0, I) from ``seed`` (useful for restarts).  With
-    ``safeguard=True`` each proposed step is backtracked (halving) until the
-    loss does not increase, so the trace is nonincreasing.
+    draws N(0, I) from ``seed`` (useful for restarts).  ``losses`` holds H at
+    the start and after every step: each step's gradient supplies H at its
+    iterate, and one ``hamiltonian`` call gives H at the last.
     """
     if init is None:
         x = np.zeros(ctx.n0)
     elif isinstance(init, str) and init == "random":
         x = np.random.default_rng(seed).standard_normal(ctx.n0)
     else:
-        x = np.array(init, dtype=float)
-    losses = [hamiltonian(ctx, x)]
+        x = _checked_input(ctx, np.array(init, dtype=float))
+    losses = []
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     for t in range(1, steps + 1):
         g, loss, _ = grad_hamiltonian(ctx, x)
+        losses.append(loss)
+        _check_loss(losses, "MAP optimization")
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * g * g
         m_hat = m / (1 - BETA1**t)
         v_hat = v / (1 - BETA2**t)
-        step = step_size * m_hat / (np.sqrt(v_hat) + EPS)
-        if safeguard:
-            factor = 1.0
-            for _ in range(30):
-                if hamiltonian(ctx, x - factor * step) <= losses[-1]:
-                    break
-                factor *= 0.5
-            else:
-                factor = 0.0
-            x = x - factor * step
-        else:
-            x = x - step
-        loss = hamiltonian(ctx, x)
-        losses.append(loss)
-        if loss > DIVERGENCE_LOSS:
-            raise DivergenceError("MAP optimization diverged", trace=np.array(losses))
+        x = x - step_size * m_hat / (np.sqrt(v_hat) + EPS)
+    losses.append(hamiltonian(ctx, x))
+    _check_loss(losses, "MAP optimization")
     return MapResult(z0_hat=x, losses=np.array(losses))
 
 
@@ -140,14 +148,13 @@ class SgldResult:
     n_averaged: int
 
 
-def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0, init=None,
-             inject_noise=True):
-    """Langevin sampling z_{k+1} = z_k - lam grad H + sqrt(2 lam) w_k.
+def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0, init=None):
+    """Langevin sampling z_{k+1} = z_k - lam grad H + sqrt(2 lam) w_k, with
+    z_0 (unless ``init`` gives it) and the w_k drawn from ``seed``.
 
     Post-burn-in samples are kept and averaged into a posterior-mean input
     estimate and a posterior-mean reconstruction (the measurement-stage input
-    pushed through the hidden chain).  ``inject_noise=False`` is a test hook
-    that reduces the update to plain gradient descent.
+    pushed through the hidden chain).
     """
     if lam <= 0:
         raise MlvampError("lambda must be positive")
@@ -163,14 +170,11 @@ def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0, init=None,
     for k in range(steps):
         g, loss, recon = grad_hamiltonian(ctx, x)
         losses[k] = loss
-        if loss > DIVERGENCE_LOSS:
-            raise DivergenceError("SGLD diverged", trace=losses[:k + 1])
+        _check_loss(losses[:k + 1], "SGLD")
         if k >= burn_in:
             samples[n_avg] = x
             recon_sum = recon.copy() if recon_sum is None else recon_sum + recon
             n_avg += 1
-        x = x - lam * g
-        if inject_noise:
-            x = x + scale * rng.standard_normal(ctx.n0)
+        x = x - lam * g + scale * rng.standard_normal(ctx.n0)
     return SgldResult(z0_mean=samples.mean(axis=0), recon_mean=recon_sum / n_avg,
                       z0_samples=samples, loss_trace=losses, n_averaged=n_avg)

@@ -69,7 +69,6 @@ def load_config(args, sweep=False):
         cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if getattr(args, "no_runtime", False):
         cfg.include_runtime = False
-    cfg.out_dir = args.out
     cfg.validate()
     return cfg
 

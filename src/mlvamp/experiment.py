@@ -50,7 +50,6 @@ class ExperimentConfig:
     n_trials: int = 10
     seed: int = 0
     methods: tuple = ("mlvamp",)
-    out_dir: str = None
     damping: float = 0.85
     include_runtime: bool = True
     store_estimates: bool = False
@@ -257,9 +256,9 @@ class ExperimentResult:
         write_rows_csv(self.rows, path)
 
     def to_json_dict(self):
+        """The config, metadata and SE records; the rows are the CSV's."""
         return {"config": self.config, "metadata": self.metadata,
-                "se": se_state_to_json(self.se) if self.se is not None else None,
-                "rows": self.rows}
+                "se": se_state_to_json(self.se) if self.se is not None else None}
 
     def write_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:

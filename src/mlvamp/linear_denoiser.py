@@ -25,8 +25,9 @@ shared StageTransforms lets the forward and the reverse call of a stage
 reuse each other's input transforms.  The observed stage is the
 deterministic stage (nu = inf) whose output message r- = y has gamma- = nu.
 
-A batch of T messages, (T, N) means with (T, 1) precision columns, takes
-each transform as one matrix product with T rows (``_product``).
+Every transform applies its matrix M as x @ M.T, which serves one message
+and a batch alike: T messages, (T, N) means with (T, 1) precision columns,
+take it as one matrix product with T rows.
 """
 import math
 from dataclasses import dataclass
@@ -72,12 +73,6 @@ def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
     return var_in * d1 + cov * d2, cov * d1 + var_out * d2, var_in, var_out
 
 
-def _product(mat, x):
-    """mat @ x for a vector; for a (T, n) batch, mat applied to every row as
-    one product with T rows."""
-    return mat @ x if x.ndim == 1 else x @ mat.T
-
-
 class StageTransforms:
     """Input transforms of one linear stage, kept while their source arrays
     stay the same: V_in r+ and V_out^T r- (V_out^T y on the observed stage).
@@ -95,10 +90,10 @@ class StageTransforms:
         return held[1]
 
     def u_in(self, r_plus):
-        return self._get("in", r_plus, lambda r: _product(self.stage.v_in, r))
+        return self._get("in", r_plus, lambda r: r @ self.stage.v_in.T)
 
     def u_out(self, r_minus):
-        return self._get("out", r_minus, lambda r: _product(self.stage.v_out.T, r))
+        return self._get("out", r_minus, lambda r: r @ self.stage.v_out)
 
 
 def _rest_variances(gamma_plus, gamma_minus, nu):
@@ -158,10 +153,10 @@ def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms
         u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, nu)
     z_hat_minus = z_hat_plus = None
     if side != "plus":
-        z_hat_minus = _product(stage.v_in.T, g_minus - u_in) + r_plus
+        z_hat_minus = (g_minus - u_in) @ stage.v_in + r_plus
     if side != "minus":
         w = gamma_minus / (gamma_minus + nu)
-        z_hat_plus = (_product(stage.v_out, g_plus - w * u_out - (1 - w) * stage.b_bar)
+        z_hat_plus = ((g_plus - w * u_out - (1 - w) * stage.b_bar) @ stage.v_out.T
                       + w * r_minus + (1 - w) * stage.b)
     return LinearDenoised(z_hat_minus, z_hat_plus, *mean_variances(
         stage, gamma_plus, gamma_minus, nu, (var_in, var_out)))

@@ -71,6 +71,13 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             hamiltonian(ctx, np.full(6, np.nan))
 
+    def test_nonfinite_observation_rejected(self):
+        net = small_relu_net()
+        y = np.zeros(16)
+        y[[0, 5]] = [np.nan, np.inf]
+        with pytest.raises(MlvampError, match="2 non-finite entries of 16"):
+            HamiltonianContext(net, y)
+
     def test_noisy_hidden_stage_rejected(self):
         rng = np.random.default_rng(0)
         st1 = svd_decompose_stage(rng.normal(size=(4, 4)), np.zeros(4), nu=5.0)
@@ -142,18 +149,25 @@ class TestMapEstimate:
         long = map_estimate(ctx, steps=5000, step_size=0.01, seed=1)
         assert short.losses[-1] <= 1.01 * long.losses[-1]
 
-    def test_safeguard_trace_nonincreasing(self):
-        net = small_relu_net(seed=8)
-        traj = sample_trajectory(net, 3)
-        ctx = HamiltonianContext(net, traj.z[-1])
-        res = map_estimate(ctx, steps=300, step_size=0.05, seed=2, safeguard=True)
-        assert np.all(np.diff(res.losses) <= 1e-12)
-
     def test_divergence_aborts_with_trace(self):
         ctx, _ = linear_gauss_ctx(seed=4, nu=50.0)
         with pytest.raises(DivergenceError) as exc:
             map_estimate(ctx, steps=200, step_size=1e5, seed=0)
         assert exc.value.trace is not None
+
+    def test_losses_are_hamiltonian_at_the_iterates(self):
+        ctx, _ = linear_gauss_ctx(seed=5)
+        init = np.linspace(-1.0, 1.0, 6)
+        res = map_estimate(ctx, steps=20, init=init)
+        assert len(res.losses) == 21
+        assert res.losses[0] == hamiltonian(ctx, init)
+        assert res.losses[-1] == hamiltonian(ctx, res.z0_hat)
+
+    @pytest.mark.parametrize("init", [np.full(6, np.nan), np.zeros(5)])
+    def test_bad_init_rejected_before_the_first_step(self, init):
+        ctx, _ = linear_gauss_ctx()
+        with pytest.raises(ValueError):
+            map_estimate(ctx, steps=10, init=init)
 
     def test_seeded_determinism(self):
         ctx, _ = linear_gauss_ctx(seed=5)
@@ -165,16 +179,23 @@ class TestMapEstimate:
 
 
 class TestSgld:
-    def test_no_noise_is_gradient_descent(self):
+    def test_update_replays_the_seeded_draws(self):
+        # z_0 and every w_k come from default_rng(seed), in that order
         ctx, _ = linear_gauss_ctx(seed=6)
-        init = np.zeros(6)
-        res = sgld_run(ctx, steps=40, lam=0.01, burn_in=39, seed=0, init=init,
-                       inject_noise=False)
-        x = init.copy()
-        for _ in range(39):
-            g, _, _ = grad_hamiltonian(ctx, x)
-            x = x - 0.01 * g
-        assert np.allclose(res.z0_mean, x, atol=1e-12)
+        lam, steps, burn_in = 0.01, 40, 30
+        res = sgld_run(ctx, steps=steps, lam=lam, burn_in=burn_in, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(6)
+        losses, samples = [], []
+        for k in range(steps):
+            g, loss, _ = grad_hamiltonian(ctx, x)
+            losses.append(loss)
+            if k >= burn_in:
+                samples.append(x)
+            x = x - lam * g + math.sqrt(2 * lam) * rng.standard_normal(6)
+        assert np.array_equal(res.loss_trace, losses)
+        assert np.array_equal(res.z0_samples, samples)
+        assert np.array_equal(res.z0_mean, np.mean(samples, axis=0))
 
     def test_one_dim_gaussian_posterior(self):
         # 1-D linear model: posterior N(nu y/(nu+1), 1/(nu+1))
@@ -201,3 +222,26 @@ class TestSgld:
             sgld_run(ctx, steps=10, lam=0.0, burn_in=5)
         with pytest.raises(MlvampError):
             sgld_run(ctx, steps=10, lam=0.1, burn_in=10)
+
+
+@pytest.mark.parametrize("method", ["map", "sgld"])
+def test_nan_loss_raises_divergence(monkeypatch, method):
+    import mlvamp.baselines as bl
+
+    ctx, _ = linear_gauss_ctx(seed=8)
+    real, losses = bl.grad_hamiltonian, []
+
+    def nan_at_step_3(ctx, z0):
+        g, loss, x_meas = real(ctx, z0)
+        losses.append(math.nan if len(losses) == 3 else loss)
+        return g, losses[-1], x_meas
+
+    monkeypatch.setattr(bl, "grad_hamiltonian", nan_at_step_3)
+    with pytest.raises(DivergenceError) as exc:
+        if method == "map":
+            map_estimate(ctx, steps=10)
+        else:
+            sgld_run(ctx, steps=10, lam=0.001, burn_in=5)
+    trace = exc.value.trace
+    assert len(losses) == 4 and len(trace) == 4
+    assert np.array_equal(trace[:3], losses[:3]) and math.isnan(trace[3])

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -22,6 +23,11 @@ def tiny_config_file(tmp_path):
 def read_header(path):
     with open(path, "rb") as fh:
         return fh.readline().rstrip(b"\r\n").decode()
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestGenerateSampleInfer:
@@ -129,8 +135,11 @@ class TestExperiments:
         rc = main(["experiment-iters", "--config", tiny_config_file,
                    "--methods", "mlvamp,map", "--out", out])
         assert rc == 0
+        rows = read_rows(os.path.join(out, "iters.csv"))
+        assert {r["method"] for r in rows} == {"mlvamp", "map"}
+        # result.json reports the run; the rows are the CSV's
         doc = json.loads((tmp_path / "x" / "result.json").read_text())
-        assert {r["method"] for r in doc["rows"]} == {"mlvamp", "map"}
+        assert set(doc) == {"config", "metadata", "se"}
         assert ",map," in open(os.path.join(out, "iters.csv")).read()
 
     def test_baselines_default_methods(self, tiny_config_file, tmp_path):
@@ -139,7 +148,8 @@ class TestExperiments:
         assert rc == 0
         doc = json.loads((tmp_path / "b" / "baselines.json").read_text())
         assert doc["config"]["methods"] == ["mlvamp", "map", "sgld"]
-        assert {r["method"] for r in doc["rows"]} == {"mlvamp", "map", "sgld"}
+        rows = read_rows(os.path.join(out, "baselines.csv"))
+        assert {r["method"] for r in rows} == {"mlvamp", "map", "sgld"}
         assert read_header(os.path.join(out, "baselines.csv")) == ",".join(CSV_COLUMNS)
 
     def test_baselines_command(self, tiny_config_file, tmp_path):
@@ -199,4 +209,4 @@ class TestExitCodes:
         # partial results still written
         doc = json.loads(open(os.path.join(out, "result.json")).read())
         assert len(doc["metadata"]["failures"]) == 1
-        assert any(r["trial"] == 0 for r in doc["rows"])
+        assert any(r["trial"] == "0" for r in read_rows(os.path.join(out, "iters.csv")))

@@ -28,6 +28,22 @@ from mlvamp.network import (
 )
 
 
+def poison_trial_1(monkeypatch):
+    """Patch the experiment's sampler so that trial 1 of a seed-1 config
+    observes NaN in y[0]; returns (real sampler, patched sampler)."""
+    import mlvamp.experiment as exp
+    real_sample = exp.sample_trajectory
+
+    def poisoned(net, seed):
+        traj = real_sample(net, seed)
+        if seed == trial_seed(1, 1):
+            traj.z[-1][0] = np.nan
+        return traj
+
+    monkeypatch.setattr(exp, "sample_trajectory", poisoned)
+    return real_sample, poisoned
+
+
 def tiny_config(**over):
     base = dict(dims=[4, 8], rho=0.4, kappa=2.0, snr_db=20.0, n_meas=6,
                 n_iter=3, n_trials=2, seed=1, include_runtime=False,
@@ -153,16 +169,7 @@ class TestIterationExperiment:
         # a non-finite observation in trial 1 stops the batch; the trials
         # re-run one at a time, so trial 1 gets the failure entry of its own
         # run and trials 0 and 2 keep the rows of theirs
-        import mlvamp.experiment as exp
-        real_sample = exp.sample_trajectory
-
-        def poisoned(net, seed):
-            traj = real_sample(net, seed)
-            if seed == trial_seed(1, 1):
-                traj.z[-1][0] = np.nan
-            return traj
-
-        monkeypatch.setattr(exp, "sample_trajectory", poisoned)
+        real_sample, poisoned = poison_trial_1(monkeypatch)
         cfg = tiny_config(n_trials=3, methods=("mlvamp", "map"))
         res = run_iteration_experiment(cfg)
         net = config_network(cfg)
@@ -183,12 +190,23 @@ class TestIterationExperiment:
         with pytest.raises(ConfigError, match="workers"):
             ExperimentConfig.from_dict({"workers": 2})
 
+    def test_out_dir_key_rejected(self):
+        with pytest.raises(ConfigError, match="out_dir"):
+            ExperimentConfig.from_dict({"out_dir": "run"})
+
 
 class TestBaselineComparison:
     def test_methods_mlvamp_only_has_no_baseline_rows(self):
         cfg = tiny_config(methods=("mlvamp",))
         res = run_iteration_experiment(cfg)
         assert {r["method"] for r in res.rows} == {"mlvamp"}
+
+    def test_nonfinite_observation_fails_its_baseline_trial(self, monkeypatch):
+        poison_trial_1(monkeypatch)
+        res = run_iteration_experiment(tiny_config(methods=("map", "sgld")))
+        assert res.metadata["failures"] == [
+            {"trial": 1, "error": "observation has 1 non-finite entries of 6"}]
+        assert {(r["trial"], r["method"]) for r in res.rows} == {(0, "map"), (0, "sgld")}
 
     def test_baseline_rows_present(self):
         cfg = tiny_config(methods=("mlvamp", "map", "sgld"))
