@@ -1,0 +1,101 @@
+"""Time the relu posterior kernel and the state evolution that integrates it.
+
+    PYTHONPATH=src python scripts/bench_relu_kernel.py [--repeat R]
+
+Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``; it
+prints one JSON object of best-of-R times in seconds:
+
+- ``denoise_middle_both_ms`` / ``denoise_middle_one_ms``: one relu
+  ``denoise_middle`` call on a (10, 500) batch, both sides and the side the
+  engine's forward sweep uses (a checkout without ``side`` computes both);
+- ``run_se_s``: ``run_se`` on the paper preset (50 iterations, damping 0.85);
+- ``run_se_tensor_s``: the same recursion with every relu stage error taken
+  from the 3-D tensor rule ``tests/oracles.relu_stage_error_tensor``
+  (z_in integrated numerically); calls whose R+ variance is clamped, which
+  that rule does not take, keep the package rule and are counted in
+  ``tensor_fallback_calls``.
+"""
+import argparse
+import inspect
+import json
+import os
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
+
+
+def best_of(fn, repeat):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+
+    import oracles
+    from mlvamp import state_evolution
+    from mlvamp.experiment import paper_config
+    from mlvamp.network import build_synthetic_network
+    from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle
+
+    rng = np.random.default_rng(1)
+    r_plus = rng.normal(0, 1, (10, 500))
+    r_minus = np.maximum(rng.normal(0, 1, (10, 500)), 0) + rng.normal(0, 0.03, (10, 500))
+    gamma_plus, gamma_minus = np.full((10, 1), 30.0), np.full((10, 1), 900.0)
+    relu = ScalarChannel("relu", 0.0)
+    one = ({"side": "out"} if "side" in inspect.signature(denoise_middle).parameters
+           else {})
+    out = {
+        "denoise_middle_both_ms": 1e3 * best_of(lambda: [denoise_middle(
+            relu, r_plus, r_minus, gamma_plus, gamma_minus) for _ in range(20)],
+            args.repeat) / 20,
+        "denoise_middle_one_ms": 1e3 * best_of(lambda: [denoise_middle(
+            relu, r_plus, r_minus, gamma_plus, gamma_minus, **one) for _ in range(20)],
+            args.repeat) / 20,
+    }
+
+    cfg = paper_config()
+    net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
+                                  cfg.n_meas, cfg.seed)
+    stats = state_evolution.stats_from_network(net)
+    opts = cfg.engine_options()
+    out["run_se_s"] = best_of(lambda: state_evolution.run_se(stats, cfg.n_iter, opts),
+                              args.repeat)
+
+    package_rule = state_evolution._relu_errors
+    fallbacks = [0]
+
+    def tensor_rule(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1,
+                    **kwargs):
+        v_r = tau_prev - mean_prev**2 - 1.0 / gamma_plus
+        if refine != 1 or v_r <= 0 or gamma_minus <= 0:
+            fallbacks[0] += refine == 1
+            return package_rule(stat, gamma_plus, gamma_minus, tau_prev, mean_prev,
+                                refine, **kwargs)
+        return oracles.relu_stage_error_tensor(gamma_plus, gamma_minus, tau_prev,
+                                               mean_prev, stat.noise_var), False
+
+    state_evolution._relu_errors = tensor_rule
+    try:
+        out["run_se_tensor_s"] = best_of(
+            lambda: state_evolution.run_se(stats, cfg.n_iter, opts), args.repeat)
+    finally:
+        state_evolution._relu_errors = package_rule
+    out["tensor_fallback_calls"] = fallbacks[0] // args.repeat
+    out["tensor_over_package"] = out["run_se_tensor_s"] / out["run_se_s"]
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,17 +9,22 @@ and M scaled by 4 (x4; network seed 0, damping 0.85, 50 iterations).  For
 each it stores the engine records of trials (0, 71, 0) to (0, 71, T - 1)
 (``eta``, ``alpha``, ``gamma_plus``, ``gamma_minus``, ``nmse_db``,
 ``clamp_events`` and the per-layer ``z_hat``; T = 2 unless given) and every
-``run_se`` record (the same fields without ``z_hat``, plus ``tau0``).
+``run_se`` record (the same fields without ``z_hat``, plus ``tau0`` and the
+SE's ``quad_rel_err`` and ``clamp_total``).
 ``--batch`` runs the T trials as one batched ``engine.run`` instead of one
-run each; ``--ulp`` moves y[0] of every trial up by one ulp, to measure how
-far rounding alone moves the records.  Run it once per checkout, with that
+run each; ``--ulp`` moves y[0] of every trial and the SE's first singular
+value ``stats[0].s[0]`` up by one ulp, to measure how far rounding alone
+moves the engine and the SE records.  Run it once per checkout, with that
 checkout's ``src`` on ``PYTHONPATH``.
 
 ``compare`` prints the worst relative difference per field: elementwise
 |a - b| / |b| (|a - b| where b = 0) for the scalar-per-layer fields, and
 max |a - b| / max |b| per record and layer for ``z_hat``; ``nmse_db`` also
-gets its worst absolute difference in dB.  It exits 1 when a field exceeds
-``--rtol`` (1e-12) or the two files hold different keys or shapes.
+gets its worst absolute difference in dB.  ``quad_rel_err`` is a difference
+of two nearly equal integrals, so rounding moves it far more in relative
+terms than the records it comes from: it gets only its absolute difference.
+It exits 1 when a relative difference exceeds ``--rtol`` (1e-12) or the two
+files hold different keys or shapes; absolute differences are not gated.
 """
 import argparse
 import sys
@@ -54,9 +59,14 @@ def dump(path, n_trials=2, batch=False, ulp=False):
                            n_meas=scale * base.n_meas, store_estimates=True)
         net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
                                       cfg.n_meas, cfg.seed)
-        se = run_se(stats_from_network(net), cfg.n_iter, cfg.engine_options())
+        stats = stats_from_network(net)
+        if ulp:
+            stats[0].s[0] = np.nextafter(stats[0].s[0], np.inf)
+        se = run_se(stats, cfg.n_iter, cfg.engine_options())
         _records_arrays(f"x{scale}/se", se.records, out)
         out[f"x{scale}/se/tau0"] = se.tau0
+        out[f"x{scale}/se/quad_rel_err"] = np.array(se.quad_rel_err)
+        out[f"x{scale}/se/clamp_total"] = np.array(se.clamp_total, dtype=float)
         trajs = [sample_trajectory(net, trial_seed(cfg.seed, t)) for t in range(n_trials)]
         if ulp:
             for traj in trajs:
@@ -95,14 +105,18 @@ def compare(path_a, path_b, rtol=RTOL):
         scale, source, name = key.split("/")
         field = "z_hat" if name.startswith("z_hat") else name
         group = f"{scale}/{'se' if source == 'se' else 'engine'}/{field}"
+        if field == "quad_rel_err":   # absolute only (see the module docstring)
+            group += "_abs"
+            worst[group] = max(worst[group], float(np.max(np.abs(a[key] - b[key]))))
+            continue
         worst[group] = max(worst[group], _rel_diff(key, a[key], b[key]))
         if field == "nmse_db":
             group = group.replace("nmse_db", "nmse_db_abs_db")
             worst[group] = max(worst[group], float(np.max(np.abs(a[key] - b[key]))))
     for group, val in worst.items():
-        flag = "" if val <= rtol or "_abs_" in group else f"  > {rtol:g}"
+        flag = "" if val <= rtol or "_abs" in group else f"  > {rtol:g}"
         print(f"{group:28s} {val:.3e}{flag}")
-    return int(max(v for g, v in worst.items() if "_abs_" not in g) > rtol)
+    return int(max(v for g, v in worst.items() if "_abs" not in g) > rtol)
 
 
 def main(argv=None):

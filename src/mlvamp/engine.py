@@ -195,7 +195,7 @@ def _belief(net, y, state, transforms, ell, forward):
                              transforms=transforms[i])
         return ((res.z_hat_plus, res.var_out_mean) if forward
                 else (res.z_hat_minus, res.var_in_mean))
-    res = denoise_middle(_channel(stage), *args)
+    res = denoise_middle(_channel(stage), *args, side="out" if forward else "in")
     return ((res.mean_out, _avg(res.var_out)) if forward
             else (res.mean_in, _avg(res.var_in)))
 

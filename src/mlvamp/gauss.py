@@ -1,7 +1,7 @@
 """Stable scalar-Gaussian primitives shared by the denoisers and the SE recursion.
 
 Everything here is vectorized over numpy arrays and safe in the far tails
-(ratios go through erfcx, masses through log_ndtr).
+(masses and Mills ratios go through erfcx).
 """
 from functools import lru_cache
 
@@ -11,6 +11,7 @@ from scipy import special
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _LOG_2PI = np.log(2.0 * np.pi)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def any_true(mask):
@@ -24,32 +25,24 @@ def log_norm_pdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 
 
-def phi_over_ndtr(t):
-    """phi(t) / Phi(t), stable for t << 0 (inverse Mills ratio of the lower tail)."""
-    return _SQRT_2_OVER_PI / special.erfcx(-np.asarray(t, dtype=float) / _SQRT2)
+def log_ndtr_mills(x):
+    """(log Phi(x), phi(x) / Phi(x)) from one erfcx evaluation per element.
 
-
-def phi_over_survival(t):
-    """phi(t) / (1 - Phi(t)), stable for t >> 0."""
-    return _SQRT_2_OVER_PI / special.erfcx(np.asarray(t, dtype=float) / _SQRT2)
-
-
-def truncnorm_upper_moments(mu, sigma, bound=0.0):
-    """Mean and variance of N(mu, sigma^2) conditioned on X < bound."""
-    beta = (bound - mu) / sigma
-    h = phi_over_ndtr(beta)
-    mean = mu - sigma * h
-    var = sigma**2 * np.maximum(1.0 - beta * h - h * h, 0.0)
-    return mean, var
-
-
-def truncnorm_lower_moments(mu, sigma, bound=0.0):
-    """Mean and variance of N(mu, sigma^2) conditioned on X > bound."""
-    alpha = (bound - mu) / sigma
-    g = phi_over_survival(alpha)
-    mean = mu + sigma * g
-    var = sigma**2 * np.maximum(1.0 + alpha * g - g * g, 0.0)
-    return mean, var
+    With e = erfcx(|x|/sqrt(2)) and q = exp(-x^2/2), Phi(-|x|) = e q / 2.
+    For x <= 0 that is Phi(x) itself, taken in logs (log(e/2) - x^2/2) so
+    that neither factor underflows, and phi/Phi = sqrt(2/pi)/e.  For x > 0
+    it is the upper tail, so log Phi(x) = log1p(-e q / 2) and
+    phi/Phi = q / (sqrt(2 pi) (1 - e q / 2)), both to full precision.
+    """
+    x = np.asarray(x, dtype=float)
+    e = special.erfcx(np.abs(x) / _SQRT2)
+    half_sq = 0.5 * x * x
+    q = np.exp(-half_sq)
+    upper = 0.5 * e * q
+    pos = x > 0
+    log_cdf = np.where(pos, np.log1p(-upper), np.log(0.5 * e) - half_sq)
+    mills = np.where(pos, _INV_SQRT_2PI * q / (1.0 - upper), _SQRT_2_OVER_PI / e)
+    return log_cdf, mills
 
 
 def relu_gauss_moments(mu, var):

@@ -18,15 +18,9 @@ scalar precisions returns.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ObservationError
-from .gauss import (
-    any_true,
-    log_norm_pdf,
-    truncnorm_lower_moments,
-    truncnorm_upper_moments,
-)
+from .gauss import any_true, log_ndtr_mills
 
 VAR_FLOOR = 1e-15
 
@@ -62,7 +56,8 @@ class ScalarChannel:
 
 @dataclass
 class DenoiseResult:
-    """Componentwise posterior moments on both sides of a stage."""
+    """Componentwise posterior moments on both sides of a stage (None on a
+    side that was not asked for)."""
 
     mean_in: np.ndarray
     mean_out: np.ndarray
@@ -74,48 +69,6 @@ def _floor(v):
     return np.maximum(v, VAR_FLOOR)
 
 
-def _relu_branch_weights(r_plus, gamma_plus, r_minus, v_obs):
-    """Log masses of the z_in < 0 / z_in > 0 branches and the positive-branch
-    Gaussian parameters, for obs model r_minus ~ N(relu(z_in), v_obs).
-
-    ``v_obs = inf`` (everywhere, or in some rows of a batch) drops the output
-    observation entirely.
-    """
-    vp = 1.0 / gamma_plus
-    sp = np.sqrt(vp)
-    drop = np.isinf(v_obs)
-    if not any_true(~drop):
-        log_w_neg = special.log_ndtr(-r_plus / sp)
-        log_w_pos = special.log_ndtr(r_plus / sp)
-        m_t = np.asarray(r_plus, float)
-        v_t = np.broadcast_to(np.asarray(vp, float), np.shape(m_t))
-        return log_w_neg, log_w_pos, m_t, v_t
-    mixed = any_true(drop)
-    if mixed:   # rows without an output message: replaced below
-        v_obs = np.where(drop, 1.0, v_obs)
-    vs = v_obs + vp
-    m_t = (v_obs * r_plus + vp * r_minus) / vs
-    v_t = v_obs * vp / vs
-    log_w_neg = log_norm_pdf(r_minus, 0.0, v_obs) + special.log_ndtr(-r_plus / sp)
-    log_w_pos = log_norm_pdf(r_minus, r_plus, vs) + special.log_ndtr(m_t / np.sqrt(v_t))
-    out = (log_w_neg, log_w_pos, m_t, np.broadcast_to(np.asarray(v_t, float), np.shape(m_t)))
-    if mixed:
-        dropped = _relu_branch_weights(r_plus, gamma_plus, r_minus, np.inf)
-        out = tuple(np.where(drop, a, b) for a, b in zip(dropped, out))
-    return out
-
-
-def _mix(w_a, m_a, v_a, w_b, m_b, v_b):
-    """Moments of a two-component mixture, safe when a weight underflows to 0."""
-    m_a = np.where(w_a > 0, m_a, 0.0)
-    v_a = np.where(w_a > 0, v_a, 0.0)
-    m_b = np.where(w_b > 0, m_b, 0.0)
-    v_b = np.where(w_b > 0, v_b, 0.0)
-    mean = w_a * m_a + w_b * m_b
-    ex2 = w_a * (v_a + m_a**2) + w_b * (v_b + m_b**2)
-    return mean, np.maximum(ex2 - mean**2, 0.0)
-
-
 def _obs_variance(gamma_minus, noise_var):
     """Variance of r_minus about z_out's noiseless value; inf where
     gamma_minus = 0 drops the pseudo-observation."""
@@ -123,50 +76,92 @@ def _obs_variance(gamma_minus, noise_var):
     return np.divide(1.0, gm, out=np.full_like(gm, np.inf), where=gm > 0) + noise_var
 
 
-def _noisy_output_terms(r_minus, gamma_minus, noise_var):
-    """(c0, a, v_c) with z_out | z_in ~ N(c0 + a z_in, v_c): the channel noise
-    combined with the gamma_minus pseudo-observation r_minus."""
+def _through_noise(mean, var, r_minus, gamma_minus, noise_var):
+    """Moments of z_out given those of its noiseless value f: z_out | f is
+    N(c0 + a f, v_c), the channel noise combined with the gamma_minus
+    pseudo-observation r_minus."""
+    if noise_var == 0.0:
+        return mean, var
     gm = np.maximum(gamma_minus, 0.0)
     v_c = 1.0 / (gm + 1.0 / noise_var)
-    return v_c * gm * r_minus, v_c / noise_var, v_c
+    a = v_c / noise_var
+    return v_c * gm * r_minus + a * mean, a * a * var + v_c
 
 
-def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
+def _truncated_moments(mu, sd, var, x, mills):
+    """Mean and variance of N(mu, var) on the half line z / sd > 0, where
+    sd = +-sqrt(var) (a negative sd keeps z < 0), x = mu / sd and mills is
+    phi(x) / Phi(x)."""
+    return mu + sd * mills, var * np.maximum(1.0 - x * mills - mills * mills, 0.0)
+
+
+def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
     """Closed-form posterior moments for the relu channel, with r_minus a
-    pseudo-observation of z_out with precision gamma_minus."""
+    pseudo-observation of z_out with precision gamma_minus.
+
+    The posterior of z_in is a mixture of N(r_plus, 1/gamma_plus) on z_in < 0
+    and N(m_t, v_t) on z_in > 0, the latter combining r_plus with r_minus;
+    d is the log ratio of the z_in > 0 branch mass to the z_in < 0 one.  Where
+    gamma_minus = 0 (in some rows of a batch, or everywhere) r_minus carries
+    nothing: m_t = r_plus, v_t = 1/gamma_plus and only the truncations
+    weigh the branches.  Returns (mean_in, var_in, mean_out, var_out) with
+    None for a side not asked for.
+    """
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
+    vp = 1.0 / gamma_plus
     v_obs = _obs_variance(gamma_minus, noise_var)
-
-    log_w_neg, log_w_pos, m_t, v_t = _relu_branch_weights(
-        r_plus, gamma_plus, r_minus, v_obs)
-    log_norm = np.logaddexp(log_w_neg, log_w_pos)
-    if np.any(np.isneginf(log_norm)):
+    drop = np.isinf(v_obs)
+    if any_true(~drop):
+        mixed = any_true(drop)
+        if mixed:   # rows without an output message: replaced below
+            v_obs = np.where(drop, 1.0, v_obs)
+        vs = v_obs + vp
+        m_t = (v_obs * r_plus + vp * r_minus) / vs
+        v_t = v_obs * vp / vs
+        with np.errstate(invalid="ignore"):   # inf - inf: no mass anywhere
+            d_obs = 0.5 * (r_minus * r_minus / v_obs - (r_minus - r_plus) ** 2 / vs
+                           + np.log(v_obs / vs))
+        if mixed:
+            m_t = np.where(drop, r_plus, m_t)
+            v_t = np.where(drop, vp, v_t)
+            d_obs = np.where(drop, 0.0, d_obs)
+    else:
+        m_t, v_t, d_obs = r_plus, vp, 0.0
+    s_t = np.sqrt(v_t)
+    sp = np.sqrt(vp)
+    x_neg, x_pos = r_plus / -sp, m_t / s_t   # the branch masses are Phi(x)
+    log_neg, mills_neg = log_ndtr_mills(x_neg)
+    log_pos, mills_pos = log_ndtr_mills(x_pos)
+    d = d_obs + log_pos - log_neg
+    if np.isnan(d).any():   # both branch masses underflow
         raise ObservationError(
             "posterior mass underflows to zero (inconsistent observation)",
             context={"r_plus": r_plus, "r_minus": r_minus},
         )
     with np.errstate(under="ignore"):
-        w_neg = np.exp(log_w_neg - log_norm)
-        w_pos = np.exp(log_w_pos - log_norm)
+        e = np.exp(-np.abs(d))
+    heavy = 1.0 / (1.0 + e)     # weight of the heavier branch
+    light = e * heavy
+    w_pos = np.where(d >= 0, heavy, light)
+    w_neg = np.where(d >= 0, light, heavy)
+    m_pos, v_pos = _truncated_moments(m_t, s_t, v_t, x_pos, mills_pos)
 
-    sp = np.sqrt(1.0 / gamma_plus)
-    m_neg, v_neg = truncnorm_upper_moments(r_plus, sp, 0.0)
-    m_pos, v_pos = truncnorm_lower_moments(m_t, np.sqrt(v_t), 0.0)
-    mean_in, var_in = _mix(w_neg, m_neg, v_neg, w_pos, m_pos, v_pos)
-
-    if noise_var == 0.0:
-        mean_out, var_out = _mix(w_neg, 0.0 * m_pos, 0.0 * v_pos, w_pos, m_pos, v_pos)
-    else:
-        c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
-        mean_out, var_out = _mix(
-            w_neg, c0, np.full_like(m_t, v_c),
-            w_pos, c0 + a * m_pos, a * a * v_pos + v_c,
-        )
-    return mean_in, _floor(var_in), mean_out, _floor(var_out)
+    mean_in = var_in = mean_out = var_out = None
+    if side != "out":
+        m_neg, v_neg = _truncated_moments(r_plus, -sp, vp, x_neg, mills_neg)
+        mean_in = w_neg * m_neg + w_pos * m_pos
+        var_in = _floor(w_neg * v_neg + w_pos * v_pos
+                        + w_neg * w_pos * (m_neg - m_pos) ** 2)
+    if side != "in":   # z_out's noiseless value is 0 on z_in < 0, z_in above
+        mean_out, var_out = _through_noise(
+            w_pos * m_pos, w_pos * (v_pos + w_neg * m_pos * m_pos),
+            r_minus, gamma_minus, noise_var)
+        var_out = _floor(var_out)
+    return mean_in, var_in, mean_out, var_out
 
 
-def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
+def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
     v_obs = _obs_variance(gamma_minus, noise_var)
@@ -176,31 +171,34 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var):
     var_in = np.full_like(prior, np.where(drop, 1.0 / gamma_plus,
                                           1.0 / (gamma_plus + g_eff)))
     mean_in = np.where(drop, prior, (gamma_plus * r_plus + g_eff * r_minus) * var_in)
+    mean_out = var_out = None
+    if side != "in":
+        mean_out, var_out = _through_noise(mean_in.copy(), var_in, r_minus,
+                                           gamma_minus, noise_var)
+        var_out = _floor(var_out)
+    if side == "out":
+        return None, None, mean_out, var_out
+    return mean_in, _floor(var_in), mean_out, var_out
 
-    if noise_var == 0.0:
-        return mean_in, _floor(var_in), mean_in.copy(), _floor(var_in.copy())
-    c0, a, v_c = _noisy_output_terms(r_minus, gamma_minus, noise_var)
-    mean_out = c0 + a * mean_in
-    var_out = a * a * var_in + v_c
-    return mean_in, _floor(var_in), mean_out, _floor(var_out)
 
-
-def denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus):
+def denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
     """Posterior moments of (z_in, z_out) under the belief of a middle stage.
 
     gamma_minus = 0 is allowed and drops the output pseudo-observation
-    (iteration-0 initialization).
+    (iteration-0 initialization).  ``side="in"`` computes only the z_in
+    moments and ``side="out"`` only the z_out ones (the other fields are
+    None); the default computes both.  A side's values do not depend on
+    whether the other side was computed.
     """
+    if side not in (None, "in", "out"):
+        raise ValueError(f"side must be 'in', 'out' or None, not {side!r}")
     if any_true(gamma_plus <= 0) or any_true(~np.isfinite(gamma_plus)):
         raise ValueError("gamma_plus must be positive and finite")
     if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
-    if ch.activation == "relu":
-        mi, vi, mo, vo = _relu_posterior(r_plus, r_minus, gamma_plus,
-                                         gamma_minus, ch.noise_var)
-    else:
-        mi, vi, mo, vo = _identity_posterior(r_plus, r_minus, gamma_plus,
-                                             gamma_minus, ch.noise_var)
+    posterior = _relu_posterior if ch.activation == "relu" else _identity_posterior
+    mi, vi, mo, vo = posterior(r_plus, r_minus, gamma_plus, gamma_minus,
+                               ch.noise_var, side)
     return DenoiseResult(mi, mo, vi, vo)
 
 
@@ -226,7 +224,7 @@ def denoise_output_nonlinear(ch, y, r_plus, gamma_plus):
     r_plus = np.asarray(r_plus, dtype=float)
     if ch.noise_var > 0:
         res = denoise_middle(ScalarChannel(ch.activation), r_plus, y, gamma_plus,
-                             1.0 / ch.noise_var)
+                             1.0 / ch.noise_var, side="in")
         return res.mean_in, res.var_in
     # Deterministic channels (gamma- = inf, which has no middle form): the
     # observation pins the input (identity) or pins/truncates it (relu).
@@ -235,8 +233,10 @@ def denoise_output_nonlinear(ch, y, r_plus, gamma_plus):
     if np.any(y < 0):
         raise ObservationError("y < 0 is impossible under a deterministic relu channel",
                                context={"y": y})
-    sp = np.sqrt(1.0 / gamma_plus)
-    m_trunc, v_trunc = truncnorm_upper_moments(r_plus, sp, 0.0)
+    vp = 1.0 / gamma_plus
+    sp = -np.sqrt(vp)   # z_in < 0 where y = 0
+    x = r_plus / sp
+    m_trunc, v_trunc = _truncated_moments(r_plus, sp, vp, x, log_ndtr_mills(x)[1])
     mean = np.where(y > 0, y, m_trunc)
     var = np.where(y > 0, VAR_FLOOR, v_trunc)
     return mean, _floor(var)

@@ -211,8 +211,8 @@ def _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine=1):
 
         Phi(-r sqrt(gamma+)) N(0, v_e)  +  N(r, 1/gamma+ + v_e) Phi(m_t / sqrt(v_t))
 
-    with (m_t, v_t) the z_in > 0 posterior of ``_relu_branch_weights``.  The
-    first part gets Gauss-Hermite nodes in r-/sqrt(v_e); the second is
+    with (m_t, v_t) the z_in > 0 posterior of ``scalar_denoiser._relu_posterior``.
+    The first part gets Gauss-Hermite nodes in r-/sqrt(v_e); the second is
     integrated in t = (r- - r)/sqrt(1/gamma+ + v_e) over three CDF-mapped
     Gauss-Legendre pieces, the middle one spanning the Phi switch (m_t = 0)
     and the r- = 0 layer.  Returns (r_minus, weights), both
@@ -242,9 +242,11 @@ def _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine=1):
             np.hstack([w_neg, w_pos]))
 
 
-def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1):
+def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1,
+                 side=None):
     """Expected posterior variances ((E+, E-), clamped) of a relu stage and
-    the R+ clamp flag.  ``refine`` multiplies every node count.
+    the R+ clamp flag.  ``refine`` multiplies every node count; ``side``
+    ("out" for E+, "in" for E-) leaves the other error None.
     """
     ch = ScalarChannel("relu", stat.noise_var)
     r_nodes, w_o, clamped = _outer_nodes(tau_prev, gamma_plus, mean_prev, refine)
@@ -253,13 +255,14 @@ def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1):
     else:
         r_minus, w_m = _relu_r_minus_law(r_nodes, gamma_plus,
                                          1.0 / gamma_minus + stat.noise_var, refine)
-    r_plus = np.broadcast_to(r_nodes[:, None], r_minus.shape)
-    res = denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus)
-    return tuple(float(w_o @ np.sum(v * w_m, axis=1))
+    # R+ as a column: the z_in < 0 branch depends on r+ alone
+    res = denoise_middle(ch, r_nodes[:, None], r_minus, gamma_plus, gamma_minus, side)
+    return tuple(None if v is None else float(w_o @ np.sum(v * w_m, axis=1))
                  for v in (res.var_out, res.var_in)), clamped
 
 
-def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
+def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0,
+                    side=None):
     """(E+, E-, r_plus_var_clamped) for a middle nonlinear stage.
 
     Identity variances do not depend on (r+, r-): one ``denoise_middle``
@@ -268,20 +271,24 @@ def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0):
     node, the two-branch R- law of ``_relu_r_minus_law``.  ``mean_prev``
     shifts the input law: the stage input is N(mean_prev, tau_prev -
     mean_prev^2) componentwise (nonzero when the preceding bias has a mean).
+    ``side="out"`` computes only E+ and ``side="in"`` only E- (the other
+    is None).
     """
     if stat.activation == "identity":
         res = denoise_middle(ScalarChannel("identity", stat.noise_var), 0.0, 0.0,
-                             gamma_plus, gamma_minus)
-        return float(res.var_out), float(res.var_in), False
+                             gamma_plus, gamma_minus, side)
+        e_plus, e_minus = (None if v is None else float(v)
+                           for v in (res.var_out, res.var_in))
+        return e_plus, e_minus, False
     (e_plus, e_minus), clamped = _relu_errors(stat, gamma_plus, gamma_minus,
-                                              tau_prev, mean_prev)
+                                              tau_prev, mean_prev, side=side)
     return e_plus, e_minus, clamped
 
 
 def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
     """E- for a final nonlinear stage observed through Gaussian channel noise."""
     return error_nonlinear(*_observed_as_middle(stat, gamma_plus), tau_prev,
-                           mean_prev)[1]
+                           mean_prev, side="in")[1]
 
 
 @dataclass
@@ -342,7 +349,8 @@ def run_se(stats, n_iter, options=None):
             if j == n - 1:   # its own entry point, timed apart by perfbench
                 return error_observed_linear(stats[j], gp[j])
             return error_linear(stats[j], gp[j], gm[j + 1])[side]
-        errors = error_nonlinear(*_as_middle(stats, j, gp, gm), tau0[j], means[j])
+        errors = error_nonlinear(*_as_middle(stats, j, gp, gm), tau0[j], means[j],
+                                 side=("out", "in")[side])
         se.variance_clamps += int(errors[2])
         return errors[side]
 

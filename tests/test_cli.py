@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,3 +212,14 @@ class TestExitCodes:
         doc = json.loads(open(os.path.join(out, "result.json")).read())
         assert len(doc["metadata"]["failures"]) == 1
         assert any(r["trial"] == "0" for r in read_rows(os.path.join(out, "iters.csv")))
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help(self):
+        # `python -m mlvamp` from a checkout, with only src/ on the path
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "mlvamp", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "experiment-iters" in proc.stdout

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mlvamp.errors import ObservationError
 from mlvamp.scalar_denoiser import (
+    VAR_FLOOR,
     ScalarChannel,
     denoise_input,
     denoise_middle,
@@ -286,3 +287,125 @@ class TestBatchedRows:
             denoise_input(rp, np.array([[1.0], [-1e-3], [0.0]]))
         with pytest.raises(ValueError):
             denoise_output_nonlinear(ScalarChannel("relu", 0.1), rp, rp, gp)
+
+
+EXTREME_GAMMA = hs.floats(-4.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@hs.composite
+def extreme_messages(draw):
+    """Messages r+ and r- with entries in [-50, 50] and precisions gamma+,
+    gamma- in [1e-4, 1e8]; gamma- may also be 0."""
+    n = draw(hs.integers(1, 8))
+    entries = hs.lists(hs.floats(-50.0, 50.0), min_size=n, max_size=n)
+    rp, rm = np.array(draw(entries)), np.array(draw(entries))
+    return rp, rm, draw(EXTREME_GAMMA), draw(hs.one_of(hs.just(0.0), EXTREME_GAMMA))
+
+
+# r+ = 49 at gamma+ = 1e6 against r- = -50 at gamma- = 1e8: both branches sit
+# far in their truncated tails, where the posterior variances fall below
+# VAR_FLOOR
+DEEP_TAIL = (np.array([49.0, 0.0]), np.array([-50.0, -50.0]), 1e6, 1e8)
+
+
+def assert_moments_sane(means, variances):
+    for mean in means:
+        assert np.all(np.isfinite(mean))
+    for var in variances:
+        assert np.all(np.isfinite(var)) and np.all(var >= VAR_FLOOR)
+
+
+class TestExtremeMessages:
+    """Means stay finite and variances finite and at least VAR_FLOOR over
+    r in [-50, 50] and precisions in [1e-4, 1e8].  (A pointwise var_in need
+    not lie below 1/gamma+: the relu likelihood is not log-concave, so an
+    output message can widen the posterior; see the last test.)"""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(extreme_messages(), hs.sampled_from(["relu", "identity"]),
+           hs.sampled_from([0.0, 1e-4, 0.3]), hs.sampled_from([None, "in", "out"]))
+    @example(DEEP_TAIL, "relu", 0.0, None)
+    def test_middle(self, case, activation, noise_var, side):
+        rp, rm, gp, gm = case
+        res = denoise_middle(ScalarChannel(activation, noise_var), rp, rm, gp, gm,
+                             side=side)
+        sides = {"in": [("mean_in", "var_in")], "out": [("mean_out", "var_out")],
+                 None: [("mean_in", "var_in"), ("mean_out", "var_out")]}[side]
+        assert_moments_sane([getattr(res, m) for m, _ in sides],
+                            [getattr(res, v) for _, v in sides])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(extreme_messages(), hs.sampled_from(["relu", "identity"]),
+           hs.sampled_from([1e-4, 0.3]))
+    def test_output_noisy(self, case, activation, noise_var):
+        rp, y, gp, _ = case
+        mean, var = denoise_output_nonlinear(ScalarChannel(activation, noise_var),
+                                             y, rp, gp)
+        assert_moments_sane([mean], [var])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(extreme_messages(), hs.integers(0, 8))
+    @example((np.array([50.0]), np.array([0.0]), 1e8, 0.0), 1)
+    def test_output_deterministic_relu(self, case, n_zero):
+        rp, y, gp, _ = case
+        y = np.abs(y)
+        y[:n_zero] = 0.0    # the truncated branch
+        mean, var = denoise_output_nonlinear(RELU, y, rp, gp)
+        assert_moments_sane([mean], [var])
+
+    def test_var_in_can_exceed_prior_variance(self):
+        # r- far above r+ splits the posterior between the two branches
+        res = denoise_middle(RELU, -0.5, 6.0, 1.0, 0.5)
+        assert float(res.var_in) == pytest.approx(1.2995, abs=1e-4)
+        assert float(res.var_in) > 1.0
+
+
+class TestSides:
+    """A one-side call returns bit for bit the matching fields of the
+    two-side call; the other side's fields are None."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batches(), hs.sampled_from(["relu", "identity"]),
+           hs.sampled_from([0.0, 0.3]))
+    def test_one_side_bit_identical(self, case, activation, noise_var):
+        rp, rm, gp, gm = case   # gamma- = 0 in any row, so mixed drop rows too
+        ch = ScalarChannel(activation, noise_var)
+        try:
+            both = denoise_middle(ch, rp, rm, gp, gm)
+        except ObservationError:
+            return
+        for side, fields, other in (("in", ("mean_in", "var_in"), ("mean_out", "var_out")),
+                                    ("out", ("mean_out", "var_out"), ("mean_in", "var_in"))):
+            one = denoise_middle(ch, rp, rm, gp, gm, side=side)
+            for field in fields:
+                assert np.array_equal(getattr(one, field), getattr(both, field)), field
+            assert all(getattr(one, field) is None for field in other)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    def test_one_side_at_gamma_minus_zero_and_mixed_rows(self, noise_var):
+        rng = np.random.default_rng(3)
+        rp, rm = rng.normal(0, 2, (3, 50)), rng.normal(0, 2, (3, 50))
+        ch, gp = ScalarChannel("relu", noise_var), np.array([[1.0], [3.0], [0.5]])
+        for gm in (0.0, np.array([[0.0], [2.0], [0.0]])):
+            both = denoise_middle(ch, rp, rm, gp, gm)
+            for side in ("in", "out"):
+                one = denoise_middle(ch, rp, rm, gp, gm, side=side)
+                for field in (f"mean_{side}", f"var_{side}"):
+                    assert np.array_equal(getattr(one, field), getattr(both, field))
+
+    def test_column_r_plus_matches_broadcast_grid(self):
+        # the SE passes R+ as an (n, 1) column against an (n, k) R- grid
+        rng = np.random.default_rng(5)
+        r_nodes, rm = rng.normal(0, 3, (45, 1)), rng.normal(0, 3, (45, 123))
+        for noise_var in (0.0, 0.3):
+            ch = ScalarChannel("relu", noise_var)
+            for gm in (0.0, 40.0):
+                col = denoise_middle(ch, r_nodes, rm, 7.0, gm)
+                grid = denoise_middle(ch, np.broadcast_to(r_nodes, rm.shape), rm, 7.0, gm)
+                for field in ("mean_in", "var_in", "mean_out", "var_out"):
+                    got = np.broadcast_to(getattr(col, field), rm.shape)
+                    assert np.array_equal(got, getattr(grid, field)), (field, gm)
+
+    def test_bad_side_rejected(self):
+        with pytest.raises(ValueError):
+            denoise_middle(RELU, 0.0, 0.0, 1.0, 1.0, side="plus")

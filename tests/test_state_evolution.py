@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 import oracles
 from mlvamp.engine import EngineOptions, run
@@ -15,7 +17,12 @@ from mlvamp.network import (
     haar_orthogonal,
     sample_trajectory,
 )
-from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
+from mlvamp.scalar_denoiser import (
+    VAR_FLOOR,
+    ScalarChannel,
+    denoise_middle,
+    denoise_output_nonlinear,
+)
 from mlvamp.state_evolution import (
     LayerStatistics,
     compute_tau0,
@@ -301,6 +308,68 @@ class TestErrorFunctions:
             ep, em = error_linear(stat, g, g)
             assert ep <= last_p and em <= last_m
             last_p, last_m = ep, em
+
+
+SE_GAMMA = hs.floats(-4.0, 8.0).map(lambda e: 10.0 ** e)
+SE_INPUT = hs.tuples(hs.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),   # tau_prev
+                     hs.floats(-0.95, 0.95))                         # mean / sqrt(tau)
+
+
+def relu_errors_with_bound(gamma_plus, gamma_minus, tau_prev, mean_frac):
+    """(E+, E-) of ``error_nonlinear`` for a noiseless relu stage, the
+    node-doubling error estimate of each, and the R+ clamp flag."""
+    mean = mean_frac * math.sqrt(tau_prev)
+    e_plus, e_minus, clamped = error_nonlinear(RELU_STAT, gamma_plus, gamma_minus,
+                                               tau_prev, mean)
+    fine, _ = state_evolution._relu_errors(RELU_STAT, gamma_plus, gamma_minus,
+                                           tau_prev, mean, refine=2)
+    return ((e_plus, e_minus), tuple(abs(e - f) for e, f in zip((e_plus, e_minus), fine)),
+            clamped)
+
+
+class TestReluErrorProperties:
+    """Expected-error properties of the SE relu stage over precisions in
+    [1e-4, 1e8], each allowed the node-doubling estimate of its quadrature
+    error (plus rounding)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(SE_GAMMA, SE_GAMMA, SE_INPUT)
+    def test_errors_finite_and_below_message_variances(self, gamma_plus, gamma_minus,
+                                                       law):
+        # E- <= 1/gamma+ and E+ <= 1/gamma-: the posterior mean beats r+ and r-
+        # on average, though not pointwise (the relu likelihood is not
+        # log-concave)
+        (e_plus, e_minus), (d_plus, d_minus), _ = relu_errors_with_bound(
+            gamma_plus, gamma_minus, *law)
+        for e in (e_plus, e_minus):
+            assert math.isfinite(e) and e >= VAR_FLOOR * (1 - 1e-9)
+        assert e_minus <= (1.0 / gamma_plus) * (1 + 1e-12) + d_minus
+        assert e_plus <= (1.0 / gamma_minus) * (1 + 1e-12) + d_plus
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(SE_GAMMA, SE_GAMMA, SE_INPUT, hs.floats(0.0, 3.0).map(lambda e: 10.0 ** e),
+           hs.booleans())
+    def test_errors_nonincreasing_in_precisions(self, gamma_plus, gamma_minus, law,
+                                                factor, raise_plus):
+        lo = relu_errors_with_bound(gamma_plus, gamma_minus, *law)
+        hi = relu_errors_with_bound(gamma_plus * (factor if raise_plus else 1.0),
+                                    gamma_minus * (1.0 if raise_plus else factor), *law)
+        # a clamped R+ variance leaves the law of z_in depending on gamma+
+        assume(not lo[2] and not hi[2])
+        for e_lo, e_hi, d_lo, d_hi in zip(lo[0], hi[0], lo[1], hi[1]):
+            assert e_hi <= e_lo * (1 + 1e-12) + d_lo + d_hi
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(SE_GAMMA, hs.one_of(hs.just(0.0), SE_GAMMA), SE_INPUT,
+           hs.sampled_from(["relu", "identity"]), hs.sampled_from([0.0, 0.3]))
+    def test_one_side_bit_identical(self, gamma_plus, gamma_minus, law, activation,
+                                    noise_var):
+        stat = LayerStatistics(kind="nonlinear", activation=activation,
+                               noise_var=noise_var)
+        args = (stat, gamma_plus, gamma_minus, law[0], law[1] * math.sqrt(law[0]))
+        both = error_nonlinear(*args)
+        assert error_nonlinear(*args, side="out") == (both[0], None, both[2])
+        assert error_nonlinear(*args, side="in") == (None, both[1], both[2])
 
 
 class TestRunSe:
