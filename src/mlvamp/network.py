@@ -23,12 +23,42 @@ HAAR_PROCEDURE = "haar_qr_sign/v1"
 DOCUMENT_VERSION = 2
 
 
-def haar_orthogonal(n, rng):
-    """Haar-distributed orthogonal matrix via sign-fixed QR of a Gaussian."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+# The Gram route's orthogonality error is 0.1-1 x eps * cond(W)^2; below this
+# bound it keeps a 100-fold margin on LinearStage.validate's default 1e-10.
+GRAM_ROUTE_MAX_ERR = 1e-12
+
+
+def _qr_signs(r):
+    """Signs of diag(R) (0 counted as +1): Q diag(d) is Haar-distributed."""
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
-    return q * d[None, :]
+    return d
+
+
+def _haar_columns(rng, n, k):
+    """First k columns of haar_orthogonal(n, rng), from the thin QR of the
+    first k columns of the same n x n draw: Householder QR makes column j
+    of Q from columns 0..j of its input only."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n))[:, :k])
+    q *= _qr_signs(r)
+    return q
+
+
+def _haar_rows(rng, n, k):
+    """First k rows of haar_orthogonal(n, rng) without forming Q: with
+    g = Q R and the sign fix D, Q D = g (D R)^-1, so the rows are
+    g[:k] (D R)^-1, and only R is computed."""
+    g = rng.standard_normal((n, n))
+    r = np.linalg.qr(g, mode="r")
+    top = g[:k].copy()
+    del g
+    r *= _qr_signs(r)[:, None]
+    return np.linalg.solve(r.T, top.T).T
+
+
+def haar_orthogonal(n, rng):
+    """Haar-distributed orthogonal matrix via sign-fixed QR of a Gaussian."""
+    return _haar_columns(rng, n, n)
 
 
 @dataclass(eq=False)
@@ -201,6 +231,34 @@ def svd_decompose_stage(W, b, nu):
     return LinearStage(v_out=u, v_in=vh, s=s[:r], b=b, nu=nu)
 
 
+def _gram_decompose_stage(W, b, nu):
+    """svd_decompose_stage for a full-rank, well-conditioned W, through the
+    eigendecomposition of its smaller Gram matrix.
+
+    A tall W (n_out >= n_in) has W^T W = V diag(s^2) V^T, so V_in = V^T and
+    V_out = W V / s; a wide W takes W W^T = U diag(s^2) U^T, V_out = U and
+    V_in = U^T W / s.  The factors' orthogonality error grows as
+    eps * cond(W)^2, so a W with eps * lambda_max / lambda_min above
+    GRAM_ROUTE_MAX_ERR (a square Gaussian, say) goes to the SVD.
+    """
+    tall = W.shape[0] >= W.shape[1]
+    gram = W.T @ W if tall else W @ W.T
+    gram *= -1.0    # eigh sorts ascending, so this gives s in descending order
+    lam, v = np.linalg.eigh(gram)
+    del gram
+    lam *= -1.0
+    if not lam[-1] > 0 or np.finfo(float).eps * lam[0] / lam[-1] > GRAM_ROUTE_MAX_ERR:
+        return svd_decompose_stage(W, b, nu)
+    s = np.sqrt(lam)
+    if tall:
+        v_out = W @ v
+        v_out /= s
+        return LinearStage(v_out=v_out, v_in=v.T, s=s, b=b, nu=nu)
+    v_in = v.T @ W
+    v_in /= s[:, None]
+    return LinearStage(v_out=v, v_in=v_in, s=s, b=b, nu=nu)
+
+
 def _hidden_chain_sample(stages, n0, rng):
     z = rng.standard_normal(n0)
     for st in stages:
@@ -213,11 +271,18 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
     dims = [N0, h1, ..., hk] gives the input dimension and the hidden widths;
     the chain is input -> (linear, relu) x k -> linear measurement of n_meas
-    rows.  Hidden weights are i.i.d. Gaussian (stored in SVD form) with the
-    bias mean set so a fraction rho of pre-activations is positive; the
-    measurement matrix is U diag(s) V^T with Haar factors and log-spaced
-    singular values of condition number kappa; measurement noise is scaled to
-    snr_db below the signal power (pilot-estimated over 10 trajectories).
+    rows.  Hidden weights are i.i.d. Gaussian with the bias mean set so a
+    fraction rho of pre-activations is positive; each W is factored through
+    its smaller Gram matrix (_gram_decompose_stage), or by the SVD where that
+    matrix is too ill-conditioned.  The measurement matrix is U diag(s) V^T
+    with log-spaced singular values of condition number kappa and Haar
+    factors: the first rank = min(n_meas, N_last) columns of the sign-fixed
+    QR of an n_meas x n_meas Gaussian and the first rank rows of that of an
+    N_last x N_last one, computed without forming either square matrix.
+    Measurement noise is scaled to snr_db below the signal power
+    (pilot-estimated over 10 trajectories).  A seed gives the same network,
+    to rounding, as when every factor came from np.linalg.svd and the square
+    Haar matrices: only the signs of paired singular vectors may differ.
     """
     dims = [int(d) for d in dims]
     if not dims or any(d <= 0 for d in dims):
@@ -243,7 +308,7 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         beta = special.ndtri(rho) * math.sqrt(pre_var + sigma_b**2)
         W = rng_w.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in))
         b = rng_b.normal(beta, sigma_b, size=n_out)
-        stages.append(svd_decompose_stage(W, b, math.inf))
+        stages.append(_gram_decompose_stage(W, b, math.inf))
         stages.append(NonlinearStage("relu", 0.0, n_out))
         _, tau = relu_gauss_moments(beta, pre_var + sigma_b**2)
 
@@ -253,9 +318,8 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
     rng_v = np.random.default_rng(children[2 * n_hidden + 1])
     s = np.logspace(-math.log10(kappa), 0.0, rank)
     s = s / math.sqrt(np.mean(s**2))
-    # the stage keeps the first `rank` columns / rows of the square Haar draws
-    meas_clean = LinearStage(v_out=haar_orthogonal(n_meas, rng_u),
-                             v_in=haar_orthogonal(n_last, rng_v), s=s,
+    meas_clean = LinearStage(v_out=_haar_columns(rng_u, n_meas, rank),
+                             v_in=_haar_rows(rng_v, n_last, rank), s=s,
                              b=np.zeros(n_meas), nu=math.inf)
     # pilot trajectories fix the measurement noise relative to signal power
     rng_pilot = np.random.default_rng(children[2 * n_hidden + 2])

@@ -2,19 +2,80 @@
 
 Everything here solves the relevant problems by brute force (dense linear
 algebra, covariance propagation, Monte Carlo, fine panel and tensor
-quadrature) without touching the message passing code paths it is used to
-check.
+quadrature, 50-digit mpmath quadrature) without touching the message passing
+code paths it is used to check.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from mlvamp.errors import MlvampError
 from mlvamp.gauss import gh_nodes, log_norm_pdf
 from mlvamp.network import NetworkSpec, NonlinearStage, svd_decompose_stage
 from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
+
+
+def _mp_half_line(f, mean, var, sign):
+    """mpmath integral of f(z) exp(-(z - mean)^2 / (2 var)) over sign * z > 0.
+
+    The exponent is shifted so the integrand peaks at 1 (mpmath's quad stops
+    on an absolute error estimate, so an integrand of size e^-100 comes back
+    with no correct digits) and the shift is multiplied back outside.  Breaks
+    sit at the peak, or at multiples of the decay length var / |mean| where
+    the Gaussian is cut off before its peak.
+    """
+    import mpmath as mp
+
+    m = sign * mean    # mirrored so that the half line is u > 0
+    sd = mp.sqrt(var)
+    if m > 0:
+        pts = [0] + [p for p in (m - 8 * sd, m) if p > 0] + [m + 8 * sd, m + 40 * sd, mp.inf]
+        return mp.quad(lambda u: f(sign * u) * mp.exp(-(u - m) ** 2 / (2 * var)), pts)
+    scale = min(sd, var / -m) if m < 0 else sd
+    pts = [0, scale, 4 * scale, 16 * scale, 64 * scale, mp.inf]
+    return mp.exp(-m * m / (2 * var)) * mp.quad(
+        lambda u: f(sign * u) * mp.exp(-u * (u - 2 * m) / (2 * var)), pts)
+
+
+def truncated_gaussian_reference(mean, var, sign, dps=50):
+    """(mean, variance) of N(mean, var) restricted to sign * z > 0, by
+    dps-digit mpmath quadrature."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m, v = mp.mpf(mean), mp.mpf(var)
+        mass = _mp_half_line(lambda z: 1, m, v, sign)
+        mu = _mp_half_line(lambda z: z, m, v, sign) / mass
+        return float(mu), float(_mp_half_line(lambda z: (z - mu) ** 2, m, v, sign) / mass)
+
+
+def relu_posterior_reference(r_plus, r_minus, gamma_plus, gamma_minus, dps=50):
+    """(mean_in, var_in, mean_out, var_out) of the noiseless relu stage's
+    posterior p(z) ~ exp(-gp/2 (z - r+)^2 - gm/2 (relu(z) - r-)^2), z the
+    stage input, by dps-digit mpmath quadrature over the two half lines;
+    variances are integrated about the mean, so no moment difference cancels.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rp, rm, gp, gm = (mp.mpf(a) for a in (r_plus, r_minus, gamma_plus, gamma_minus))
+        vt = 1 / (gp + gm)
+        # (half line, Gaussian mean and variance in z, constant factor)
+        branches = ((-1, rp, 1 / gp, mp.exp(-gm * rm ** 2 / 2)),
+                    (1, (gp * rp + gm * rm) * vt, vt,
+                     mp.exp(-gp * gm * vt * (rp - rm) ** 2 / 2)))
+
+        def integral(f):
+            return sum(w * _mp_half_line(f, m, v, sign) for sign, m, v, w in branches)
+
+        mass = integral(lambda z: 1)
+        mean_in = integral(lambda z: z) / mass
+        var_in = integral(lambda z: (z - mean_in) ** 2) / mass
+        mean_out = integral(lambda z: max(z, 0)) / mass
+        var_out = integral(lambda z: (max(z, 0) - mean_out) ** 2) / mass
+        return tuple(float(a) for a in (mean_in, var_in, mean_out, var_out))
 
 
 def dense_joint_linear_solve(W, b, nu, r_plus, r_minus, gamma_plus, gamma_minus):
@@ -56,34 +117,35 @@ def ridge_solve(W, b, nu, y, r_plus, gamma_plus):
 
 def gaussian_chain_posterior(net, y):
     """Exact per-layer posterior means and average variances for a chain of
-    linear and identity stages (covariance propagation + one joint solve)."""
+    linear and identity stages: covariance propagation, then every
+    conditioning on y through one Cholesky factor L of Cov(y), so that
+    diag(C_j Cov(y)^-1 C_j^T) is the column sums of (L^-1 C_j^T)^2."""
     mus = [np.zeros(net.n0)]
     sigs = [np.eye(net.n0)]
     cross = [np.eye(net.n0)]  # cross[j] = Cov(z_j, z_current)
     for st in net.stages:
         if st.kind == "linear":
             A = st.to_dense()
-            c = st.b
             nv = 0.0 if math.isinf(st.nu) else 1.0 / st.nu
+            mus.append(A @ mus[-1] + st.b)
+            cross = [cj @ A.T for cj in cross]
+            sig = A @ sigs[-1] @ A.T + nv * np.eye(st.n_out)
         else:
             if st.activation != "identity":
                 raise ValueError("gaussian_chain_posterior needs a Gaussian chain")
-            A = np.eye(st.n)
-            c = np.zeros(st.n)
-            nv = st.noise_var
-        mus.append(A @ mus[-1] + c)
-        cross = [cj @ A.T for cj in cross]
-        sig = A @ sigs[-1] @ A.T + nv * np.eye(st.n_out)
+            # z_out = z_in + noise: the mean and the cross-covariances carry over
+            mus.append(mus[-1])
+            sig = sigs[-1] + st.noise_var * np.eye(st.n)
         sigs.append(sig)
         cross.append(sig)
-    syy = sigs[-1]
-    innov = np.linalg.solve(syy, y - mus[-1])
+    chol = linalg.cholesky(sigs[-1], lower=True)
+    innov = linalg.cho_solve((chol, True), y - mus[-1])
     means, avg_vars = [], []
     for j in range(len(net.stages)):
         cj = cross[j]
         means.append(mus[j] + cj @ innov)
-        x = np.linalg.solve(syy, cj.T)
-        avg_vars.append(float(np.mean(np.diag(sigs[j]) - np.einsum("ij,ji->i", cj, x))))
+        x = linalg.solve_triangular(chol, cj.T, lower=True)
+        avg_vars.append(float(np.mean(np.diag(sigs[j]) - np.sum(x * x, axis=0))))
     return means, avg_vars
 
 

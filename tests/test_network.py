@@ -1,10 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import linalg
 
+from mlvamp import network
 from mlvamp.errors import ConfigError
 from mlvamp.network import (
     LinearStage,
@@ -20,6 +22,7 @@ from mlvamp.network import (
 )
 
 PAPER_DIMS = [20, 100, 500, 784]
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def paper_net(seed=0, n_meas=300):
@@ -62,6 +65,68 @@ class TestSvdDecompose:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             svd_decompose_stage(np.array([[np.nan]]), np.zeros(1), 1.0)
+
+
+class TestGramRoute:
+    """The builder factors a hidden Gaussian W through its smaller Gram
+    matrix, and falls back to the SVD where that would cost orthogonality."""
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    def test_tall_and_wide_match_svd(self, shape, monkeypatch):
+        rng = np.random.default_rng(4)
+        W = rng.normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
+        b = rng.normal(size=shape[0])
+        monkeypatch.setattr(network, "svd_decompose_stage", None)   # no fallback
+        st = network._gram_decompose_stage(W, b, math.inf)
+        s_ref = np.linalg.svd(W, compute_uv=False)
+        assert np.max(np.abs(st.s - s_ref) / s_ref) <= 1e-13
+        assert np.max(np.abs(st.to_dense() - W)) <= 1e-13
+        assert st.v_out.shape == (shape[0], 120) and st.v_in.shape == (120, shape[1])
+        assert st.v_out.flags.owndata and st.v_in.flags.owndata
+        st.validate(1e-12)
+
+    def test_square_hidden_layer_takes_the_svd(self, monkeypatch):
+        calls = []
+
+        def spy(W, b, nu):
+            calls.append(W.shape)
+            return svd_decompose_stage(W, b, nu)
+
+        monkeypatch.setattr(network, "svd_decompose_stage", spy)
+        net = build_synthetic_network([64, 64], 0.4, 10.0, 30.0, 32, 3)
+        assert calls == [(64, 64)]
+        net.validate(1e-10)
+
+    @pytest.mark.parametrize("n_meas", [300, 900])   # below and above the width 784
+    def test_measurement_factors_are_the_haar_draws(self, n_meas):
+        # the measurement keeps the first `rank` columns / rows of the sign-fixed
+        # QR of its two square draws, the last two of the builder's RNG streams
+        # before the pilot's
+        meas = paper_net(n_meas=n_meas).stages[-1]
+        rank = min(n_meas, PAPER_DIMS[-1])
+        streams = np.random.SeedSequence(0).spawn(2 * (len(PAPER_DIMS) - 1) + 3)
+        u = haar_orthogonal(n_meas, np.random.default_rng(streams[-3]))
+        v = haar_orthogonal(PAPER_DIMS[-1], np.random.default_rng(streams[-2]))
+        assert np.max(np.abs(meas.v_out - u[:, :rank])) <= 1e-12
+        assert np.max(np.abs(meas.v_in - v[:rank])) <= 1e-12
+
+    def test_haar_rows_match_the_square_draw(self):
+        for n, k in ((50, 1), (200, 70), (120, 120)):
+            rows = network._haar_rows(np.random.default_rng(n), n, k)
+            ref = haar_orthogonal(n, np.random.default_rng(n))[:k]
+            assert np.max(np.abs(rows - ref)) <= 1e-12
+            assert np.max(np.abs(rows @ rows.T - np.eye(k))) <= 1e-12
+
+    def test_recipe_saved_by_the_svd_builder_loads(self):
+        # written by the builder that factored every hidden W by np.linalg.svd
+        # and formed the square Haar matrices; loading rebuilds the network and
+        # checks its spectra against the stored ones to 1e-12
+        with open(os.path.join(DATA, "paper_recipe_seed0.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        net = network_from_json(doc)
+        assert net.dims == doc["dims"]
+        assert net.meta["pilot_signal_power"] == pytest.approx(
+            doc["meta"]["pilot_signal_power"], rel=1e-12)
 
 
 class TestBuildSyntheticNetwork:

@@ -11,7 +11,13 @@ from mlvamp.scalar_denoiser import (
     denoise_middle,
     denoise_output_nonlinear,
 )
-from oracles import MonteCarloError, mc_oracle_moments, quad_moments
+from oracles import (
+    MonteCarloError,
+    mc_oracle_moments,
+    quad_moments,
+    relu_posterior_reference,
+    truncated_gaussian_reference,
+)
 
 RELU = ScalarChannel("relu", 0.0)
 IDENT = ScalarChannel("identity", 0.0)
@@ -178,6 +184,39 @@ class TestDenoiseOutputNonlinear:
     def test_deterministic_relu_negative_y_errors(self):
         with pytest.raises(ObservationError):
             denoise_output_nonlinear(RELU, np.array([-0.5]), np.array([0.0]), 1.0)
+
+
+class TestDeepTails:
+    """Truncated-Gaussian moments deep in the tail, where sd (x + h) and
+    var (1 - h (x + h)) cancel, against 50-digit mpmath quadrature."""
+
+    def test_truncated_gaussian_over_extreme_x(self):
+        pytest.importorskip("mpmath")
+        # y = 0 under a deterministic relu leaves N(r+, 1/g+) on z < 0, so
+        # x = -r+ sqrt(g+); the grid crosses the switch to the continued
+        # fraction at x = -100, and beyond x = -3e5 the variance is below the floor
+        x = -np.concatenate([np.geomspace(1e6, 1.0, 19), np.linspace(96.0, 104.0, 9)])
+        gamma_plus = 1e4
+        r_plus = -x / np.sqrt(gamma_plus)
+        mean, var = denoise_output_nonlinear(RELU, np.zeros_like(x), r_plus, gamma_plus)
+        ref = np.array([truncated_gaussian_reference(r, 1.0 / gamma_plus, -1)
+                        for r in r_plus])
+        # the direct forms' error bounds at the switch: eps x^2 and 2 eps x^4
+        assert np.max(np.abs(mean / ref[:, 0] - 1.0)) <= 3e-12
+        assert np.max(np.abs(var / np.maximum(ref[:, 1], VAR_FLOOR) - 1.0)) <= 5e-8
+
+    def test_relu_posterior_with_both_branches_in_their_tails(self):
+        pytest.importorskip("mpmath")
+        # x is about -4e5 on the z_in > 0 branch and -3e4 on the other one
+        case = (21.59, -49.74, 2.34e6, 7.39e7)
+        res = denoise_middle(RELU, np.array([case[0]]), np.array([case[1]]), *case[2:])
+        mean_in, var_in, mean_out, var_out = relu_posterior_reference(*case)
+        assert var_in < VAR_FLOOR and var_out < VAR_FLOOR    # 3.9e-16 and 2.1e-21
+        assert res.var_in[0] == VAR_FLOOR and res.var_out[0] == VAR_FLOOR
+        # the branch weights come from a log ratio of size ~1e11, so one ulp
+        # of r- moves mean_in by 2e-7 and mean_out by 1.5e-5 relative
+        assert res.mean_in[0] == pytest.approx(mean_in, rel=2e-6)
+        assert res.mean_out[0] == pytest.approx(mean_out, rel=2e-4)
 
 
 class TestQuadraturePath:
