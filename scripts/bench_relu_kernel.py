@@ -45,14 +45,14 @@ def main(argv=None):
     import oracles
     from mlvamp import state_evolution
     from mlvamp.experiment import paper_config
-    from mlvamp.network import build_synthetic_network
-    from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle
+    from mlvamp.network import NonlinearStage, build_synthetic_network
+    from mlvamp.scalar_denoiser import denoise_middle
 
     rng = np.random.default_rng(1)
     r_plus = rng.normal(0, 1, (10, 500))
     r_minus = np.maximum(rng.normal(0, 1, (10, 500)), 0) + rng.normal(0, 0.03, (10, 500))
     gamma_plus, gamma_minus = np.full((10, 1), 30.0), np.full((10, 1), 900.0)
-    relu = ScalarChannel("relu", 0.0)
+    relu = NonlinearStage("relu", 0.0, 500)
     one = ({"side": "out"} if "side" in inspect.signature(denoise_middle).parameters
            else {})
     out = {

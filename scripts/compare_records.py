@@ -47,7 +47,7 @@ def _records_arrays(prefix, records, out):
 
 
 def dump(path, n_trials=2, batch=False, ulp=False):
-    from mlvamp.engine import run
+    from mlvamp.engine import EngineOptions, run
     from mlvamp.experiment import paper_config, trial_seed
     from mlvamp.network import build_synthetic_network, sample_trajectory
     from mlvamp.state_evolution import run_se, stats_from_network
@@ -56,13 +56,15 @@ def dump(path, n_trials=2, batch=False, ulp=False):
     for scale in SCALES:
         base = paper_config()
         cfg = paper_config(dims=[scale * d for d in base.dims],
-                           n_meas=scale * base.n_meas, store_estimates=True)
+                           n_meas=scale * base.n_meas)
+        opts = EngineOptions(max_iter=cfg.n_iter, damping=cfg.damping,
+                             store_estimates=True)
         net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
                                       cfg.n_meas, cfg.seed)
         stats = stats_from_network(net)
         if ulp:
             stats[0].s[0] = np.nextafter(stats[0].s[0], np.inf)
-        se = run_se(stats, cfg.n_iter, cfg.engine_options())
+        se = run_se(stats, cfg.n_iter, opts)
         _records_arrays(f"x{scale}/se", se.records, out)
         out[f"x{scale}/se/tau0"] = se.tau0
         out[f"x{scale}/se/quad_rel_err"] = np.array(se.quad_rel_err)
@@ -72,12 +74,11 @@ def dump(path, n_trials=2, batch=False, ulp=False):
             for traj in trajs:
                 traj.z[-1][0] = np.nextafter(traj.z[-1][0], np.inf)
         if batch:
-            flat = run(net, np.array([tr.z[-1] for tr in trajs]), cfg.engine_options(),
-                       truth=trajs)
+            flat = run(net, np.array([tr.z[-1] for tr in trajs]), opts, truth=trajs)
             per = len(flat) // n_trials
             runs = [flat[t * per:(t + 1) * per] for t in range(n_trials)]
         else:
-            runs = [run(net, tr.z[-1], cfg.engine_options(), truth=tr) for tr in trajs]
+            runs = [run(net, tr.z[-1], opts, truth=tr) for tr in trajs]
         for trial, records in enumerate(runs):
             _records_arrays(f"x{scale}/trial{trial}", records, out)
         print(f"x{scale}: dims {cfg.dims}, M {cfg.n_meas}", flush=True)

@@ -35,7 +35,6 @@ from .network import (
     NonlinearStage,
     Trajectory,
     build_synthetic_network,
-    empirical_layer_moments,
     load_network,
     sample_trajectory,
     save_network,
@@ -43,7 +42,6 @@ from .network import (
 )
 from .scalar_denoiser import (
     DenoiseResult,
-    ScalarChannel,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -56,8 +54,6 @@ from .linear_denoiser import (
 from .state_evolution import (
     LayerStatistics,
     SEState,
-    compute_tau0,
-    predicted_nmse_db,
     run_se,
     stats_from_network,
 )

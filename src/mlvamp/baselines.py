@@ -148,9 +148,9 @@ class SgldResult:
     n_averaged: int
 
 
-def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0, init=None):
+def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0):
     """Langevin sampling z_{k+1} = z_k - lam grad H + sqrt(2 lam) w_k, with
-    z_0 (unless ``init`` gives it) and the w_k drawn from ``seed``.
+    z_0 ~ N(0, I) and the w_k drawn from ``seed``.
 
     Post-burn-in samples are kept and averaged into a posterior-mean input
     estimate and a posterior-mean reconstruction (the measurement-stage input
@@ -161,7 +161,7 @@ def sgld_run(ctx, steps=10000, lam=0.002, burn_in=5000, seed=0, init=None):
     if burn_in >= steps:
         raise MlvampError("burn_in must be smaller than steps")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(ctx.n0) if init is None else np.array(init, dtype=float)
+    x = rng.standard_normal(ctx.n0)
     samples = np.empty((steps - burn_in, ctx.n0))
     recon_sum = None
     n_avg = 0

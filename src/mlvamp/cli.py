@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -107,7 +108,6 @@ def cmd_infer(args):
     out = _outdir(args)
     net = load_network(args.net)
     cfg = load_config(args)
-    cfg.store_estimates = True
     truth = None
     if args.observation:
         y = np.load(args.observation)
@@ -116,7 +116,7 @@ def cmd_infer(args):
         y = truth.z[-1]
     else:
         raise ConfigError("infer needs --observation or --sample-seed")
-    opts = cfg.engine_options()
+    opts = replace(cfg.engine_options(), store_estimates=True)
     records = run(net, y, opts, truth=truth)
     se = run_se(stats_from_network(net), cfg.n_iter, opts)
     rows = record_rows(records, se, trial=0)

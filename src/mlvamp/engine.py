@@ -30,7 +30,6 @@ from .gauss import any_true
 from .linear_denoiser import StageTransforms, denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
     VAR_FLOOR,
-    ScalarChannel,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -163,10 +162,6 @@ def nmse_db(truth, estimate):
     return float(db) if np.ndim(db) == 0 else db
 
 
-def _channel(stage):
-    return ScalarChannel(stage.activation, stage.noise_var)
-
-
 def _avg(var):
     """Mean over each observation's components: a scalar for one
     observation, a (T, 1) column for a batch."""
@@ -185,7 +180,7 @@ def _belief(net, y, state, transforms, ell, forward):
             res = denoise_linear_observed(stage, y, state.r_plus[i],
                                           state.gamma_plus[i], transforms=transforms[i])
             return res.z_hat_minus, res.var_in_mean
-        mean, var = denoise_output_nonlinear(_channel(stage), y, state.r_plus[i],
+        mean, var = denoise_output_nonlinear(stage, y, state.r_plus[i],
                                              state.gamma_plus[i])
         return mean, _avg(var)
     args = (state.r_plus[i], state.r_minus[i + 1],
@@ -195,7 +190,7 @@ def _belief(net, y, state, transforms, ell, forward):
                              transforms=transforms[i])
         return ((res.z_hat_plus, res.var_out_mean) if forward
                 else (res.z_hat_minus, res.var_in_mean))
-    res = denoise_middle(_channel(stage), *args, side="out" if forward else "in")
+    res = denoise_middle(stage, *args, side="out" if forward else "in")
     return ((res.mean_out, _avg(res.var_out)) if forward
             else (res.mean_in, _avg(res.var_in)))
 

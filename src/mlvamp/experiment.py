@@ -52,15 +52,11 @@ class ExperimentConfig:
     methods: tuple = ("mlvamp",)
     damping: float = 0.85
     include_runtime: bool = True
-    store_estimates: bool = False
     map_steps: int = 500
     map_step_size: float = 0.01
     sgld_steps: int = 10000
     sgld_lambda: float = 0.002
     sgld_burn_in: int = 5000
-    gamma_min: float = EngineOptions.gamma_min
-    gamma_max: float = EngineOptions.gamma_max
-    alpha_min: float = EngineOptions.alpha_min
 
     def validate(self):
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -78,10 +74,10 @@ class ExperimentConfig:
             raise ConfigError(f"damping must lie in (0, 1], not {self.damping!r}")
 
     def engine_options(self):
-        return EngineOptions(max_iter=self.n_iter, gamma_min=self.gamma_min,
-                             gamma_max=self.gamma_max, alpha_min=self.alpha_min,
-                             damping=self.damping,
-                             store_estimates=self.store_estimates)
+        """The engine's options for this config; no experiment reads an
+        estimate, so none are stored."""
+        return EngineOptions(max_iter=self.n_iter, damping=self.damping,
+                             store_estimates=False)
 
     def to_dict(self):
         d = asdict(self)
@@ -231,10 +227,6 @@ class ExperimentResult:
             halves = np.array(sorted(d))
             out[trial] = (halves, np.array([d[h] for h in halves]))
         return out
-
-    def se_curve(self, layer=0):
-        halves = np.array([r.half_iter for r in self.se.records])
-        return halves, np.array([r.nmse_db[layer] for r in self.se.records])
 
     def median_abs_se_gap(self, layer=0):
         """Per half-iteration, the median over trials of |simulated - SE| in dB."""

@@ -10,7 +10,6 @@ from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-_LOG_2PI = np.log(2.0 * np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -19,10 +18,6 @@ def any_true(mask):
     guards run on every denoise, where np.any's wrapper would cost more
     than the test."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def log_norm_pdf(x, mean, var):
-    return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 
 
 def log_ndtr_mills(x):

@@ -21,6 +21,7 @@ from .gauss import relu_gauss_moments
 BUILDER_PROCEDURE = "build_synthetic_network/v1"
 HAAR_PROCEDURE = "haar_qr_sign/v1"
 DOCUMENT_VERSION = 2
+SUPPORTED_ACTIVATIONS = ("relu", "identity")
 
 
 # The Gram route's orthogonality error is 0.1-1 x eps * cond(W)^2; below this
@@ -127,20 +128,39 @@ class LinearStage:
         return out
 
     def validate(self, tol=1e-10):
+        """Finite s and b, and factors orthonormal to within tol (a NaN
+        anywhere in a factor fails the test)."""
+        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.b))):
+            raise MlvampError("non-finite singular values or bias")
         eye = np.eye(len(self.s))
         for v in (self.v_out, self.v_in.T):
             err = np.max(np.abs(v.T @ v - eye), initial=0.0)
-            if err > tol:
+            if not err <= tol:
                 raise MlvampError(f"orthogonality violated: max |V^T V - I| = {err:.2e}")
 
 
 @dataclass(eq=False)
 class NonlinearStage:
-    """Componentwise z_out = phi(z_in) + noise on an n-dimensional layer."""
+    """Componentwise z_out = phi(z_in) + xi on an n-dimensional layer, with
+    xi ~ N(0, noise_var) i.i.d. (noise_var = 0: deterministic).
+
+    This is the one description of the channel: sampling, the componentwise
+    denoisers and the state evolution all read it.  A stage is checked when
+    it is made: its activation is one of SUPPORTED_ACTIVATIONS and its
+    noise_var finite and nonnegative.
+    """
 
     activation: str
     noise_var: float
     n: int
+
+    def __post_init__(self):
+        if self.activation not in SUPPORTED_ACTIVATIONS:
+            raise ValueError(f"activation {self.activation!r} not supported "
+                             f"(supported: {SUPPORTED_ACTIVATIONS})")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValueError(
+                f"noise_var must be finite and >= 0, not {self.noise_var!r}")
 
     @property
     def kind(self):
@@ -157,9 +177,7 @@ class NonlinearStage:
     def apply(self, z):
         if self.activation == "relu":
             return np.maximum(z, 0.0)
-        if self.activation == "identity":
-            return np.asarray(z, dtype=float)
-        raise NotImplementedError(f"activation {self.activation!r} is reserved")
+        return np.asarray(z, dtype=float)
 
     def sample_output(self, z, rng):
         out = self.apply(z)
@@ -168,7 +186,7 @@ class NonlinearStage:
         return out
 
     def validate(self, tol=None):
-        self.apply(np.zeros(1))
+        """Nothing left to check: the constructor checked the stage."""
 
 
 @dataclass(eq=False)
@@ -204,7 +222,7 @@ class NetworkSpec:
         for i, st in enumerate(self.stages):
             try:
                 st.validate(tol)
-            except (MlvampError, NotImplementedError) as exc:
+            except MlvampError as exc:
                 raise ConfigError(f"stage {i + 1}: {exc}") from exc
 
 
@@ -352,12 +370,6 @@ def sample_trajectory(net, seed):
     return Trajectory(z=z, seed=seed)
 
 
-def empirical_layer_moments(traj):
-    """Per-layer second moments (1/N) ||z_l||^2.  Every V is orthogonal, so
-    these equal the second moments of the SVD-coordinate truth."""
-    return np.array([float(np.mean(z**2)) for z in traj.z])
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -401,6 +413,15 @@ def network_to_json(net, mode="auto"):
     return doc
 
 
+def _stage_from_json(entry):
+    if entry["kind"] == "linear":
+        return LinearStage(v_out=np.array(entry["v_out"]),
+                           v_in=np.array(entry["v_in"]).reshape(-1, entry["n_in"]),
+                           s=np.array(entry["s"]), b=np.array(entry["b"]),
+                           nu=_nu_from_json(entry["nu"]))
+    return NonlinearStage(entry["activation"], entry["noise_var"], entry["n"])
+
+
 def network_from_json(doc):
     if doc.get("format") != "mlvamp-network":
         raise ConfigError("not a network document")
@@ -415,16 +436,13 @@ def network_from_json(doc):
                 raise ConfigError("rebuilt network does not match stored spectra")
         return net
     stages = []
-    for entry in doc["stages"]:
-        if entry["kind"] == "linear":
-            stages.append(LinearStage(
-                v_out=np.array(entry["v_out"]),
-                v_in=np.array(entry["v_in"]).reshape(-1, entry["n_in"]),
-                s=np.array(entry["s"]), b=np.array(entry["b"]),
-                nu=_nu_from_json(entry["nu"])))
-        else:
-            stages.append(NonlinearStage(entry["activation"],
-                                         entry["noise_var"], entry["n"]))
+    for i, entry in enumerate(doc["stages"], start=1):
+        try:
+            stages.append(_stage_from_json(entry))
+        except KeyError as exc:
+            raise ConfigError(f"stage {i}: missing field {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"stage {i}: {exc}") from exc
     net = NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
     net.validate()
     return net

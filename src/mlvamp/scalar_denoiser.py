@@ -1,21 +1,23 @@
 """Componentwise MMSE denoisers for the nonlinear stages and the input prior.
 
-A nonlinear stage couples a scalar input z_in to an output z_out = phi(z_in, xi)
-through an activation phi and optional additive Gaussian noise xi.  Given
-Gaussian pseudo-observations r_plus (on z_in, precision gamma_plus) and
-r_minus (on z_out, precision gamma_minus), the posterior factorizes
-componentwise and we need its first two moments on both sides.
+A nonlinear stage (``network.NonlinearStage``) couples a scalar input z_in to
+an output z_out = phi(z_in) + xi through its activation phi and optional
+additive Gaussian noise xi of variance ``noise_var``; the denoisers take the
+stage itself and read only those two fields.  Given Gaussian
+pseudo-observations r_plus (on z_in, precision gamma_plus) and r_minus (on
+z_out, precision gamma_minus), the posterior factorizes componentwise and
+we need its first two moments on both sides.
 
 For the supported activations (relu, identity) the moments have closed forms
 built from truncated Gaussians.
 An output observed through channel noise is the middle case of the
-noiseless channel with r_minus = y and gamma_minus = 1/noise_var.
+noiseless stage with r_minus = y and gamma_minus = 1/noise_var.
 
 The precisions are scalars, or (T, 1) columns for a batch of T observations
 whose r arrays are (T, N); each row then gets what the call with its own
 scalar precisions returns.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,36 +33,6 @@ VAR_FLOOR = 1e-15
 # a cutoff nearer 0 would put the fraction on most relu calls.
 TAIL_X = -100.0
 TAIL_TERMS = 4
-
-SUPPORTED_ACTIVATIONS = ("relu", "identity")
-
-
-@dataclass(frozen=True)
-class ScalarChannel:
-    """Scalar map z_out = phi(z_in) + noise with i.i.d. Gaussian noise.
-
-    ``noise_var == 0`` means the stage is deterministic.  The sigmoid/probit
-    output channel is reserved and not implemented.
-    """
-
-    activation: str = "relu"
-    noise_var: float = 0.0
-
-    def __post_init__(self):
-        if self.activation not in SUPPORTED_ACTIVATIONS:
-            raise NotImplementedError(
-                f"activation {self.activation!r} not supported "
-                f"(supported: {SUPPORTED_ACTIVATIONS})"
-            )
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
-
-    def apply(self, z, xi=None):
-        out = np.maximum(z, 0.0) if self.activation == "relu" else np.asarray(z, float)
-        if xi is not None:
-            out = out + xi
-        return out
-
 
 @dataclass
 class DenoiseResult:
@@ -214,8 +186,9 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, sid
     return mean_in, _floor(var_in), mean_out, var_out
 
 
-def denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
-    """Posterior moments of (z_in, z_out) under the belief of a middle stage.
+def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
+    """Posterior moments of (z_in, z_out) under the belief of a middle
+    nonlinear stage.
 
     gamma_minus = 0 is allowed and drops the output pseudo-observation
     (iteration-0 initialization).  ``side="in"`` computes only the z_in
@@ -229,9 +202,9 @@ def denoise_middle(ch, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
         raise ValueError("gamma_plus must be positive and finite")
     if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
-    posterior = _relu_posterior if ch.activation == "relu" else _identity_posterior
+    posterior = _relu_posterior if stage.activation == "relu" else _identity_posterior
     mi, vi, mo, vo = posterior(r_plus, r_minus, gamma_plus, gamma_minus,
-                               ch.noise_var, side)
+                               stage.noise_var, side)
     return DenoiseResult(mi, mo, vi, vo)
 
 
@@ -248,20 +221,20 @@ def denoise_input(r_minus, gamma_minus):
     return gamma_minus * r_minus * var, var
 
 
-def denoise_output_nonlinear(ch, y, r_plus, gamma_plus):
-    """Posterior (mean_in, var_in) of z_{L-1} when z_L = y is observed
-    through a nonlinear channel (see the module docstring)."""
+def denoise_output_nonlinear(stage, y, r_plus, gamma_plus):
+    """Posterior (mean_in, var_in) of z_{L-1} when z_L = y is the output of
+    the nonlinear stage (see the module docstring)."""
     if any_true(gamma_plus <= 0):
         raise ValueError("gamma_plus must be positive")
     y = np.asarray(y, dtype=float)
     r_plus = np.asarray(r_plus, dtype=float)
-    if ch.noise_var > 0:
-        res = denoise_middle(ScalarChannel(ch.activation), r_plus, y, gamma_plus,
-                             1.0 / ch.noise_var, side="in")
+    if stage.noise_var > 0:
+        res = denoise_middle(replace(stage, noise_var=0.0), r_plus, y, gamma_plus,
+                             1.0 / stage.noise_var, side="in")
         return res.mean_in, res.var_in
-    # Deterministic channels (gamma- = inf, which has no middle form): the
+    # Deterministic stages (gamma- = inf, which has no middle form): the
     # observation pins the input (identity) or pins/truncates it (relu).
-    if ch.activation == "identity":
+    if stage.activation == "identity":
         return y.copy(), np.full_like(y, VAR_FLOOR)
     if np.any(y < 0):
         raise ObservationError("y < 0 is impossible under a deterministic relu channel",

@@ -7,7 +7,11 @@ of a stage's input/output under the matched scalar channel
     R+ ~ N(0, tau_prev - 1/gamma+),   Z_in ~ N(R+, 1/gamma+),
     Z_out = phi(Z_in) + xi,           R- = Z_out + N(0, 1/gamma-).
 
-Each error function takes its variances from its stage's vector denoiser.
+The recursion reads one description per stage (``stats_from_network``): a
+linear stage's spectrum as ``LayerStatistics``, and a nonlinear stage as the
+network's ``NonlinearStage`` itself, the same object the engine's denoisers
+take.  Each error function takes its variances from its stage's vector
+denoiser.
 Linear stages average the componentwise 2x2 variances over the empirical
 singular values (``mean_variances``), so they are exact at any size.  The
 observed stage enters as a middle stage (``_as_middle``).
@@ -33,7 +37,7 @@ from .engine import EngineOptions, MessageState, sweep
 from .errors import MlvampError
 from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
 from .linear_denoiser import mean_variances
-from .scalar_denoiser import ScalarChannel, denoise_middle
+from .scalar_denoiser import denoise_middle
 
 _NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
 _T_PIECE_NODES = 20        # per piece of the three-piece t axis of the z_in > 0 branch
@@ -46,40 +50,31 @@ _KINK_HALF_WIDTH = 6.0
 
 @dataclass
 class LayerStatistics:
-    """Scalar-limit description of one stage.
+    """Scalar-limit description of a linear stage: the empirical singular
+    values, the noise precision, the bias energy mean(b^2) over the N_out
+    outputs and the componentwise bias mean (the one piece of the
+    original-coordinate bias that survives the Haar rotations: it shifts the
+    law of the stage output that the next activation sees)."""
 
-    Linear stages carry the empirical singular values, the noise precision,
-    the bias energy mean(b^2) over the N_out outputs and the componentwise
-    bias mean (the one piece of the original-coordinate bias that survives
-    the Haar rotations: it shifts the law of the stage output that the next
-    activation sees).  Nonlinear stages carry the activation and its noise
-    law.
-    """
-
-    kind: str
-    n_in: int = 0
-    n_out: int = 0
-    s: np.ndarray = None
+    n_in: int
+    n_out: int
+    s: np.ndarray
+    nu: float
     b_sq_mean: float = 0.0
-    nu: float = None
     b_mean: float = 0.0
-    activation: str = None
-    noise_var: float = 0.0
+
+    @property
+    def kind(self):
+        return "linear"
 
 
 def stats_from_network(net):
-    out = []
-    for st in net.stages:
-        if st.kind == "linear":
-            out.append(LayerStatistics(kind="linear", n_in=st.n_in, n_out=st.n_out,
-                                       s=np.array(st.s),
-                                       b_sq_mean=float(np.mean(st.b**2)),
-                                       nu=st.nu, b_mean=float(np.mean(st.b))))
-        else:
-            out.append(LayerStatistics(kind="nonlinear", n_in=st.n, n_out=st.n,
-                                       activation=st.activation,
-                                       noise_var=st.noise_var))
-    return out
+    """The SE's description of each stage: LayerStatistics for a linear
+    stage, the stage itself for a nonlinear one."""
+    return [LayerStatistics(n_in=st.n_in, n_out=st.n_out, s=np.array(st.s), nu=st.nu,
+                            b_sq_mean=float(np.mean(st.b**2)),
+                            b_mean=float(np.mean(st.b)))
+            if st.kind == "linear" else st for st in net.stages]
 
 
 def tau_mean_chain(stats):
@@ -107,17 +102,11 @@ def tau_mean_chain(stats):
             m1, m2 = relu_gauss_moments(m_prev, v)
             tau.append(float(m2) + stat.noise_var)
             mean.append(float(m1))
-        else:
-            ScalarChannel(stat.activation)  # rejects an unsupported activation
+        else:   # identity
             tau.append(prev + stat.noise_var)
             mean.append(m_prev)
     n = len(stats)
     return np.array(tau[:n]), np.array(mean[:n])
-
-
-def compute_tau0(stats):
-    """Second moments tau0_l of the transformed truth, variables 0..L-1."""
-    return tau_mean_chain(stats)[0]
 
 
 def error_input(gamma_minus):
@@ -242,26 +231,26 @@ def _relu_r_minus_law(r_nodes, gamma_plus, v_e, refine=1):
             np.hstack([w_neg, w_pos]))
 
 
-def _relu_errors(stat, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1,
+def _relu_errors(stage, gamma_plus, gamma_minus, tau_prev, mean_prev, refine=1,
                  side=None):
     """Expected posterior variances ((E+, E-), clamped) of a relu stage and
     the R+ clamp flag.  ``refine`` multiplies every node count; ``side``
     ("out" for E+, "in" for E-) leaves the other error None.
     """
-    ch = ScalarChannel("relu", stat.noise_var)
     r_nodes, w_o, clamped = _outer_nodes(tau_prev, gamma_plus, mean_prev, refine)
     if gamma_minus <= 0:   # no output message: one R- node that carries nothing
         r_minus, w_m = np.zeros((len(r_nodes), 1)), np.ones((len(r_nodes), 1))
     else:
         r_minus, w_m = _relu_r_minus_law(r_nodes, gamma_plus,
-                                         1.0 / gamma_minus + stat.noise_var, refine)
+                                         1.0 / gamma_minus + stage.noise_var, refine)
     # R+ as a column: the z_in < 0 branch depends on r+ alone
-    res = denoise_middle(ch, r_nodes[:, None], r_minus, gamma_plus, gamma_minus, side)
+    res = denoise_middle(stage, r_nodes[:, None], r_minus, gamma_plus, gamma_minus,
+                         side)
     return tuple(None if v is None else float(w_o @ np.sum(v * w_m, axis=1))
                  for v in (res.var_out, res.var_in)), clamped
 
 
-def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0,
+def error_nonlinear(stage, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0,
                     side=None):
     """(E+, E-, r_plus_var_clamped) for a middle nonlinear stage.
 
@@ -274,20 +263,19 @@ def error_nonlinear(stat, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0,
     ``side="out"`` computes only E+ and ``side="in"`` only E- (the other
     is None).
     """
-    if stat.activation == "identity":
-        res = denoise_middle(ScalarChannel("identity", stat.noise_var), 0.0, 0.0,
-                             gamma_plus, gamma_minus, side)
+    if stage.activation == "identity":
+        res = denoise_middle(stage, 0.0, 0.0, gamma_plus, gamma_minus, side)
         e_plus, e_minus = (None if v is None else float(v)
                            for v in (res.var_out, res.var_in))
         return e_plus, e_minus, False
-    (e_plus, e_minus), clamped = _relu_errors(stat, gamma_plus, gamma_minus,
+    (e_plus, e_minus), clamped = _relu_errors(stage, gamma_plus, gamma_minus,
                                               tau_prev, mean_prev, side=side)
     return e_plus, e_minus, clamped
 
 
-def error_observed_nonlinear(stat, gamma_plus, tau_prev, mean_prev=0.0):
+def error_observed_nonlinear(stage, gamma_plus, tau_prev, mean_prev=0.0):
     """E- for a final nonlinear stage observed through Gaussian channel noise."""
-    return error_nonlinear(*_observed_as_middle(stat, gamma_plus), tau_prev,
+    return error_nonlinear(*_observed_as_middle(stage, gamma_plus), tau_prev,
                            mean_prev, side="in")[1]
 
 
@@ -369,12 +357,6 @@ def run_se(stats, n_iter, options=None):
         state.k += 1
     se.quad_rel_err = quadrature_rel_err(stats, se.records[-2:], tau0, means)
     return se
-
-
-def predicted_nmse_db(se, layer, half_iter):
-    """10 log10((1/eta_bar) / tau0) at a given layer and 1-based half-iteration."""
-    rec = se.records[half_iter - 1]
-    return float(10.0 * np.log10((1.0 / rec.eta[layer]) / se.tau0[layer]))
 
 
 def se_state_to_json(se):

@@ -12,9 +12,21 @@ import numpy as np
 from scipy import linalg, special
 
 from mlvamp.errors import MlvampError
-from mlvamp.gauss import gh_nodes, log_norm_pdf
+from mlvamp.gauss import gh_nodes
 from mlvamp.network import NetworkSpec, NonlinearStage, svd_decompose_stage
-from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle, denoise_output_nonlinear
+from mlvamp.scalar_denoiser import denoise_middle, denoise_output_nonlinear
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def log_norm_pdf(x, mean, var):
+    return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
+
+
+def empirical_layer_moments(traj):
+    """Per-layer second moments (1/N) ||z_l||^2.  Every V is orthogonal, so
+    these equal the second moments of the SVD-coordinate truth."""
+    return np.array([float(np.mean(z**2)) for z in traj.z])
 
 
 def _mp_half_line(f, mean, var, sign):
@@ -252,13 +264,13 @@ def relu_stage_error_reference(gamma_plus, gamma_minus, tau_prev, mean_prev,
         * special.ndtr(m_t / math.sqrt(v_t))
     rm_pos = r[:, None] + s2 * t
 
+    stage = NonlinearStage("relu", noise_var, 1)
+
     def variances(r_minus):
         rp = np.broadcast_to(r[:, None], r_minus.shape)
         if observed:
-            ch = ScalarChannel("relu", noise_var)
-            return (denoise_output_nonlinear(ch, r_minus, rp, gamma_plus)[1],)
-        res = denoise_middle(ScalarChannel("relu", noise_var), rp, r_minus,
-                             gamma_plus, gamma_minus)
+            return (denoise_output_nonlinear(stage, r_minus, rp, gamma_plus)[1],)
+        res = denoise_middle(stage, rp, r_minus, gamma_plus, gamma_minus)
         return res.var_out, res.var_in
 
     out = []
@@ -330,7 +342,7 @@ def relu_stage_error_tensor(gamma_plus, gamma_minus, tau_prev, mean_prev,
 
     r_minus, w_m = np.hstack([rm_neg, rm_pos]), np.hstack([w_neg, w_pos])
     r_plus = np.broadcast_to(r[:, None], r_minus.shape)
-    ch = ScalarChannel("relu", noise_var)
+    ch = NonlinearStage("relu", noise_var, 1)
     if observed:
         var = denoise_output_nonlinear(ch, r_minus, r_plus, gamma_plus)[1]
         return float(w_r @ np.sum(var * w_m, axis=1))
@@ -404,8 +416,9 @@ def mc_oracle_moments(ch, r_plus, r_minus, gamma_plus, gamma_minus,
     log_q = np.logaddexp(
         np.logaddexp(log_norm_pdf(z, r_plus, vp), log_norm_pdf(z, mi_, vi_)),
         log_norm_pdf(z, mk_, vk_)) - np.log(3.0)
-    xi = rng.normal(0.0, np.sqrt(ch.noise_var), size=n_samples) if ch.noise_var > 0 else None
-    z_out = ch.apply(z, xi)
+    z_out = ch.apply(z)
+    if ch.noise_var > 0:
+        z_out = z_out + rng.normal(0.0, np.sqrt(ch.noise_var), size=n_samples)
     log_w = log_norm_pdf(z, r_plus, vp) - log_q
     if gamma_minus > 0:
         log_w = log_w - 0.5 * gamma_minus * (z_out - r_minus) ** 2

@@ -27,13 +27,13 @@ from mlvamp.linear_denoiser import denoise_linear, denoise_linear_observed
 from mlvamp.network import (
     LinearStage,
     NetworkSpec,
+    NonlinearStage,
     build_synthetic_network,
-    empirical_layer_moments,
     sample_trajectory,
     svd_decompose_stage,
 )
-from mlvamp.scalar_denoiser import ScalarChannel, denoise_middle
-from mlvamp.state_evolution import compute_tau0, run_se, stats_from_network
+from mlvamp.scalar_denoiser import denoise_middle
+from mlvamp.state_evolution import run_se, stats_from_network, tau_mean_chain
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +151,7 @@ class TestCriterion4ScalarOracle:
         rng = np.random.default_rng(2024)
         worst = 0.0
         for act in ("relu", "identity"):
-            ch = ScalarChannel(act, 0.0)
+            ch = NonlinearStage(act, 0.0, 1)
             for _ in range(100):
                 rp, rm = rng.normal(0, 1.5), rng.normal(0, 1.5)
                 gp, gm = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
@@ -232,8 +232,8 @@ class TestCriterion6AlgebraicIdentities:
         rng = np.random.default_rng(5)
         eps = 1e-5
         fd_ok = True
-        for ch in (ScalarChannel("relu", 0.0), ScalarChannel("identity", 0.0),
-                   ScalarChannel("relu", 0.2)):
+        for ch in (NonlinearStage("relu", 0.0, 1), NonlinearStage("identity", 0.0, 1),
+                   NonlinearStage("relu", 0.2, 1)):
             rp = rng.normal(0, 1, 500)
             rm = rng.normal(0, 1, 500)
             gp, gm = 1.4, 2.1
@@ -258,10 +258,11 @@ def moment_gaps(scale, seeds=(0, 1, 2), n_traj=200):
     for seed in seeds:
         net = build_synthetic_network([scale * d for d in PAPER_DIMS], 0.4, 10.0,
                                       30.0, 300 * scale, seed)
-        tau = compute_tau0(stats_from_network(net))
+        tau = tau_mean_chain(stats_from_network(net))[0]
         wide = [ell for ell in range(net.n_layers) if net.dims[ell] >= 500 * scale]
-        moms = np.array([empirical_layer_moments(sample_trajectory(net, (seed, 71, t)))
-                         for t in range(n_traj)])
+        moms = np.array([
+            oracles.empirical_layer_moments(sample_trajectory(net, (seed, 71, t)))
+            for t in range(n_traj)])
         r = moms[:, wide] / tau[wide]
         ratios.append(r)
         per_seed.append(np.max(np.abs(np.mean(r, axis=0) - 1)))

@@ -89,6 +89,24 @@ class TestGenerateSampleInfer:
                    "--config", tiny_config_file, "--out", out])
         assert rc == 1
 
+    def test_infer_reports_malformed_stage_without_traceback(self, tiny_config_file,
+                                                             tmp_path):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out, "--explicit"])
+        path = os.path.join(out, "network.json")
+        doc = json.loads(open(path).read())
+        doc["stages"][0]["b"] = doc["stages"][0]["b"][:-1]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run([sys.executable, "-m", "mlvamp", "infer", "--net", path,
+                               "--sample-seed", "5", "--out", out],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "config error: stage 1: bias length" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infer_requires_input(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "o")
         main(["generate", "--config", tiny_config_file, "--out", out])

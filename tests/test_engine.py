@@ -23,7 +23,7 @@ from mlvamp.network import (
     sample_trajectory,
     svd_decompose_stage,
 )
-from mlvamp.scalar_denoiser import ScalarChannel, denoise_input, denoise_middle
+from mlvamp.scalar_denoiser import denoise_input, denoise_middle
 
 
 class TestPrecisionUpdate:
@@ -278,7 +278,7 @@ def _run_recomputing(net, y, opts, truth):
             res = denoise_linear(stage, *args)
             return ((res.z_hat_plus, res.var_out_mean) if forward
                     else (res.z_hat_minus, res.var_in_mean))
-        res = denoise_middle(ScalarChannel(stage.activation, stage.noise_var), *args)
+        res = denoise_middle(stage, *args)
         return ((res.mean_out, float(np.mean(res.var_out))) if forward
                 else (res.mean_in, float(np.mean(res.var_in))))
 

@@ -129,11 +129,10 @@ class TestIterationExperiment:
     def test_se_alignment(self):
         cfg = tiny_config()
         res = run_iteration_experiment(cfg)
-        halves, se_curve = res.se_curve(layer=0)
-        assert list(halves) == [1, 2, 3, 4, 5, 6]
+        assert [rec.half_iter for rec in res.se.records] == [1, 2, 3, 4, 5, 6]
         for row in res.rows:
             if row["layer"] == 0 and row["half_iter"] == 1:
-                assert row["se_nmse_db"] == pytest.approx(se_curve[0])
+                assert row["se_nmse_db"] == pytest.approx(res.se.records[0].nmse_db[0])
 
     def test_zero_trials_emits_se_only(self):
         cfg = tiny_config(n_trials=0)
@@ -193,6 +192,13 @@ class TestIterationExperiment:
     def test_out_dir_key_rejected(self):
         with pytest.raises(ConfigError, match="out_dir"):
             ExperimentConfig.from_dict({"out_dir": "run"})
+
+    @pytest.mark.parametrize("key", ["gamma_min", "gamma_max", "alpha_min",
+                                     "store_estimates"])
+    def test_engine_only_key_rejected(self, key):
+        # the clamps and estimate storage are EngineOptions settings only
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: 1})
 
 
 class TestBaselineComparison:

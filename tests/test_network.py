@@ -13,13 +13,13 @@ from mlvamp.network import (
     NonlinearStage,
     NetworkSpec,
     build_synthetic_network,
-    empirical_layer_moments,
     haar_orthogonal,
     network_from_json,
     network_to_json,
     sample_trajectory,
     svd_decompose_stage,
 )
+from oracles import empirical_layer_moments
 
 PAPER_DIMS = [20, 100, 500, 784]
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -39,6 +39,14 @@ def identity_chain(n=6, n_stages=3):
         else:
             stages.append(NonlinearStage("identity", 0.0, n))
     return NetworkSpec(n0=n, stages=stages)
+
+
+def two_stage_explicit_document():
+    rng = np.random.default_rng(4)
+    net = NetworkSpec(n0=4, stages=[
+        svd_decompose_stage(rng.normal(size=(6, 4)), rng.normal(size=6), 2.0),
+        NonlinearStage("relu", 0.1, 6)])
+    return json.loads(json.dumps(network_to_json(net, mode="explicit")))
 
 
 class TestSvdDecompose:
@@ -275,6 +283,33 @@ class TestSerialization:
         doc = json.loads(json.dumps(network_to_json(net, mode="explicit")))
         doc["stages"][2]["v_out"] = (2 * np.array(doc["stages"][2]["v_out"])).tolist()
         with pytest.raises(ConfigError, match="stage 3: orthogonality violated"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("stage, key, corrupt, message", [
+        (0, "b", lambda v: v[:-1], "stage 1: bias length"),
+        (0, "nu", lambda v: -1.0, "stage 1: nu must be positive"),
+        (0, "s", lambda v: [math.nan] + v[1:], "stage 1: non-finite"),
+        (0, "b", lambda v: v[:-1] + [math.nan], "stage 1: non-finite"),
+        (0, "v_in", lambda v: [[math.nan] + v[0][1:]] + v[1:],
+         "stage 1: orthogonality violated"),
+        (1, "noise_var", lambda v: -1.0, "stage 2: noise_var"),
+        (1, "noise_var", lambda v: math.nan, "stage 2: noise_var"),
+        (1, "noise_var", lambda v: math.inf, "stage 2: noise_var"),
+        (1, "activation", lambda v: "sigmoid", "stage 2: activation 'sigmoid'"),
+    ])
+    def test_malformed_explicit_document_rejected(self, stage, key, corrupt, message):
+        # each fault fails on load, naming its stage, and not at the first
+        # denoise or as a non-finite observation
+        doc = two_stage_explicit_document()
+        network_from_json(doc)
+        doc["stages"][stage][key] = corrupt(doc["stages"][stage][key])
+        with pytest.raises(ConfigError, match=message):
+            network_from_json(doc)
+
+    def test_stage_missing_field_rejected(self):
+        doc = two_stage_explicit_document()
+        del doc["stages"][1]["noise_var"]
+        with pytest.raises(ConfigError, match="stage 2: missing field 'noise_var'"):
             network_from_json(doc)
 
     def test_version1_square_factors_load_thin(self):

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mlvamp.errors import ObservationError
+from mlvamp.network import NonlinearStage
 from mlvamp.scalar_denoiser import (
     VAR_FLOOR,
-    ScalarChannel,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -19,8 +19,8 @@ from oracles import (
     truncated_gaussian_reference,
 )
 
-RELU = ScalarChannel("relu", 0.0)
-IDENT = ScalarChannel("identity", 0.0)
+RELU = NonlinearStage("relu", 0.0, 1)
+IDENT = NonlinearStage("identity", 0.0, 1)
 
 
 class TestDenoiseMiddle:
@@ -64,7 +64,7 @@ class TestDenoiseMiddle:
 
     def test_variance_nonnegative_grid(self):
         rng = np.random.default_rng(7)
-        for ch in (RELU, IDENT, ScalarChannel("relu", 0.3)):
+        for ch in (RELU, IDENT, NonlinearStage("relu", 0.3, 1)):
             rp = rng.normal(0, 3, 200)
             rm = rng.normal(0, 3, 200)
             res = denoise_middle(ch, rp, rm, 0.3, 4.0)
@@ -83,7 +83,7 @@ class TestDenoiseMiddle:
         # <d g+ / d r-> from central differences matches gamma- * var_out
         rng = np.random.default_rng(2)
         eps = 1e-5
-        for ch in (RELU, IDENT, ScalarChannel("relu", 0.2)):
+        for ch in (RELU, IDENT, NonlinearStage("relu", 0.2, 1)):
             rp = rng.normal(0, 1, 400)
             rm = rng.normal(0, 1, 400)
             gp, gm = 1.7, 2.3
@@ -99,7 +99,7 @@ class TestDenoiseMiddle:
         rng = np.random.default_rng(0)
         for act, nv in [("relu", 0.0), ("relu", 0.5),
                         ("identity", 0.0), ("identity", 0.3)]:
-            ch = ScalarChannel(act, nv)
+            ch = NonlinearStage(act, nv, 1)
             for gp in (1e-8, 1.0, 1e3, 1e11):
                 for gm in (0.0, 1e-8, 1.0, 1e11):
                     res = denoise_middle(ch, rng.normal(0, 2, 30),
@@ -109,8 +109,8 @@ class TestDenoiseMiddle:
                         assert np.all(np.isfinite(arr)), (act, nv, gp, gm)
 
     def test_reserved_activation_rejected(self):
-        with pytest.raises(NotImplementedError):
-            ScalarChannel("sigmoid", 0.0)
+        with pytest.raises(ValueError):
+            NonlinearStage("sigmoid", 0.0, 1)
 
     def test_relu_message_without_posterior_mass_errors(self):
         # an output message so far out that both branch masses underflow
@@ -144,14 +144,14 @@ class TestDenoiseInput:
 
 class TestDenoiseOutputNonlinear:
     def test_identity_gaussian_conjugate(self):
-        ch = ScalarChannel("identity", 0.25)
+        ch = NonlinearStage("identity", 0.25, 1)
         mean, var = denoise_output_nonlinear(ch, np.array([1.2]), np.array([0.4]), 2.0)
         expect = (2.0 * 0.4 + 1.2 / 0.25) / (2.0 + 1 / 0.25)
         assert mean[0] == pytest.approx(expect, rel=1e-12)
         assert var[0] == pytest.approx(1 / (2.0 + 4.0), rel=1e-12)
 
     def test_relu_noisy_matches_mc(self):
-        ch = ScalarChannel("relu", 0.3)
+        ch = NonlinearStage("relu", 0.3, 1)
         y, rp, gp = 0.9, -0.4, 2.0
         mean, var = denoise_output_nonlinear(ch, y, rp, gp)
         # oracle: weight prior samples by the channel likelihood
@@ -166,7 +166,7 @@ class TestDenoiseOutputNonlinear:
         assert abs(float(var) - v) < 4 * v / np.sqrt(ess) + 4 * se**2
 
     def test_gamma_plus_pin(self):
-        ch = ScalarChannel("relu", 0.5)
+        ch = NonlinearStage("relu", 0.5, 1)
         mean, _ = denoise_output_nonlinear(ch, np.array([1.0]), np.array([0.3]), 1e12)
         assert abs(mean[0] - 0.3) < 1e-5
 
@@ -226,7 +226,7 @@ class TestQuadraturePath:
         for i in range(60):
             act = "relu" if i % 2 else "identity"
             nv = 0.0 if i % 3 else float(rng.uniform(0.05, 1.0))
-            ch = ScalarChannel(act, nv)
+            ch = NonlinearStage(act, nv, 1)
             rp, rm = rng.normal(0, 2), rng.normal(0, 2)
             gp, gm = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
             res = denoise_middle(ch, rp, rm, gp, gm)
@@ -263,7 +263,7 @@ class TestMcOracle:
 
     def test_ess_guard(self):
         # noisy channel with an extreme pseudo-observation starves the ESS
-        ch = ScalarChannel("relu", 1.0)
+        ch = NonlinearStage("relu", 1.0, 1)
         with pytest.raises(MonteCarloError):
             mc_oracle_moments(ch, 0.0, 60.0, 1.0, 1e6, n_samples=10**4, seed=0)
 
@@ -292,7 +292,7 @@ class TestBatchedRows:
            hs.sampled_from([0.0, 0.3]))
     def test_middle_rows_bit_identical(self, case, activation, noise_var):
         rp, rm, gp, gm = case
-        ch = ScalarChannel(activation, noise_var)
+        ch = NonlinearStage(activation, noise_var, 1)
         try:
             rows = [denoise_middle(ch, rp[t], rm[t], gp[t, 0], gm[t, 0])
                     for t in range(len(rp))]
@@ -325,7 +325,7 @@ class TestBatchedRows:
         with pytest.raises(ValueError):
             denoise_input(rp, np.array([[1.0], [-1e-3], [0.0]]))
         with pytest.raises(ValueError):
-            denoise_output_nonlinear(ScalarChannel("relu", 0.1), rp, rp, gp)
+            denoise_output_nonlinear(NonlinearStage("relu", 0.1, 1), rp, rp, gp)
 
 
 EXTREME_GAMMA = hs.floats(-4.0, 8.0).map(lambda e: 10.0 ** e)
@@ -366,7 +366,7 @@ class TestExtremeMessages:
     @example(DEEP_TAIL, "relu", 0.0, None)
     def test_middle(self, case, activation, noise_var, side):
         rp, rm, gp, gm = case
-        res = denoise_middle(ScalarChannel(activation, noise_var), rp, rm, gp, gm,
+        res = denoise_middle(NonlinearStage(activation, noise_var, 1), rp, rm, gp, gm,
                              side=side)
         sides = {"in": [("mean_in", "var_in")], "out": [("mean_out", "var_out")],
                  None: [("mean_in", "var_in"), ("mean_out", "var_out")]}[side]
@@ -378,7 +378,7 @@ class TestExtremeMessages:
            hs.sampled_from([1e-4, 0.3]))
     def test_output_noisy(self, case, activation, noise_var):
         rp, y, gp, _ = case
-        mean, var = denoise_output_nonlinear(ScalarChannel(activation, noise_var),
+        mean, var = denoise_output_nonlinear(NonlinearStage(activation, noise_var, 1),
                                              y, rp, gp)
         assert_moments_sane([mean], [var])
 
@@ -408,7 +408,7 @@ class TestSides:
            hs.sampled_from([0.0, 0.3]))
     def test_one_side_bit_identical(self, case, activation, noise_var):
         rp, rm, gp, gm = case   # gamma- = 0 in any row, so mixed drop rows too
-        ch = ScalarChannel(activation, noise_var)
+        ch = NonlinearStage(activation, noise_var, 1)
         try:
             both = denoise_middle(ch, rp, rm, gp, gm)
         except ObservationError:
@@ -424,7 +424,7 @@ class TestSides:
     def test_one_side_at_gamma_minus_zero_and_mixed_rows(self, noise_var):
         rng = np.random.default_rng(3)
         rp, rm = rng.normal(0, 2, (3, 50)), rng.normal(0, 2, (3, 50))
-        ch, gp = ScalarChannel("relu", noise_var), np.array([[1.0], [3.0], [0.5]])
+        ch, gp = NonlinearStage("relu", noise_var, 1), np.array([[1.0], [3.0], [0.5]])
         for gm in (0.0, np.array([[0.0], [2.0], [0.0]])):
             both = denoise_middle(ch, rp, rm, gp, gm)
             for side in ("in", "out"):
@@ -437,7 +437,7 @@ class TestSides:
         rng = np.random.default_rng(5)
         r_nodes, rm = rng.normal(0, 3, (45, 1)), rng.normal(0, 3, (45, 123))
         for noise_var in (0.0, 0.3):
-            ch = ScalarChannel("relu", noise_var)
+            ch = NonlinearStage("relu", noise_var, 1)
             for gm in (0.0, 40.0):
                 col = denoise_middle(ch, r_nodes, rm, 7.0, gm)
                 grid = denoise_middle(ch, np.broadcast_to(r_nodes, rm.shape), rm, 7.0, gm)

@@ -19,19 +19,16 @@ from mlvamp.network import (
 )
 from mlvamp.scalar_denoiser import (
     VAR_FLOOR,
-    ScalarChannel,
     denoise_middle,
     denoise_output_nonlinear,
 )
 from mlvamp.state_evolution import (
     LayerStatistics,
-    compute_tau0,
     error_input,
     error_linear,
     error_nonlinear,
     error_observed_linear,
     error_observed_nonlinear,
-    predicted_nmse_db,
     quadrature_rel_err,
     run_se,
     se_state_to_json,
@@ -39,7 +36,7 @@ from mlvamp.state_evolution import (
     tau_mean_chain,
 )
 
-RELU_STAT = LayerStatistics(kind="nonlinear", activation="relu", noise_var=0.0)
+RELU_STAT = NonlinearStage("relu", 0.0, 1)
 
 # (stats index, gamma+, gamma-) of each relu stage of the paper network at
 # the damped SE fixed point (50 iterations, damping 0.85)
@@ -66,7 +63,7 @@ def padded(s, n):
 
 
 def linear_stat(s, n_in, n_out, nu, b_sq_mean=0.0, b_mean=0.0):
-    return LayerStatistics(kind="linear", n_in=n_in, n_out=n_out,
+    return LayerStatistics(n_in=n_in, n_out=n_out,
                            s=np.asarray(s, float), b_sq_mean=b_sq_mean,
                            nu=nu, b_mean=b_mean)
 
@@ -74,14 +71,13 @@ def linear_stat(s, n_in, n_out, nu, b_sq_mean=0.0, b_mean=0.0):
 class TestTau0:
     def test_unit_gaussian_input(self):
         stats = [linear_stat(np.ones(4), 4, 4, math.inf)]
-        assert compute_tau0(stats)[0] == 1.0
+        assert tau_mean_chain(stats)[0][0] == 1.0
 
     def test_relu_on_standard_normal(self):
         stats = [linear_stat(np.ones(4), 4, 4, math.inf),
-                 LayerStatistics(kind="nonlinear", activation="relu",
-                                 noise_var=0.0, n_in=4, n_out=4),
+                 NonlinearStage("relu", 0.0, 4),
                  linear_stat(np.ones(4), 4, 4, 1.0)]
-        tau = compute_tau0(stats)
+        tau = tau_mean_chain(stats)[0]
         assert tau[1] == pytest.approx(1.0)
         assert tau[2] == pytest.approx(0.5)
 
@@ -129,7 +125,7 @@ class TestTau0:
     def test_unbounded_singular_values_rejected(self):
         stats = [linear_stat([np.inf], 2, 2, 1.0)]
         with pytest.raises(MlvampError):
-            compute_tau0(stats)
+            tau_mean_chain(stats)[0]
 
 
 class TestErrorFunctions:
@@ -138,7 +134,7 @@ class TestErrorFunctions:
         assert error_input(3.0) == pytest.approx(0.25)
 
     def test_identity_channel_closed_form(self):
-        stat = LayerStatistics(kind="nonlinear", activation="identity", noise_var=0.0)
+        stat = NonlinearStage("identity", 0.0, 1)
         ep, em, _ = error_nonlinear(stat, 2.0, 3.0, 1.0)
         assert ep == pytest.approx(1 / 5.0, rel=1e-10)
         assert em == pytest.approx(1 / 5.0, rel=1e-10)
@@ -152,7 +148,7 @@ class TestErrorFunctions:
         z = rp + rng.normal(0, math.sqrt(1 / gp), n)
         zo = np.maximum(z, 0)
         rm = zo + rng.normal(0, math.sqrt(1 / gm), n)
-        res = denoise_middle(ScalarChannel("relu", 0.0), rp, rm, gp, gm)
+        res = denoise_middle(RELU_STAT, rp, rm, gp, gm)
         mse_out = (res.mean_out - zo) ** 2
         mse_in = (res.mean_in - z) ** 2
         assert abs(ep - np.mean(mse_out)) < 3 * np.std(mse_out) / math.sqrt(n)
@@ -168,7 +164,7 @@ class TestErrorFunctions:
             ep, em, _ = error_nonlinear(stats[ell], gp, gm, tau[ell], mean[ell])
             rp, _, rm = sample_relu_law(np.random.default_rng(ell), n,
                                         tau[ell], mean[ell], gp, 1 / gm)
-            res = denoise_middle(ScalarChannel("relu", 0.0), rp, rm, gp, gm)
+            res = denoise_middle(RELU_STAT, rp, rm, gp, gm)
             for est, v in ((ep, res.var_out), (em, res.var_in)):
                 assert abs(est - np.mean(v)) < 4 * np.std(v) / math.sqrt(n)
 
@@ -176,11 +172,11 @@ class TestErrorFunctions:
         _, _, tau, mean = paper_chain
         n = 10**6
         for ell, gp, nv in ((5, 1e3, 1e-3), (3, 1e4, 1e-4)):
-            stat = LayerStatistics(kind="nonlinear", activation="relu", noise_var=nv)
+            stat = NonlinearStage("relu", nv, 1)
             em = error_observed_nonlinear(stat, gp, tau[ell], mean[ell])
             rp, _, y = sample_relu_law(np.random.default_rng(ell), n,
                                        tau[ell], mean[ell], gp, nv)
-            _, v = denoise_output_nonlinear(ScalarChannel("relu", nv), y, rp, gp)
+            _, v = denoise_output_nonlinear(stat, y, rp, gp)
             assert abs(em - np.mean(v)) < 4 * np.std(v) / math.sqrt(n)
 
     def test_relu_matches_panel_reference_over_precision_grid(self, paper_chain):
@@ -188,7 +184,7 @@ class TestErrorFunctions:
         # paper's (tau, mean) for every relu stage, gamma+- in [1e-2, 1e6]
         _, stats, tau, mean = paper_chain
         grid = 10.0 ** np.arange(-2, 7, 2)
-        noisy = LayerStatistics(kind="nonlinear", activation="relu", noise_var=1e-3)
+        noisy = NonlinearStage("relu", 1e-3, 1)
         worst = 0.0
         for ell in (1, 3, 5):
             for gp in grid:
@@ -210,7 +206,7 @@ class TestErrorFunctions:
         # every node count doubled, on a coarse precision grid
         _, stats, tau, mean = paper_chain
         double = dict(kink_nodes=30, neg_nodes=126, zin_nodes=40, pos_nodes=82)
-        noisy = LayerStatistics(kind="nonlinear", activation="relu", noise_var=1e-3)
+        noisy = NonlinearStage("relu", 1e-3, 1)
         worst = 0.0
         for ell in (1, 3, 5):
             for gp in (1e1, 1e4):
@@ -230,7 +226,7 @@ class TestErrorFunctions:
         _, _, tau, mean = paper_chain
         worst = 0.0
         for nv in (1e-2, 1e-4):
-            stat = LayerStatistics(kind="nonlinear", activation="relu", noise_var=nv)
+            stat = NonlinearStage("relu", nv, 1)
             for ell in (1, 5):
                 for gp in 10.0 ** np.arange(1, 7, 1):
                     ref = oracles.relu_stage_error_reference(
@@ -295,8 +291,7 @@ class TestErrorFunctions:
 
     def test_errors_nonincreasing_in_precisions(self):
         for stat in (RELU_STAT,
-                     LayerStatistics(kind="nonlinear", activation="identity",
-                                     noise_var=0.1)):
+                     NonlinearStage("identity", 0.1, 1)):
             last_p = last_m = np.inf
             for g in [0.1, 0.5, 2.0, 8.0, 50.0]:
                 ep, em, _ = error_nonlinear(stat, g, g, 12.0)
@@ -364,8 +359,7 @@ class TestReluErrorProperties:
            hs.sampled_from(["relu", "identity"]), hs.sampled_from([0.0, 0.3]))
     def test_one_side_bit_identical(self, gamma_plus, gamma_minus, law, activation,
                                     noise_var):
-        stat = LayerStatistics(kind="nonlinear", activation=activation,
-                               noise_var=noise_var)
+        stat = NonlinearStage(activation, noise_var, 1)
         args = (stat, gamma_plus, gamma_minus, law[0], law[1] * math.sqrt(law[0]))
         both = error_nonlinear(*args)
         assert error_nonlinear(*args, side="out") == (both[0], None, both[2])
@@ -471,10 +465,12 @@ class TestPredictedNmse:
         net = oracles.make_gaussian_chain(4, seed=0)
         se = run_se(stats_from_network(net), 1)
         # forward half 1 at layer 0 has eta = 1/tau0 exactly (pure prior)
-        assert predicted_nmse_db(se, 0, 1) == pytest.approx(0.0, abs=1e-9)
+        assert se.records[0].nmse_db[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_decade_arithmetic(self):
+        # every record's NMSE is 10 log10((1/eta) / tau0), layer by layer
         net = oracles.make_gaussian_chain(4, seed=0)
-        se = run_se(stats_from_network(net), 1)
-        se.records[0].eta[0] = 100.0 / se.tau0[0]
-        assert predicted_nmse_db(se, 0, 1) == pytest.approx(-20.0)
+        se = run_se(stats_from_network(net), 2)
+        for rec in se.records:
+            assert np.allclose(10 ** (rec.nmse_db / 10) * rec.eta * se.tau0, 1.0,
+                               rtol=1e-12)
