@@ -127,6 +127,31 @@ def ridge_solve(W, b, nu, y, r_plus, gamma_plus):
     return np.linalg.solve(A, gamma_plus * r_plus + nu * W.T @ (y - b))
 
 
+def _factor_t_apply(stage, g):
+    """W^T g through the thin factors."""
+    return stage.v_in.T @ (stage.s * (stage.v_out.T @ g))
+
+
+def thin_factor_gradient(ctx, z0):
+    """(grad H, H, measurement input) of a baselines ``HamiltonianContext``,
+    with every linear stage applied through its thin factors
+    (``LinearStage.apply`` forward, V_in^T diag(s) V_out^T g back) instead of
+    the dense W the context holds."""
+    z0 = np.asarray(z0, dtype=float)
+    xs = [z0]
+    for st in ctx.hidden:
+        xs.append(st.apply(xs[-1]))
+    resid = ctx.meas.apply(xs[-1]) - ctx.y
+    loss = 0.5 * ctx.meas.nu * float(resid @ resid) + 0.5 * float(z0 @ z0)
+    g = ctx.meas.nu * _factor_t_apply(ctx.meas, resid)
+    for st, x_in in zip(reversed(ctx.hidden), reversed(xs[:-1])):
+        if st.kind == "linear":
+            g = _factor_t_apply(st, g)
+        elif st.activation == "relu":
+            g = g * (x_in > 0)
+    return g + z0, loss, xs[-1]
+
+
 def gaussian_chain_posterior(net, y):
     """Exact per-layer posterior means and average variances for a chain of
     linear and identity stages: covariance propagation, then every

@@ -12,6 +12,7 @@ from mlvamp.baselines import (
     sgld_run,
 )
 from mlvamp.errors import DivergenceError, MlvampError
+from mlvamp.experiment import paper_config
 from mlvamp.network import (
     LinearStage,
     NetworkSpec,
@@ -123,6 +124,44 @@ class TestGradient:
         res = map_estimate(ctx, steps=3000, step_size=0.02, seed=0)
         g, _, _ = grad_hamiltonian(ctx, res.z0_hat)
         assert np.linalg.norm(g) < 1e-3
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+class TestDenseGradient:
+    """The gradient applies each linear stage through its dense W; the
+    thin-factor chain in tests/oracles.py gives the same values."""
+
+    def _check(self, ctx, points):
+        for z in points:
+            g, loss, x_meas = grad_hamiltonian(ctx, z)
+            g_ref, loss_ref, x_ref = oracles.thin_factor_gradient(ctx, z)
+            assert _rel(g, g_ref) <= 1e-12
+            assert _rel(x_meas, x_ref) <= 1e-12
+            assert abs(loss - loss_ref) <= 1e-12 * loss_ref
+            assert hamiltonian(ctx, z) == loss
+
+    def test_paper_preset(self):
+        cfg = paper_config()
+        net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
+                                      cfg.n_meas, cfg.seed)
+        traj = sample_trajectory(net, 1)
+        ctx = HamiltonianContext(net, traj.z[-1])
+        rng = np.random.default_rng(2)
+        self._check(ctx, [traj.z[0], np.zeros(net.n0), rng.standard_normal(net.n0)])
+
+    def test_rank_deficient_explicit_stage(self):
+        # 10 -> linear of rank 3 -> relu -> 8 x 8 measurement
+        rng = np.random.default_rng(0)
+        low = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 10))
+        hidden = svd_decompose_stage(low, rng.normal(0.0, 0.5, 8), math.inf)
+        assert len(hidden.s) == 3
+        meas = svd_decompose_stage(rng.normal(size=(8, 8)), np.zeros(8), 20.0)
+        net = NetworkSpec(n0=10, stages=[hidden, NonlinearStage("relu", 0.0, 8), meas])
+        ctx = HamiltonianContext(net, sample_trajectory(net, 0).z[-1])
+        self._check(ctx, [rng.standard_normal(10) for _ in range(3)])
 
 
 class TestMapEstimate:

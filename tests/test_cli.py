@@ -107,6 +107,28 @@ class TestGenerateSampleInfer:
         assert "config error: stage 1: bias length" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("drop, message", [
+        (lambda doc: doc.pop("mode"), "mode must be 'recipe' or 'explicit'"),
+        (lambda doc: doc["meta"].pop("builder_args"), "no meta.builder_args"),
+    ])
+    def test_infer_reports_missing_document_key_without_traceback(
+            self, tiny_config_file, tmp_path, drop, message):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out])
+        path = os.path.join(out, "network.json")
+        doc = json.loads(open(path).read())
+        drop(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run([sys.executable, "-m", "mlvamp", "infer", "--net", path,
+                               "--sample-seed", "5", "--out", out],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infer_requires_input(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "o")
         main(["generate", "--config", tiny_config_file, "--out", out])

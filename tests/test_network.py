@@ -41,6 +41,12 @@ def identity_chain(n=6, n_stages=3):
     return NetworkSpec(n0=n, stages=stages)
 
 
+def recipe_document():
+    """The committed recipe document of the paper network, seed 0."""
+    with open(os.path.join(DATA, "paper_recipe_seed0.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def two_stage_explicit_document():
     rng = np.random.default_rng(4)
     net = NetworkSpec(n0=4, stages=[
@@ -327,6 +333,38 @@ class TestSerialization:
         assert np.allclose(st.to_dense(), u[:, :2] @ np.diag(s) @ v[:2], atol=1e-14)
         doc["version"] = 3
         with pytest.raises(ConfigError):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("key, other", [
+        ("builder", "build_synthetic_network/v2"),
+        ("orthogonal_procedure", "haar_qr_sign/v2"),
+        ("builder", None),
+    ])
+    def test_recipe_of_another_procedure_is_not_rebuilt(self, key, other, monkeypatch):
+        doc = recipe_document()
+        if other is None:
+            del doc["meta"][key]
+        else:
+            doc["meta"][key] = other
+        monkeypatch.setattr(network, "build_synthetic_network", None)   # no rebuild
+        with pytest.raises(ConfigError, match=f"recipe made by {key} {other!r}"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("path", [("mode",), ("n0",), ("stages",),
+                                      ("meta", "builder_args")])
+    def test_recipe_missing_key_rejected(self, path):
+        doc = recipe_document()
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        del owner[path[-1]]
+        with pytest.raises(ConfigError, match=path[-1]):
+            network_from_json(doc)
+
+    def test_recipe_with_unknown_builder_arg_rejected(self):
+        doc = recipe_document()
+        doc["meta"]["builder_args"]["width"] = 3
+        with pytest.raises(ConfigError, match="builder_args: .*'width'"):
             network_from_json(doc)
 
     def test_recipe_mode_requires_builder(self):
