@@ -1,4 +1,4 @@
-"""Time the relu posterior kernel and the state evolution that integrates it.
+"""Time the relu posterior kernel, in the engine and in the state evolution.
 
     PYTHONPATH=src python scripts/bench_relu_kernel.py [--repeat R]
 
@@ -8,6 +8,13 @@ prints one JSON object of best-of-R times in seconds:
 - ``denoise_middle_both_ms`` / ``denoise_middle_one_ms``: one relu
   ``denoise_middle`` call on a (10, 500) batch, both sides and the side the
   engine's forward sweep uses (a checkout without ``side`` computes both);
+- ``engine_relu_ms_per_stage_iter``: the relu time of one stage in one
+  iteration of the paper preset's batched engine run (its 10 trials), on
+  that run's own inputs: the forward call (side "out") and the reverse call
+  (side "in") of the stage, sharing a ``NegativeBranch`` (a checkout without
+  one computes the z_in < 0 branch in both calls).  The calls are recorded
+  from one ``engine.run`` and replayed; ``engine_relu_stage_iters`` counts
+  the pairs;
 - ``run_se_s``: ``run_se`` on the paper preset (50 iterations, damping 0.85);
 - ``run_se_tensor_s``: the same recursion with every relu stage error taken
   from the 3-D tensor rule ``tests/oracles.relu_stage_error_tensor``
@@ -37,15 +44,40 @@ def best_of(fn, repeat):
     return min(times)
 
 
+def engine_relu_pairs(engine, net, ys, opts):
+    """The relu ``denoise_middle`` calls of one ``engine.run(net, ys, opts)``
+    as (forward, reverse) pairs of one stage in one iteration, each call a
+    (stage, args, side).  The precision columns are copied, because the
+    engine updates its precision arrays in place; the means are kept as the
+    very arrays the engine passed, as a shared branch keys on them."""
+    pairs, pending = [], {}
+    denoise = engine.denoise_middle
+
+    def record(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None, **kwargs):
+        call = (stage, (r_plus, r_minus, np.copy(gamma_plus), np.copy(gamma_minus)), side)
+        if side == "out":
+            pending[id(stage)] = call
+        else:
+            pairs.append((pending.pop(id(stage)), call))
+        return denoise(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=side, **kwargs)
+
+    engine.denoise_middle = record
+    try:
+        engine.run(net, ys, opts)
+    finally:
+        engine.denoise_middle = denoise
+    return pairs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
 
     import oracles
-    from mlvamp import state_evolution
-    from mlvamp.experiment import paper_config
-    from mlvamp.network import NonlinearStage, build_synthetic_network
+    from mlvamp import engine, scalar_denoiser, state_evolution
+    from mlvamp.experiment import paper_config, trial_seed
+    from mlvamp.network import NonlinearStage, build_synthetic_network, sample_trajectory
     from mlvamp.scalar_denoiser import denoise_middle
 
     rng = np.random.default_rng(1)
@@ -67,6 +99,20 @@ def main(argv=None):
     cfg = paper_config()
     net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
                                   cfg.n_meas, cfg.seed)
+    ys = np.array([sample_trajectory(net, trial_seed(cfg.seed, t)).z[-1]
+                   for t in range(cfg.n_trials)])
+    pairs = engine_relu_pairs(engine, net, ys, cfg.engine_options())
+    shared = getattr(scalar_denoiser, "NegativeBranch", None)
+
+    def replay():
+        for forward, reverse in pairs:
+            held = {} if shared is None else {"branch": shared()}
+            for stage, args, side in (forward, reverse):
+                denoise_middle(stage, *args, side=side, **held)
+
+    out["engine_relu_ms_per_stage_iter"] = 1e3 * best_of(replay, args.repeat) / len(pairs)
+    out["engine_relu_stage_iters"] = len(pairs)
+
     stats = state_evolution.stats_from_network(net)
     opts = cfg.engine_options()
     out["run_se_s"] = best_of(lambda: state_evolution.run_se(stats, cfg.n_iter, opts),

@@ -30,6 +30,7 @@ from .gauss import any_true
 from .linear_denoiser import StageTransforms, denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
     VAR_FLOOR,
+    NegativeBranch,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -168,9 +169,11 @@ def _avg(var):
     return np.mean(var, axis=-1, keepdims=var.ndim > 1)
 
 
-def _belief(net, y, state, transforms, ell, forward):
+def _belief(net, y, state, held, ell, forward):
     """Belief mean/variance of z_ell: from factor ell (the stage below it) in
-    the forward sweep, from factor ell+1 (the stage above) in the reverse."""
+    the forward sweep, from factor ell+1 (the stage above) in the reverse.
+    ``held[i]`` is what stage i's two calls share: a linear stage's
+    StageTransforms, a relu stage's NegativeBranch (None otherwise)."""
     if forward and ell == 0:
         return denoise_input(state.r_minus[0], state.gamma_minus[0])
     i = ell - 1 if forward else ell
@@ -178,7 +181,7 @@ def _belief(net, y, state, transforms, ell, forward):
     if i == net.n_layers - 1:   # the observed stage, reached in reverse only
         if stage.kind == "linear":
             res = denoise_linear_observed(stage, y, state.r_plus[i],
-                                          state.gamma_plus[i], transforms=transforms[i])
+                                          state.gamma_plus[i], transforms=held[i])
             return res.z_hat_minus, res.var_in_mean
         mean, var = denoise_output_nonlinear(stage, y, state.r_plus[i],
                                              state.gamma_plus[i])
@@ -187,10 +190,10 @@ def _belief(net, y, state, transforms, ell, forward):
             state.gamma_plus[i], state.gamma_minus[i + 1])
     if stage.kind == "linear":
         res = denoise_linear(stage, *args, side="plus" if forward else "minus",
-                             transforms=transforms[i])
+                             transforms=held[i])
         return ((res.z_hat_plus, res.var_out_mean) if forward
                 else (res.z_hat_minus, res.var_in_mean))
-    res = denoise_middle(stage, *args, side="out" if forward else "in")
+    res = denoise_middle(stage, *args, side="out" if forward else "in", branch=held[i])
     return ((res.mean_out, _avg(res.var_out)) if forward
             else (res.mean_in, _avg(res.var_in)))
 
@@ -210,9 +213,10 @@ def sweep(state, direction, denoise, opts):
     iterate from k = 1 on.  A non-finite updated message (gamma, or r when
     the means move) raises EngineError.  Every message update is bound to a
     fresh array and none is modified in place, which lets ``run`` key its
-    reused transforms on array identity.  Returns the half-iteration's
-    IterationRecord (without NMSE); for a batch its precisions keep the
-    state's (L, T, 1) shape and ``clamp_events`` is a (T, 1) column.
+    reused transforms and relu branches on array identity.  Returns the
+    half-iteration's IterationRecord (without NMSE); for a batch its
+    precisions keep the state's (L, T, 1) shape and ``clamp_events`` is a
+    (T, 1) column.
     """
     n = len(state.gamma_plus)
     if direction == "forward":
@@ -304,12 +308,13 @@ def run(net, y, options=None, truth=None):
         truth_z = truth.z if batch is None else [
             np.array([tr.z[ell] for tr in truth]) for ell in range(len(state.r_plus))]
     # both sweeps share these: sweep never modifies a message in place
-    transforms = [StageTransforms(st) if st.kind == "linear" else None
-                  for st in net.stages]
+    held = [StageTransforms(st) if st.kind == "linear"
+            else NegativeBranch() if st.activation == "relu" else None
+            for st in net.stages]
     records = []
     for _ in range(opts.max_iter):
         for forward, direction in ((True, "forward"), (False, "reverse")):
-            denoise = partial(_belief, net, y, state, transforms, forward=forward)
+            denoise = partial(_belief, net, y, state, held, forward=forward)
             rec = sweep(state, direction, denoise, opts)
             if truth is not None:   # (L,), or (T, L) for a batch
                 rec.nmse_db = np.array([nmse_db(tz, z)

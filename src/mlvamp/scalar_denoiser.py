@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ObservationError
-from .gauss import any_true, log_ndtr_mills
+from .gauss import any_true, exp_cut, log_ndtr_mills
 
 VAR_FLOOR = 1e-15
 # Below TAIL_X, _truncated_moments takes its factors from a continued fraction
@@ -100,7 +100,44 @@ def _truncated_moments(sd, var, x, mills, weight):
     return sd * offset, var * np.maximum(ratio, 0.0)
 
 
-def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
+def _negative_branch(r_plus, gamma_plus):
+    """The relu posterior's z_in < 0 branch, which reads r_plus and
+    gamma_plus alone: x_neg = r_plus / -sqrt(1/gamma_plus), whose branch mass
+    is Phi(x_neg), with (log Phi(x_neg), phi(x_neg) / Phi(x_neg))."""
+    x_neg = r_plus / -np.sqrt(1.0 / gamma_plus)
+    return (x_neg,) + log_ndtr_mills(x_neg)
+
+
+class NegativeBranch:
+    """One relu stage's z_in < 0 branch (see _negative_branch), kept while
+    r_plus stays the same array and gamma_plus the same values, so that a
+    stage's forward and reverse calls evaluate it once.  Like
+    linear_denoiser.StageTransforms it keys on the array's identity: callers
+    that share an instance must never modify r_plus in place."""
+
+    def __init__(self):
+        self._key = self._branch = None
+
+    def __call__(self, r_plus, gamma_plus):
+        key = self._key
+        if key is None or key[0] is not r_plus or not np.array_equal(key[1], gamma_plus):
+            self._key = (r_plus, np.copy(gamma_plus))
+            self._branch = _negative_branch(r_plus, gamma_plus)
+        return self._branch
+
+
+def _branch_weights(d):
+    """(w_pos, w_neg) = (1 / (1 + e^-d), 1 / (1 + e^d)), from one exponential
+    e^-|d| taken by exp_cut: a light weight below e^EXP_CUT is exactly 0 and
+    none is subnormal."""
+    e = exp_cut(-np.abs(d))
+    heavy = 1.0 / (1.0 + e)
+    light = e * heavy
+    return np.where(d >= 0, heavy, light), np.where(d >= 0, light, heavy)
+
+
+def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side,
+                    branch):
     """Closed-form posterior moments for the relu channel, with r_minus a
     pseudo-observation of z_out with precision gamma_minus.
 
@@ -109,8 +146,9 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
     d is the log ratio of the z_in > 0 branch mass to the z_in < 0 one.  Where
     gamma_minus = 0 (in some rows of a batch, or everywhere) r_minus carries
     nothing: m_t = r_plus, v_t = 1/gamma_plus and only the truncations
-    weigh the branches.  Returns (mean_in, var_in, mean_out, var_out) with
-    None for a side not asked for.
+    weigh the branches.  ``branch`` (a NegativeBranch) supplies the z_in < 0
+    branch; with None it is computed here.  Returns (mean_in, var_in,
+    mean_out, var_out) with None for a side not asked for.
     """
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
@@ -134,9 +172,8 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
     else:
         m_t, v_t, d_obs = r_plus, vp, 0.0
     s_t = np.sqrt(v_t)
-    sp = np.sqrt(vp)
-    x_neg, x_pos = r_plus / -sp, m_t / s_t   # the branch masses are Phi(x)
-    log_neg, mills_neg = log_ndtr_mills(x_neg)
+    x_neg, log_neg, mills_neg = (branch or _negative_branch)(r_plus, gamma_plus)
+    x_pos = m_t / s_t   # the z_in > 0 branch mass is Phi(x_pos)
     log_pos, mills_pos = log_ndtr_mills(x_pos)
     d = d_obs + log_pos - log_neg
     if np.isnan(d).any():   # both branch masses underflow
@@ -144,17 +181,12 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
             "posterior mass underflows to zero (inconsistent observation)",
             context={"r_plus": r_plus, "r_minus": r_minus},
         )
-    with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(d))
-    heavy = 1.0 / (1.0 + e)     # weight of the heavier branch
-    light = e * heavy
-    w_pos = np.where(d >= 0, heavy, light)
-    w_neg = np.where(d >= 0, light, heavy)
+    w_pos, w_neg = _branch_weights(d)
     m_pos, v_pos = _truncated_moments(s_t, v_t, x_pos, mills_pos, w_pos)
 
     mean_in = var_in = mean_out = var_out = None
     if side != "out":
-        m_neg, v_neg = _truncated_moments(-sp, vp, x_neg, mills_neg, w_neg)
+        m_neg, v_neg = _truncated_moments(-np.sqrt(vp), vp, x_neg, mills_neg, w_neg)
         mean_in = w_neg * m_neg + w_pos * m_pos
         var_in = _floor(w_neg * v_neg + w_pos * v_pos
                         + w_neg * w_pos * (m_neg - m_pos) ** 2)
@@ -186,7 +218,8 @@ def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, sid
     return mean_in, _floor(var_in), mean_out, var_out
 
 
-def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
+def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None,
+                   branch=None):
     """Posterior moments of (z_in, z_out) under the belief of a middle
     nonlinear stage.
 
@@ -194,7 +227,9 @@ def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
     (iteration-0 initialization).  ``side="in"`` computes only the z_in
     moments and ``side="out"`` only the z_out ones (the other fields are
     None); the default computes both.  A side's values do not depend on
-    whether the other side was computed.
+    whether the other side was computed.  A relu stage's calls that share a
+    NegativeBranch as ``branch`` evaluate its z_in < 0 branch once per r_plus,
+    with the same results.
     """
     if side not in (None, "in", "out"):
         raise ValueError(f"side must be 'in', 'out' or None, not {side!r}")
@@ -202,9 +237,11 @@ def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None):
         raise ValueError("gamma_plus must be positive and finite")
     if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
-    posterior = _relu_posterior if stage.activation == "relu" else _identity_posterior
-    mi, vi, mo, vo = posterior(r_plus, r_minus, gamma_plus, gamma_minus,
-                               stage.noise_var, side)
+    args = (r_plus, r_minus, gamma_plus, gamma_minus, stage.noise_var, side)
+    if stage.activation == "relu":
+        mi, vi, mo, vo = _relu_posterior(*args, branch)
+    else:
+        mi, vi, mo, vo = _identity_posterior(*args)
     return DenoiseResult(mi, mo, vi, vo)
 
 

@@ -186,21 +186,49 @@ def gaussian_chain_posterior(net, y):
     return means, avg_vars
 
 
+class DenseLinearStage:
+    """A linear stage kept as its dense W, for the dense oracles alone.
+
+    It has what gaussian_chain_posterior, stats_from_network and
+    sample_trajectory read of a LinearStage: ``to_dense()`` is W itself, s
+    comes from ``np.linalg.svd(W, compute_uv=False)`` (no rank cut) and
+    ``sample_output`` draws its noise as LinearStage does.  It has no
+    factors, so the engine cannot run on it."""
+
+    kind = "linear"
+
+    def __init__(self, W, b, nu):
+        self.W, self.b, self.nu = W, b, nu
+        self.s = np.linalg.svd(W, compute_uv=False)
+        self.n_out, self.n_in = W.shape
+
+    def to_dense(self):
+        return self.W
+
+    def sample_output(self, z, rng):
+        out = self.W @ z + self.b
+        if np.isfinite(self.nu):
+            out = out + rng.normal(0.0, 1.0 / math.sqrt(self.nu), self.n_out)
+        return out
+
+
 def make_gaussian_chain(n, seed, n_pairs=1, nu_lin=30.0, id_noise=0.05, nu_meas=25.0,
-                        n_meas=None):
+                        n_meas=None, dense=False):
     """Random alternating (linear, identity+noise) chain ending in a noisy
-    linear measurement; fully Gaussian, so the dense oracle applies."""
+    linear measurement; fully Gaussian, so the dense oracle applies.  With
+    ``dense`` the same W are kept as DenseLinearStage, unfactored."""
     rng = np.random.default_rng(seed)
+    linear = DenseLinearStage if dense else svd_decompose_stage
     stages = []
     d = n
     for _ in range(n_pairs):
         W = rng.normal(0, 1 / np.sqrt(d), (n, d))
-        stages.append(svd_decompose_stage(W, rng.normal(0, 0.3, n), nu=nu_lin))
+        stages.append(linear(W, rng.normal(0, 0.3, n), nu=nu_lin))
         stages.append(NonlinearStage("identity", id_noise, n))
         d = n
     m = n_meas or n
     W = rng.normal(0, 1 / np.sqrt(n), (m, n))
-    stages.append(svd_decompose_stage(W, np.zeros(m), nu=nu_meas))
+    stages.append(linear(W, np.zeros(m), nu=nu_meas))
     return NetworkSpec(n0=n, stages=stages)
 
 

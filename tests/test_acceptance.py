@@ -189,7 +189,7 @@ class TestCriterion5GaussianChain:
         dense = {}
         se_pred = None
         for N in sizes:
-            net = oracles.make_gaussian_chain(N, seed=11, n_pairs=1)
+            net = oracles.make_gaussian_chain(N, seed=11, n_pairs=1, dense=True)
             se = run_se(stats_from_network(net), 40)
             traj = sample_trajectory(net, 1)
             _, avg_vars = oracles.gaussian_chain_posterior(net, traj.z[-1])

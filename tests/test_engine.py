@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mlvamp import scalar_denoiser
 from mlvamp.engine import (
     EngineOptions,
     extrinsic_mean,
@@ -268,7 +269,8 @@ def _shape_mix_network():
 
 def _run_recomputing(net, y, opts, truth):
     """``run`` driven from here: every linear denoise transforms its inputs
-    afresh and returns both sides, so nothing is reused between calls."""
+    afresh, every relu denoise computes its z_in < 0 branch afresh, and both
+    return both sides, so nothing is reused between calls."""
     state = init_state(net)
 
     def middle(stage, ell_in, forward):
@@ -362,6 +364,27 @@ class TestTransformReuse:
         run(net, np.array([y, y, y]), EngineOptions(max_iter=n_iter, damping=0.85))
         assert [c[0] for c in counters] == [4 * n_iter + 1, 4 * n_iter + 1,
                                             2 * n_iter + 1]
+
+    def test_relu_negative_branch_once_per_iteration(self, monkeypatch):
+        # a relu stage's forward call computes its z_in < 0 branch and the
+        # reverse call of the same iteration reuses it
+        net = _shape_mix_network()
+        y = sample_trajectory(net, 4).z[-1]
+        evaluated = []
+        branch = scalar_denoiser._negative_branch
+
+        def counting(r_plus, gamma_plus):
+            evaluated.append(r_plus.shape)
+            return branch(r_plus, gamma_plus)
+
+        monkeypatch.setattr(scalar_denoiser, "_negative_branch", counting)
+        n_iter = 5
+        n_relu = sum(st.kind == "nonlinear" for st in net.stages)
+        for ys in (y, np.array([y, y, y])):
+            evaluated.clear()
+            run(net, ys, EngineOptions(max_iter=n_iter, damping=0.85))
+            assert len(evaluated) == n_relu * n_iter == 10
+            assert all(shape[:-1] == ys.shape[:-1] for shape in evaluated)
 
 
 class TestInitState:

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from mlvamp import scalar_denoiser
 from mlvamp.errors import ObservationError
+from mlvamp.gauss import EXP_CUT
 from mlvamp.network import NonlinearStage
 from mlvamp.scalar_denoiser import (
     VAR_FLOOR,
+    NegativeBranch,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -448,3 +451,94 @@ class TestSides:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             denoise_middle(RELU, 0.0, 0.0, 1.0, 1.0, side="plus")
+
+
+FIELDS = ("mean_in", "mean_out", "var_in", "var_out")
+
+
+def assert_same_result(a, b):
+    for field in FIELDS:
+        got, want = getattr(a, field), getattr(b, field)
+        assert (got is None and want is None) or np.array_equal(got, want), field
+
+
+# rows with and without an output message (gamma- = 0 in rows 0 and 2)
+MIXED_ROWS = (np.random.default_rng(9).normal(0, 2, (3, 30)),
+              np.random.default_rng(10).normal(0, 2, (3, 30)),
+              np.array([[1.0], [3.0], [0.5]]), np.array([[0.0], [2.0], [0.0]]))
+
+
+class TestNegativeBranch:
+    """Relu calls that share a NegativeBranch return bit for bit what calls
+    that compute the z_in < 0 branch afresh return."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batches(), hs.sampled_from([0.0, 0.3]))
+    @example(MIXED_ROWS, 0.0)
+    @example(MIXED_ROWS[:2] + (MIXED_ROWS[2], np.zeros((3, 1))), 0.3)
+    def test_held_branch_bit_identical(self, case, noise_var):
+        rp, rm, gp, gm = case   # gamma- = 0 in any row, so mixed rows too
+        ch = NonlinearStage("relu", noise_var, 1)
+        for args in ((rp, rm, gp, gm), (rp[0], rm[0], gp[0, 0], gm[0, 0])):
+            try:
+                fresh = {side: denoise_middle(ch, *args, side=side)
+                         for side in ("out", "in", None)}
+            except ObservationError:
+                continue
+            branch = NegativeBranch()
+            held = branch(args[0], args[2])
+            for side in ("out", "in", None):   # the engine's order, then both sides
+                assert_same_result(denoise_middle(ch, *args, side=side, branch=branch),
+                                   fresh[side])
+            assert branch(args[0], args[2]) is held   # reused, not recomputed
+
+    def test_new_r_plus_or_changed_gamma_plus_recomputes(self, monkeypatch):
+        evaluated = []
+        compute = scalar_denoiser._negative_branch
+
+        def counting(r_plus, gamma_plus):
+            evaluated.append(1)
+            return compute(r_plus, gamma_plus)
+
+        monkeypatch.setattr(scalar_denoiser, "_negative_branch", counting)
+        rng = np.random.default_rng(7)
+        rp, rm = rng.normal(0, 2, (3, 40)), rng.normal(0, 2, (3, 40))
+        gp, gm = np.array([[1.0], [3.0], [0.5]]), np.array([[2.0], [0.0], [5.0]])
+        for r_plus, r_minus, g_plus, g_minus in ((rp, rm, gp, gm),
+                                                 (rp[1], rm[1], gp[1, 0], gm[1, 0])):
+            branch = NegativeBranch()
+
+            def held(r, g, side="in"):
+                """The held call's result, checked against a fresh one, and
+                whether it evaluated the branch."""
+                evaluated.clear()
+                got = denoise_middle(RELU, r, r_minus, g, g_minus, side=side, branch=branch)
+                computed = len(evaluated)
+                assert_same_result(got, denoise_middle(RELU, r, r_minus, g, g_minus,
+                                                       side=side))
+                return computed
+
+            assert held(r_plus, g_plus, side="out") == 1
+            # equal values in another array are the same key
+            assert held(r_plus, np.copy(g_plus)) == 0
+            # the same r+ array with a changed gamma+ column, as the engine's
+            # in-place precision update would leave it
+            if np.ndim(g_plus):
+                g_plus[1, 0] *= 2.0
+            else:
+                g_plus *= 2.0
+            assert held(r_plus, g_plus) == 1
+            # another r+ array under the same gamma+
+            assert held(r_plus + 0.5, g_plus) == 1
+
+    def test_branch_weights_exact_and_never_subnormal(self):
+        d = np.concatenate([np.linspace(-800.0, 800.0, 160001), [-1e300, 1e300]])
+        w_pos, w_neg = scalar_denoiser._branch_weights(d)
+        for w, logit in ((w_pos, d), (w_neg, -d)):
+            assert not np.any((w != 0) & (w < np.finfo(float).tiny))
+            # 1 / (1 + e^-logit), exactly 0 below the cut
+            with np.errstate(over="ignore"):
+                want = 1.0 / (1.0 + np.exp(-logit))
+            kept = logit >= EXP_CUT
+            assert np.all(w[~kept] == 0.0)
+            assert np.max(np.abs(w[kept] / want[kept] - 1.0)) <= 4 * np.finfo(float).eps
