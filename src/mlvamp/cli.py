@@ -51,24 +51,24 @@ def _parse_n_meas(text):
 
 
 def load_config(args, sweep=False):
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_dict(json.load(fh))
     else:
         cfg = ExperimentConfig()
     if sweep and (args.config is None and args.n_meas is None):
         cfg.n_meas = list(PAPER_SWEEP_N_MEAS)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         cfg.n_trials = args.trials
-    if getattr(args, "iters", None) is not None:
+    if args.iters is not None:
         cfg.n_iter = args.iters
-    if getattr(args, "n_meas", None):
+    if args.n_meas:
         cfg.n_meas = _parse_n_meas(args.n_meas)
-    if getattr(args, "methods", None):
+    if args.methods:
         cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if getattr(args, "no_runtime", False):
+    if args.no_runtime:
         cfg.include_runtime = False
     cfg.validate()
     return cfg
@@ -79,15 +79,9 @@ def _outdir(args):
     return args.out
 
 
-def _net_from_args(args):
-    if getattr(args, "net", None):
-        return load_network(args.net)
-    return config_network(load_config(args))
-
-
 def cmd_generate(args):
     out = _outdir(args)
-    net = _net_from_args(args)
+    net = config_network(load_config(args))
     path = os.path.join(out, "network.json")
     save_network(net, path, mode="explicit" if args.explicit else "auto")
     print(path)
@@ -122,7 +116,7 @@ def cmd_infer(args):
     rows = record_rows(records, se, trial=0)
     write_rows_csv(rows, os.path.join(out, "infer.csv"))
     # last forward-sweep estimate of the input layer (the default series)
-    z0_hat = records[-2].z_hat[0] if len(records) >= 2 else records[-1].z_hat[0]
+    z0_hat = records[-2].z_hat[0]
     np.save(os.path.join(out, "z0_hat.npy"), z0_hat)
     print(os.path.join(out, "infer.csv"))
     return 0
@@ -130,8 +124,8 @@ def cmd_infer(args):
 
 def cmd_se(args):
     out = _outdir(args)
-    net = _net_from_args(args)
     cfg = load_config(args)
+    net = load_network(args.net) if args.net else config_network(cfg)
     se = run_se(stats_from_network(net), cfg.n_iter, cfg.engine_options())
     write_rows_csv(se_to_rows(se), os.path.join(out, "se.csv"))
     with open(os.path.join(out, "se.json"), "w", encoding="utf-8") as fh:
@@ -179,7 +173,6 @@ def build_parser():
 
     g = sub.add_parser("generate", help="emit a network JSON document")
     _add_config_args(g)
-    g.add_argument("--net", help=argparse.SUPPRESS)
     g.add_argument("--explicit", action="store_true",
                    help="store orthogonal factors explicitly")
     g.set_defaults(func=cmd_generate)

@@ -17,8 +17,8 @@ state evolution drives it with scalar error functions and no means.
 
 ``run`` also takes T observations at once, the matrix-valued form of the
 iteration: every message is then a (T, N) array with a (T, 1) column of
-per-trial precisions, and the precision algebra, its clamps and the
-first-pass route apply to each trial separately.
+per-trial precisions, and the precision algebra and its clamps apply to
+each trial separately.  All trials leave gamma = 0 in the same first pass.
 """
 from dataclasses import dataclass, replace
 from functools import partial
@@ -37,32 +37,34 @@ from .scalar_denoiser import (
 )
 
 
+# The precision clamps: every updated gamma lies in [GAMMA_MIN, GAMMA_MAX]
+# and every alpha in [ALPHA_MIN, 1 - ALPHA_MIN].
+GAMMA_MIN = 1e-8
+GAMMA_MAX = 1e11
+ALPHA_MIN = 1e-6
+
+
 @dataclass
 class EngineOptions:
     max_iter: int = 50
-    gamma_min: float = 1e-8
-    gamma_max: float = 1e11
-    alpha_min: float = 1e-6
     damping: float = 1.0          # 1 = off; <1 blends with the previous iterate
     store_estimates: bool = True
 
 
-def precision_update(alpha, gamma_opposite, gamma_min=EngineOptions.gamma_min,
-                     gamma_max=EngineOptions.gamma_max,
-                     alpha_min=EngineOptions.alpha_min):
+def precision_update(alpha, gamma_opposite):
     """eta = gamma_opp / alpha and gamma_new = eta - gamma_opp, with clamps.
 
-    alpha is clamped into [alpha_min, 1 - alpha_min] and gamma_new into
-    [gamma_min, gamma_max]; eta is recomputed after clamping so that
+    alpha is clamped into [ALPHA_MIN, 1 - ALPHA_MIN] and gamma_new into
+    [GAMMA_MIN, GAMMA_MAX]; eta is recomputed after clamping so that
     eta = gamma_new + gamma_opp holds exactly.  Scalars or per-trial arrays;
     returns (eta, gamma_new, clamped), ``clamped`` per element.
     """
     if any_true(~np.isfinite(alpha)):
         raise MlvampError(f"non-finite alpha {alpha!r} in precision update")
-    a = _clip(alpha, alpha_min, 1.0 - alpha_min)
+    a = _clip(alpha, ALPHA_MIN, 1.0 - ALPHA_MIN)
     eta = gamma_opposite / a
     g = eta - gamma_opposite
-    g_cl = _clip(g, gamma_min, gamma_max)
+    g_cl = _clip(g, GAMMA_MIN, GAMMA_MAX)
     return g_cl + gamma_opposite, g_cl, (a != alpha) | (g_cl != g)
 
 
@@ -77,29 +79,21 @@ def extrinsic_mean(eta, z_hat, gamma_opposite, r_opposite, gamma_new):
     return (eta * z_hat - gamma_opposite * r_opposite) / gamma_new
 
 
-def posterior_to_message(var_mean, gamma_opposite, opts):
+def posterior_to_message(var_mean, gamma_opposite):
     """Turn an average posterior variance into (eta, alpha, gamma_new, clamped).
 
     gamma_opposite = 0 (iteration-0 initialization) takes the direct
     eta = 1/var route with alpha = 0; that path is not counted as a clamp.
-    Per-trial arrays choose the route per element.
+    A per-trial column is all zero (the first pass) or all positive, since
+    every update leaves gamma >= GAMMA_MIN > 0, so the route is chosen once
+    per call.
     """
     v = np.maximum(var_mean, VAR_FLOOR)
-    first = gamma_opposite <= 0
-    if any_true(first):
-        g_first = _clip(1.0 / v, opts.gamma_min, opts.gamma_max)
-        if not any_true(gamma_opposite > 0):
-            return g_first, 0.0, g_first, False
-    eta, g, clamped = precision_update(
-        gamma_opposite * v, gamma_opposite,
-        gamma_min=opts.gamma_min, gamma_max=opts.gamma_max,
-        alpha_min=opts.alpha_min)
-    alpha = gamma_opposite / eta
-    if any_true(first):   # a batch with trials on both routes
-        eta, g = np.where(first, g_first, eta), np.where(first, g_first, g)
-        alpha = np.where(first, 0.0, alpha)
-        clamped = clamped & ~first
-    return eta, alpha, g, clamped
+    if not any_true(gamma_opposite > 0):
+        g = _clip(1.0 / v, GAMMA_MIN, GAMMA_MAX)
+        return g, 0.0, g, False
+    eta, g, clamped = precision_update(gamma_opposite * v, gamma_opposite)
+    return eta, gamma_opposite / eta, g, clamped
 
 
 @dataclass
@@ -239,7 +233,7 @@ def sweep(state, direction, denoise, opts):
             raise EngineError(
                 f"denoiser failed at layer {ell} ({direction}, k={state.k}): {exc}",
                 state_dump=_dump(state, ell, direction)) from exc
-        eta, alpha, g_new, clamped = posterior_to_message(vbar, g_opp[ell], opts)
+        eta, alpha, g_new, clamped = posterior_to_message(vbar, g_opp[ell])
         if z_hat is not None:
             r_new = extrinsic_mean(eta, z_hat, g_opp[ell], r_opp[ell], g_new)
             r_own[ell] = damp * r_new + (1 - damp) * r_own[ell] if blend else r_new

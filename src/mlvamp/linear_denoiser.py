@@ -40,22 +40,22 @@ from .gauss import any_true
 
 def component_variances(s, gamma_plus, gamma_minus, nu):
     """Posterior variances (var_in, var_out) of the 2x2 belief per component
-    for singular values s: the diagonal of P^{-1}.
+    for singular values s (an array, or a plain number): the diagonal of
+    P^{-1}.
 
     gamma_minus = 0 is permitted (uninformative output message); the formulas
     stay regular because det = nu * gamma_plus > 0.
     """
-    s = np.asarray(s, dtype=float)
-    if np.isinf(nu):
+    if math.isinf(nu):
         denom = gamma_plus + gamma_minus * s * s
-        if np.any(denom <= 0):
+        if any_true(denom <= 0):
             raise MlvampError("singular constrained solve: both precisions vanish")
         var_in = 1.0 / denom
         return var_in, s * s * var_in
     a22 = gamma_minus + nu
     # a11 a22 - (nu s)^2 without its cancellation when nu s^2 >> gamma_plus
     det = gamma_plus * a22 + nu * s * s * gamma_minus
-    if np.any(det <= 0):
+    if any_true(det <= 0):
         raise MlvampError("singular 2x2 belief precision (zero precisions?)")
     return a22 / det, (gamma_plus + nu * s * s) / det
 
@@ -96,20 +96,6 @@ class StageTransforms:
         return self._get("out", r_minus, lambda r: r @ self.stage.v_out)
 
 
-def _rest_variances(gamma_plus, gamma_minus, nu):
-    """``component_variances`` at s = 0, where every s term vanishes: the
-    same values from plain arithmetic."""
-    if math.isinf(nu):
-        det, rest = gamma_plus, (1.0 / gamma_plus, 0.0)
-    else:
-        a22 = gamma_minus + nu
-        det = gamma_plus * a22
-        rest = a22 / det, gamma_plus / det
-    if any_true(det <= 0):
-        raise MlvampError("singular belief precision in the s = 0 components")
-    return rest
-
-
 def _mean_with_rest(v, n, v_rest):
     """Mean over n components of v followed by n - len(v) copies of v_rest,
     per row of a batch."""
@@ -120,10 +106,10 @@ def _mean_with_rest(v, n, v_rest):
 def mean_variances(stage, gamma_plus, gamma_minus, nu, variances=None):
     """Mean posterior variances (over N_in, over N_out) at noise precision
     ``nu``: ``variances`` (``component_variances`` of stage.s unless given)
-    over the singular directions and the s = 0 closed form past them."""
+    over the singular directions and their s = 0 values past them."""
     if variances is None:
         variances = component_variances(stage.s, gamma_plus, gamma_minus, nu)
-    rest_in, rest_out = _rest_variances(gamma_plus, gamma_minus, nu)
+    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, nu)
     return (_mean_with_rest(variances[0], stage.n_in, rest_in),
             _mean_with_rest(variances[1], stage.n_out, rest_out))
 

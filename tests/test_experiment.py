@@ -196,7 +196,7 @@ class TestIterationExperiment:
     @pytest.mark.parametrize("key", ["gamma_min", "gamma_max", "alpha_min",
                                      "store_estimates"])
     def test_engine_only_key_rejected(self, key):
-        # the clamps and estimate storage are EngineOptions settings only
+        # the clamps are engine constants, estimate storage an EngineOptions setting
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({key: 1})
 

@@ -276,14 +276,23 @@ PRECISIONS = hs.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)
 
 @hs.composite
 def batches(draw):
-    """(T, N) messages r+ and r- with a (T, 1) precision column each; any
-    row may have gamma- = 0 (no output message)."""
+    """(T, N) messages r+ and r- with a (T, 1) precision column each; the
+    gamma- column may be 0 in every row (no output message yet), as the
+    engine's first pass has it."""
     t, n = draw(hs.integers(1, 4)), draw(hs.integers(1, 6))
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     gp = np.array([[draw(PRECISIONS)] for _ in range(t)])
-    gm = np.array([[draw(hs.one_of(hs.just(0.0), PRECISIONS))] for _ in range(t)])
+    gm = (np.zeros((t, 1)) if draw(hs.booleans())
+          else np.array([[draw(PRECISIONS)] for _ in range(t)]))
     scale = draw(PRECISIONS) ** 0.25
     return scale * rng.normal(size=(t, n)), scale * rng.normal(size=(t, n)), gp, gm
+
+
+# three rows with an output message each; ZERO_ROWS drops it in every row
+ROWS = (np.random.default_rng(9).normal(0, 2, (3, 30)),
+        np.random.default_rng(10).normal(0, 2, (3, 30)),
+        np.array([[1.0], [3.0], [0.5]]), np.array([[0.7], [2.0], [4.0]]))
+ZERO_ROWS = ROWS[:3] + (np.zeros((3, 1)),)
 
 
 class TestBatchedRows:
@@ -293,6 +302,8 @@ class TestBatchedRows:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(batches(), hs.sampled_from(["relu", "identity"]),
            hs.sampled_from([0.0, 0.3]))
+    @example(ZERO_ROWS, "relu", 0.0)
+    @example(ZERO_ROWS, "identity", 0.3)
     def test_middle_rows_bit_identical(self, case, activation, noise_var):
         rp, rm, gp, gm = case
         ch = NonlinearStage(activation, noise_var, 1)
@@ -410,7 +421,7 @@ class TestSides:
     @given(batches(), hs.sampled_from(["relu", "identity"]),
            hs.sampled_from([0.0, 0.3]))
     def test_one_side_bit_identical(self, case, activation, noise_var):
-        rp, rm, gp, gm = case   # gamma- = 0 in any row, so mixed drop rows too
+        rp, rm, gp, gm = case   # gamma- = 0 in every row or in none
         ch = NonlinearStage(activation, noise_var, 1)
         try:
             both = denoise_middle(ch, rp, rm, gp, gm)
@@ -425,15 +436,23 @@ class TestSides:
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.3])
     def test_one_side_at_gamma_minus_zero_and_mixed_rows(self, noise_var):
+        # gamma- = 0 as a scalar and as a column; a column that mixes 0 and
+        # positive rows is rejected, by either channel on either side
         rng = np.random.default_rng(3)
         rp, rm = rng.normal(0, 2, (3, 50)), rng.normal(0, 2, (3, 50))
         ch, gp = NonlinearStage("relu", noise_var, 1), np.array([[1.0], [3.0], [0.5]])
-        for gm in (0.0, np.array([[0.0], [2.0], [0.0]])):
+        for gm in (0.0, np.zeros((3, 1))):
             both = denoise_middle(ch, rp, rm, gp, gm)
             for side in ("in", "out"):
                 one = denoise_middle(ch, rp, rm, gp, gm, side=side)
                 for field in (f"mean_{side}", f"var_{side}"):
                     assert np.array_equal(getattr(one, field), getattr(both, field))
+        mixed = np.array([[0.0], [2.0], [0.0]])
+        for activation in ("relu", "identity"):
+            for side in (None, "in", "out"):
+                with pytest.raises(ValueError, match="0 in every row or in none"):
+                    denoise_middle(NonlinearStage(activation, noise_var, 1),
+                                   rp, rm, gp, mixed, side=side)
 
     def test_column_r_plus_matches_broadcast_grid(self):
         # the SE passes R+ as an (n, 1) column against an (n, k) R- grid
@@ -462,22 +481,16 @@ def assert_same_result(a, b):
         assert (got is None and want is None) or np.array_equal(got, want), field
 
 
-# rows with and without an output message (gamma- = 0 in rows 0 and 2)
-MIXED_ROWS = (np.random.default_rng(9).normal(0, 2, (3, 30)),
-              np.random.default_rng(10).normal(0, 2, (3, 30)),
-              np.array([[1.0], [3.0], [0.5]]), np.array([[0.0], [2.0], [0.0]]))
-
-
 class TestNegativeBranch:
     """Relu calls that share a NegativeBranch return bit for bit what calls
     that compute the z_in < 0 branch afresh return."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(batches(), hs.sampled_from([0.0, 0.3]))
-    @example(MIXED_ROWS, 0.0)
-    @example(MIXED_ROWS[:2] + (MIXED_ROWS[2], np.zeros((3, 1))), 0.3)
+    @example(ROWS, 0.0)
+    @example(ZERO_ROWS, 0.3)
     def test_held_branch_bit_identical(self, case, noise_var):
-        rp, rm, gp, gm = case   # gamma- = 0 in any row, so mixed rows too
+        rp, rm, gp, gm = case   # gamma- = 0 in every row or in none
         ch = NonlinearStage("relu", noise_var, 1)
         for args in ((rp, rm, gp, gm), (rp[0], rm[0], gp[0, 0], gm[0, 0])):
             try:
@@ -503,9 +516,9 @@ class TestNegativeBranch:
         monkeypatch.setattr(scalar_denoiser, "_negative_branch", counting)
         rng = np.random.default_rng(7)
         rp, rm = rng.normal(0, 2, (3, 40)), rng.normal(0, 2, (3, 40))
-        gp, gm = np.array([[1.0], [3.0], [0.5]]), np.array([[2.0], [0.0], [5.0]])
+        gp, gm = np.array([[1.0], [3.0], [0.5]]), np.array([[2.0], [0.4], [5.0]])
         for r_plus, r_minus, g_plus, g_minus in ((rp, rm, gp, gm),
-                                                 (rp[1], rm[1], gp[1, 0], gm[1, 0])):
+                                                 (rp[1], rm[1], gp[1, 0], 0.0)):
             branch = NegativeBranch()
 
             def held(r, g, side="in"):
