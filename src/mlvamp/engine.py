@@ -86,12 +86,14 @@ def posterior_to_message(var_mean, gamma_opposite):
     eta = 1/var route with alpha = 0; that path is not counted as a clamp.
     A per-trial column is all zero (the first pass) or all positive, since
     every update leaves gamma >= GAMMA_MIN > 0, so the route is chosen once
-    per call.
+    per call; a column that mixes the two raises ValueError.
     """
     v = np.maximum(var_mean, VAR_FLOOR)
     if not any_true(gamma_opposite > 0):
         g = _clip(1.0 / v, GAMMA_MIN, GAMMA_MAX)
         return g, 0.0, g, False
+    if any_true(gamma_opposite == 0):
+        raise ValueError("gamma_opposite must be 0 in every row or in none")
     eta, g, clamped = precision_update(gamma_opposite * v, gamma_opposite)
     return eta, gamma_opposite / eta, g, clamped
 

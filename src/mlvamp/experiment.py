@@ -72,6 +72,15 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         if not 0 < self.damping <= 1:
             raise ConfigError(f"damping must lie in (0, 1], not {self.damping!r}")
+        for key in ("map_steps", "sgld_steps", "sgld_burn_in"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, not {getattr(self, key)!r}")
+        if self.sgld_burn_in >= self.sgld_steps:
+            raise ConfigError(f"sgld_burn_in must be smaller than sgld_steps "
+                              f"({self.sgld_burn_in!r} >= {self.sgld_steps!r})")
+        for key in ("map_step_size", "sgld_lambda"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, not {getattr(self, key)!r}")
 
     def engine_options(self):
         """The engine's options for this config; no experiment reads an

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from mlvamp.baselines import (
     HamiltonianContext,
+    _forward,
     grad_hamiltonian,
     hamiltonian,
     map_estimate,
@@ -131,37 +132,79 @@ def _rel(a, b):
 
 
 class TestDenseGradient:
-    """The gradient applies each linear stage through its dense W; the
-    thin-factor chain in tests/oracles.py gives the same values."""
+    """The gradient applies each linear stage through its dense Wᵀ, or
+    through the rows of its active inputs after a relu under half density;
+    the thin-factor chain in tests/oracles.py gives the same values."""
 
     def _check(self, ctx, points):
         for z in points:
             g, loss, x_meas = grad_hamiltonian(ctx, z)
             g_ref, loss_ref, x_ref = oracles.thin_factor_gradient(ctx, z)
             assert _rel(g, g_ref) <= 1e-12
-            assert _rel(x_meas, x_ref) <= 1e-12
+            # not _rel: x_ref is all zero when no relu unit is active
+            assert np.max(np.abs(x_meas - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
             assert abs(loss - loss_ref) <= 1e-12 * loss_ref
             assert hamiltonian(ctx, z) == loss
 
     def test_paper_preset(self):
-        cfg = paper_config()
-        net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
-                                      cfg.n_meas, cfg.seed)
-        traj = sample_trajectory(net, 1)
-        ctx = HamiltonianContext(net, traj.z[-1])
-        rng = np.random.default_rng(2)
-        self._check(ctx, [traj.z[0], np.zeros(net.n0), rng.standard_normal(net.n0)])
+        # rho = 0.4 gathers after every relu at these points; rho = 0.8 never
+        for rho in (0.4, 0.8):
+            cfg = paper_config(rho=rho)
+            net = build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
+                                          cfg.n_meas, cfg.seed)
+            traj = sample_trajectory(net, 1)
+            ctx = HamiltonianContext(net, traj.z[-1])
+            rng = np.random.default_rng(2)
+            self._check(ctx, [traj.z[0], np.zeros(net.n0), rng.standard_normal(net.n0)])
 
-    def test_rank_deficient_explicit_stage(self):
-        # 10 -> linear of rank 3 -> relu -> 8 x 8 measurement
+    @staticmethod
+    def _explicit_chain(rank, bias_shift=0.0):
+        # 10 -> linear of the given rank -> relu -> 8 x 8 measurement; the
+        # bias shift sets how many relu units are active
         rng = np.random.default_rng(0)
-        low = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 10))
-        hidden = svd_decompose_stage(low, rng.normal(0.0, 0.5, 8), math.inf)
-        assert len(hidden.s) == 3
+        low = rng.normal(size=(8, rank)) @ rng.normal(size=(rank, 10))
+        hidden = svd_decompose_stage(low, rng.normal(0.0, 0.5, 8) + bias_shift,
+                                     math.inf)
+        assert len(hidden.s) == rank
         meas = svd_decompose_stage(rng.normal(size=(8, 8)), np.zeros(8), 20.0)
         net = NetworkSpec(n0=10, stages=[hidden, NonlinearStage("relu", 0.0, 8), meas])
-        ctx = HamiltonianContext(net, sample_trajectory(net, 0).z[-1])
+        return HamiltonianContext(net, sample_trajectory(net, 0).z[-1]), rng
+
+    def test_rank_deficient_explicit_stage(self):
+        ctx, rng = self._explicit_chain(3)
         self._check(ctx, [rng.standard_normal(10) for _ in range(3)])
+
+    @pytest.mark.parametrize("bias_shift, active", [(-1e3, 0), (1e3, 8)])
+    def test_relu_layer_with_no_or_every_unit_active(self, bias_shift, active):
+        # no active unit gathers an empty block; every unit takes the dense route
+        ctx, rng = self._explicit_chain(8, bias_shift)
+        points = [rng.standard_normal(10) for _ in range(3)]
+        for z in points:
+            xs, blocks = _forward(ctx, z)
+            assert np.count_nonzero(xs[2]) == active
+            assert (blocks[2] is None) == (active == 8)
+        self._check(ctx, points)
+
+    def test_infinite_input_gives_non_finite_loss(self):
+        net = small_relu_net()
+        ctx = HamiltonianContext(net, sample_trajectory(net, 0).z[-1])
+        z = np.zeros(6)
+        z[2] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(grad_hamiltonian(ctx, z)[1])
+
+    def test_nan_stays_in_the_gathered_rows(self):
+        # relu(z0) = (nan, 0, 0, 0, 0) is gathered by the 5 -> 4 stage; the
+        # NaN reaches every output, as in the dense product
+        rng = np.random.default_rng(1)
+        hidden = svd_decompose_stage(rng.normal(size=(4, 5)), np.zeros(4), math.inf)
+        meas = svd_decompose_stage(rng.normal(size=(3, 4)), np.zeros(3), 20.0)
+        net = NetworkSpec(n0=5, stages=[NonlinearStage("relu", 0.0, 5), hidden,
+                                        NonlinearStage("relu", 0.0, 4), meas])
+        ctx = HamiltonianContext(net, np.zeros(3))
+        z = np.array([np.nan, -1.0, -1.0, -1.0, -1.0])
+        assert _forward(ctx, z)[1][1] is not None
+        assert np.isnan(grad_hamiltonian(ctx, z)[2]).all()
 
 
 class TestMapEstimate:
@@ -261,6 +304,9 @@ class TestSgld:
             sgld_run(ctx, steps=10, lam=0.0, burn_in=5)
         with pytest.raises(MlvampError):
             sgld_run(ctx, steps=10, lam=0.1, burn_in=10)
+        # a negative burn-in would average uninitialised sample rows
+        with pytest.raises(MlvampError, match="burn_in"):
+            sgld_run(ctx, steps=10, lam=0.001, burn_in=-5)
 
 
 @pytest.mark.parametrize("method", ["map", "sgld"])

@@ -228,6 +228,15 @@ class TestExitCodes:
         assert main(["experiment-iters", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_negative_burn_in_exit_1(self, tiny_config_file, tmp_path, capsys):
+        # sgld_run would otherwise average uninitialised sample rows
+        cfg = json.loads(open(tiny_config_file).read())
+        bad = tmp_path / "burn_in.json"
+        bad.write_text(json.dumps(dict(cfg, sgld_burn_in=-5)))
+        assert main(["baselines", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "config error: sgld_burn_in" in capsys.readouterr().err
+
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["experiment-iters", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1

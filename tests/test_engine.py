@@ -53,7 +53,7 @@ class TestPrecisionUpdate:
     def test_per_trial_routes_and_clamps(self, monkeypatch):
         # a batch column gives each trial what its scalar call gives: the
         # first-pass route for an all-zero gamma_opp column, the clamped
-        # update, with its clamps, for a positive one
+        # update, with its clamps, for a positive one; a mixed column raises
         monkeypatch.setattr(engine, "GAMMA_MAX", 50.0)
         var = np.array([[0.5], [1e-3], [0.2], [1e-12]])
         for g_opp in (np.zeros((4, 1)), np.array([[0.5], [3.0], [1e3], [1.0]])):
@@ -63,6 +63,9 @@ class TestPrecisionUpdate:
                 assert [float(np.broadcast_to(x, var.shape)[t, 0]) for x in got] == \
                     [float(x) for x in one]
         assert got[3].tolist() == [[False], [True], [True], [True]]
+        # a column that mixes the two routes has no per-trial answer
+        with pytest.raises(ValueError, match="in every row or in none"):
+            posterior_to_message(var, np.array([[0.0], [3.0], [0.0], [1.0]]))
 
 
 class TestExtrinsicMean:

@@ -90,6 +90,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="damping"):
             ExperimentConfig.from_dict({"damping": damping})
 
+    @pytest.mark.parametrize("settings, key", [
+        ({"map_steps": -1}, "map_steps"), ({"sgld_steps": -1}, "sgld_steps"),
+        ({"sgld_burn_in": -5}, "sgld_burn_in"),
+        ({"sgld_steps": 10, "sgld_burn_in": 10}, "sgld_burn_in"),
+        ({"map_step_size": 0.0}, "map_step_size"),
+        ({"map_step_size": -0.01}, "map_step_size"),
+        ({"sgld_lambda": 0.0}, "sgld_lambda"),
+        ({"sgld_lambda": float("nan")}, "sgld_lambda")])
+    def test_bad_baseline_setting_rejected(self, settings, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(settings)
+
+    def test_zero_map_steps_allowed(self):
+        assert ExperimentConfig.from_dict({"map_steps": 0}).map_steps == 0
+
     def test_roundtrip(self):
         cfg = tiny_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())
