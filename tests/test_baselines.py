@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 import oracles
 from mlvamp.baselines import (
     HamiltonianContext,
+    _ActiveRows,
     _forward,
     grad_hamiltonian,
     hamiltonian,
     map_estimate,
+    row_stores,
     sgld_run,
 )
 from mlvamp.errors import DivergenceError, MlvampError
@@ -207,6 +210,106 @@ class TestDenseGradient:
         assert np.isnan(grad_hamiltonian(ctx, z)[2]).all()
 
 
+@functools.cache
+def paper_net(rho):
+    cfg = paper_config(rho=rho)
+    return build_synthetic_network(cfg.dims, cfg.rho, cfg.kappa, cfg.snr_db,
+                                   cfg.n_meas, cfg.seed)
+
+
+def paper_ctx(rho=0.4, trial=1):
+    net = paper_net(rho)
+    return HamiltonianContext(net, sample_trajectory(net, trial).z[-1])
+
+
+class TestActiveRows:
+    """A run keeps each relu-fed stage's gathered rows in a store that
+    copies only the rows whose unit turned active."""
+
+    @staticmethod
+    def _check(store, wt, x):
+        units, block = store.update(x)
+        assert sorted(units) == list(np.flatnonzero(x))
+        assert np.array_equal(block, wt[units])
+        assert store.k == units.size <= wt.shape[0] // 2
+        assert np.array_equal(store.pos[units], np.arange(units.size))
+        assert np.count_nonzero(store.pos >= 0) == units.size
+        return units
+
+    def test_random_mask_sequence(self):
+        n_in = 41
+        rng = np.random.default_rng(3)
+        wt = rng.normal(size=(n_in, 7))
+        store = _ActiveRows(wt)
+        x = np.where(rng.random(n_in) < 0.3, rng.normal(size=n_in), 0.0)
+        # a fresh store gathers in flatnonzero order, as a standalone call
+        assert np.array_equal(self._check(store, wt, x), np.flatnonzero(x))
+        mask = x != 0
+        for step in range(300):
+            kind = step % 6  # add only, remove only, both, none, empty, dense
+            on, off = np.flatnonzero(~mask), np.flatnonzero(mask)
+            if kind in (0, 2) and on.size:
+                mask[rng.choice(on, rng.integers(1, min(on.size, 6) + 1), replace=False)] = True
+            if kind in (1, 2) and off.size:
+                mask[rng.choice(off, rng.integers(1, off.size + 1), replace=False)] = False
+            if kind == 4 and rng.random() < 0.3:
+                mask[:] = False
+            if kind == 5:
+                mask[:] = False
+                mask[rng.choice(n_in, n_in // 2, replace=False)] = True
+            while 2 * np.count_nonzero(mask) >= n_in:  # as the route allows
+                mask[rng.choice(np.flatnonzero(mask))] = False
+            x = np.where(mask, rng.normal(size=n_in), 0.0)
+            x[mask & (rng.random(n_in) < 0.05)] = np.nan
+            self._check(store, wt, x)
+
+    def test_only_changed_rows_are_copied(self):
+        rng = np.random.default_rng(4)
+        wt = rng.normal(size=(20, 3))
+        store = _ActiveRows(wt)
+        x = np.zeros(20)
+        x[[1, 4, 6, 9, 12]] = 1.0
+        store.update(x)
+        store.wt = np.full_like(wt, np.nan)  # a copied row would read NaN
+        x[[4, 9]], x[[2, 15, 17]] = 0.0, 1.0
+        units, block = store.update(x)
+        assert sorted(units[np.isnan(block).all(axis=1)]) == [2, 15, 17]
+        x[2] = x[12] = 0.0
+        units, block = store.update(x)
+        assert np.isnan(block).all(axis=1).sum() == 2
+
+    def test_stores_only_after_a_relu(self):
+        ctx = paper_ctx()
+        # linear, relu, linear, relu, linear, relu, measurement
+        assert [s is not None for s in row_stores(ctx)] == \
+            [False, False, True, False, True, False, True]
+
+    def test_run_result_does_not_depend_on_earlier_runs(self):
+        # each run makes its own stores; nothing is kept on the context
+        def runs(ctx, order):
+            out = {}
+            for name in order:
+                if name == "map":
+                    out[name] = map_estimate(ctx, steps=200, step_size=0.01, seed=1)
+                else:
+                    out[name] = sgld_run(ctx, steps=200, lam=2e-5, burn_in=100, seed=1)
+            return out
+
+        fresh = [runs(paper_ctx(), (m,))[m] for m in ("map", "sgld")]
+        again = runs(paper_ctx(), ("sgld", "map", "map", "sgld"))
+        assert np.array_equal(fresh[0].z0_hat, again["map"].z0_hat)
+        assert np.array_equal(fresh[0].losses, again["map"].losses)
+        assert np.array_equal(fresh[1].z0_samples, again["sgld"].z0_samples)
+        assert np.array_equal(fresh[1].recon_mean, again["sgld"].recon_mean)
+
+    def test_final_loss_matches_a_standalone_hamiltonian(self):
+        # the run's stores order the gathered rows differently from a fresh
+        # gather, so the two sums agree to rounding, not bit for bit
+        ctx = paper_ctx()
+        res = map_estimate(ctx, steps=300, step_size=0.01, seed=1)
+        assert abs(res.losses[-1] - hamiltonian(ctx, res.z0_hat)) <= 1e-14 * res.losses[-1]
+
+
 class TestMapEstimate:
     def test_linear_gaussian_reaches_ridge(self):
         ctx, st = linear_gauss_ctx(seed=3)
@@ -250,6 +353,16 @@ class TestMapEstimate:
         ctx, _ = linear_gauss_ctx()
         with pytest.raises(ValueError):
             map_estimate(ctx, steps=10, init=init)
+
+    def test_stationary_start_raises(self):
+        # at rho 0.2 no first-layer bias is positive, so every relu unit of
+        # layer 1 is off at z0 = 0 and the gradient there is exactly zero
+        ctx = paper_ctx(rho=0.2)
+        assert not np.any(grad_hamiltonian(ctx, np.zeros(ctx.n0))[0])
+        with pytest.raises(MlvampError, match="stationary.*init=\"random\""):
+            map_estimate(ctx, steps=5)
+        assert np.any(map_estimate(ctx, steps=5, init="random").z0_hat)
+        assert np.any(map_estimate(paper_ctx(rho=0.4), steps=5).z0_hat)
 
     def test_seeded_determinism(self):
         ctx, _ = linear_gauss_ctx(seed=5)
@@ -316,8 +429,8 @@ def test_nan_loss_raises_divergence(monkeypatch, method):
     ctx, _ = linear_gauss_ctx(seed=8)
     real, losses = bl.grad_hamiltonian, []
 
-    def nan_at_step_3(ctx, z0):
-        g, loss, x_meas = real(ctx, z0)
+    def nan_at_step_3(ctx, z0, rows=None):
+        g, loss, x_meas = real(ctx, z0, rows)
         losses.append(math.nan if len(losses) == 3 else loss)
         return g, losses[-1], x_meas
 

@@ -229,6 +229,15 @@ class TestBaselineComparison:
             {"trial": 1, "error": "observation has 1 non-finite entries of 6"}]
         assert {(r["trial"], r["method"]) for r in res.rows} == {(0, "map"), (0, "sgld")}
 
+    def test_stationary_map_start_is_a_failure_not_a_row(self):
+        # at rho 0.2 no first-layer bias is positive: MAP from zero cannot
+        # move, and would report its start (NMSE 0 dB) as an estimate
+        res = run_iteration_experiment(tiny_config(rho=0.2, methods=("map", "sgld")))
+        assert [(f["trial"], f["method"]) for f in res.metadata["failures"]] == \
+            [(0, "map"), (1, "map")]
+        assert all("stationary" in f["error"] for f in res.metadata["failures"])
+        assert {(r["trial"], r["method"]) for r in res.rows} == {(0, "sgld"), (1, "sgld")}
+
     def test_baseline_rows_present(self):
         cfg = tiny_config(methods=("mlvamp", "map", "sgld"))
         res = run_iteration_experiment(cfg)
