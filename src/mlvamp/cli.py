@@ -44,34 +44,36 @@ def _add_config_args(p):
 
 
 def _parse_n_meas(text):
-    vals = [int(v) for v in text.split(",") if v.strip()]
+    try:
+        vals = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--n-meas takes comma-separated integers, "
+                          f"not {text!r}") from exc
     if not vals:
         raise ConfigError("empty n_meas list")
     return vals if len(vals) > 1 else vals[0]
 
 
 def load_config(args, sweep=False):
+    """The config file's object, or the preset (with the preset sweep's
+    n_meas on a sweep without --n-meas), updated by the flags given and
+    checked once, by ``ExperimentConfig.from_dict``."""
+    if args.paper and args.config:
+        raise ConfigError("--paper and --config exclude each other")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+            d = json.load(fh)
     else:
-        cfg = ExperimentConfig()
-    if sweep and (args.config is None and args.n_meas is None):
-        cfg.n_meas = list(PAPER_SWEEP_N_MEAS)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.n_trials = args.trials
-    if args.iters is not None:
-        cfg.n_iter = args.iters
-    if args.n_meas:
-        cfg.n_meas = _parse_n_meas(args.n_meas)
-    if args.methods:
-        cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.no_runtime:
-        cfg.include_runtime = False
-    cfg.validate()
-    return cfg
+        sweep_preset = sweep and args.n_meas is None
+        d = {"n_meas": list(PAPER_SWEEP_N_MEAS)} if sweep_preset else {}
+    flags = {"seed": args.seed, "n_trials": args.trials, "n_iter": args.iters,
+             "n_meas": None if args.n_meas is None else _parse_n_meas(args.n_meas),
+             "methods": None if args.methods is None else
+             [m.strip() for m in args.methods.split(",") if m.strip()],
+             "include_runtime": False if args.no_runtime else None}
+    if isinstance(d, dict):   # from_dict rejects any other document
+        d.update({key: val for key, val in flags.items() if val is not None})
+    return ExperimentConfig.from_dict(d)
 
 
 def _outdir(args):

@@ -11,6 +11,8 @@ trial by trial.  The per-half-iteration CSV schema is fixed:
 """
 import csv
 import json
+import math
+import numbers
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
@@ -20,7 +22,8 @@ import numpy as np
 from . import baselines as bl
 from .engine import EngineOptions, nmse_db, run
 from .errors import ConfigError, MlvampError
-from .network import build_synthetic_network, sample_trajectory
+from .network import (build_synthetic_network, is_integer, positive_integers,
+                      sample_trajectory)
 from .state_evolution import run_se, se_state_to_json, stats_from_network
 
 CSV_COLUMNS = ("trial", "method", "half_iter", "layer", "nmse_db", "se_nmse_db",
@@ -29,6 +32,13 @@ CSV_COLUMNS = ("trial", "method", "half_iter", "layer", "nmse_db", "se_nmse_db",
 PAPER_DIMS = [20, 100, 500, 784]
 PAPER_SWEEP_N_MEAS = [100, 200, 300, 400, 500, 600]
 KNOWN_METHODS = ("mlvamp", "map", "sgld")
+COUNT_KEYS = ("n_iter", "n_trials", "seed", "map_steps", "sgld_steps", "sgld_burn_in")
+REAL_KEYS = ("rho", "kappa", "snr_db", "damping", "map_step_size", "sgld_lambda")
+
+
+def _is_real(v):
+    """A finite real number, NumPy's included, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -59,6 +69,23 @@ class ExperimentConfig:
     sgld_burn_in: int = 5000
 
     def validate(self):
+        """Every field's type, then its range."""
+        n_meas = self.n_meas if isinstance(self.n_meas, (list, tuple)) else [self.n_meas]
+        kinds = {key: (is_integer(getattr(self, key)), "an integer")
+                 for key in COUNT_KEYS}
+        kinds.update({key: (_is_real(getattr(self, key)), "a finite real number")
+                      for key in REAL_KEYS})
+        kinds.update(
+            dims=(positive_integers(self.dims), "a nonempty list of positive integers"),
+            n_meas=(positive_integers(n_meas),
+                    "a positive integer or a nonempty list of them"),
+            include_runtime=(isinstance(self.include_runtime, bool), "true or false"),
+            methods=(isinstance(self.methods, (list, tuple))
+                     and all(isinstance(m, str) for m in self.methods),
+                     "a list of strings"))
+        for key, (ok, kind) in kinds.items():
+            if not ok:
+                raise ConfigError(f"{key} must be {kind}, not {getattr(self, key)!r}")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unimplemented methods requested: {unknown}")
@@ -95,26 +122,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """The one way outside input becomes a config: the defaults updated
+        by ``d``'s keys, then checked."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, not {d!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**d)
-        cfg.methods = tuple(cfg.methods)
         cfg.validate()
+        cfg.methods = tuple(cfg.methods)
         return cfg
 
 
 def paper_config(**overrides):
     """The defaults reproduce the synthetic-network experiment; ``run --paper``
     needs no further arguments."""
-    cfg = ExperimentConfig()
-    for key, val in overrides.items():
-        if key not in ExperimentConfig.__dataclass_fields__:
-            raise ConfigError(f"unknown config key: {key}")
-        setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig.from_dict(overrides)
 
 
 def trial_seed(seed, trial):
@@ -224,19 +248,6 @@ class ExperimentResult:
     def partial(self):
         return bool(self.metadata.get("failures"))
 
-    def curves(self, layer=0, method="mlvamp"):
-        """trial -> (half_iters, nmse_db) arranged from the rows."""
-        per_trial = defaultdict(dict)
-        for row in self.rows:
-            if row["method"] == method and row["layer"] == layer \
-                    and row["half_iter"] != "":
-                per_trial[row["trial"]][row["half_iter"]] = row["nmse_db"]
-        out = {}
-        for trial, d in per_trial.items():
-            halves = np.array(sorted(d))
-            out[trial] = (halves, np.array([d[h] for h in halves]))
-        return out
-
     def median_abs_se_gap(self, layer=0):
         """Per half-iteration, the median over trials of |simulated - SE| in dB."""
         gaps = defaultdict(list)
@@ -248,10 +259,11 @@ class ExperimentResult:
         return halves, np.array([np.median(gaps[h]) for h in halves])
 
     def final_nmse_per_trial(self, layer=0, method="mlvamp"):
-        out = {}
-        for trial, (halves, vals) in self.curves(layer, method).items():
-            out[trial] = vals[-1]
-        return out
+        """trial -> ``nmse_db`` of the method's last row at ``layer``: the
+        largest half-iteration, or a baseline's single row.  The rows are in
+        ``_sort_key`` order, so a trial's last matching row is that one."""
+        return {row["trial"]: row["nmse_db"] for row in self.rows
+                if row["method"] == method and row["layer"] == layer}
 
     def write_csv(self, path):
         write_rows_csv(self.rows, path)

@@ -10,7 +10,8 @@ is all the inference algorithm and the SE recursion need.
 """
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -29,6 +30,17 @@ SUPPORTED_ACTIVATIONS = ("relu", "identity")
 GRAM_ROUTE_MAX_ERR = 1e-12
 # Column block of _haar_rows' triangular solve (fastest of 64-512 at 784 and 3136).
 TRI_BLOCK = 128
+
+
+def is_integer(v):
+    """An integer, NumPy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def positive_integers(v):
+    """Whether v is a nonempty list (or tuple) of positive integers."""
+    return (isinstance(v, (list, tuple)) and len(v) > 0
+            and all(is_integer(d) and d > 0 for d in v))
 
 
 def _qr_signs(r):
@@ -199,6 +211,21 @@ class NonlinearStage:
         """Nothing left to check: the constructor checked the stage."""
 
 
+def observed_as_middle(stage, gamma_plus):
+    """(stage, gamma+, gamma-) of the observed stage (or of the SE's
+    LayerStatistics) as a middle stage: the noiseless stage whose output
+    message r- = y has the precision nu (linear) or 1/noise_var (nonlinear)."""
+    if stage.kind == "linear":
+        if math.isinf(stage.nu):
+            raise MlvampError("observed linear stage requires finite noise precision")
+        return replace(stage, nu=math.inf), gamma_plus, stage.nu
+    if stage.noise_var <= 0:
+        raise MlvampError(
+            "a deterministic nonlinear observed stage has no middle form; "
+            "use a noisy channel or a linear measurement stage")
+    return replace(stage, noise_var=0.0), gamma_plus, 1.0 / stage.noise_var
+
+
 @dataclass(eq=False)
 class NetworkSpec:
     """Ordered stage chain with a standard-Gaussian input of dimension n0."""
@@ -209,8 +236,9 @@ class NetworkSpec:
 
     def __post_init__(self):
         self.stages = tuple(self.stages)
-        if self.n0 <= 0 or not self.stages:
-            raise ConfigError("need a positive input dimension and at least one stage")
+        if not (is_integer(self.n0) and self.n0 > 0) or not self.stages:
+            raise ConfigError(f"need n0 a positive integer (not {self.n0!r}) "
+                              f"and at least one stage")
         prev = self.n0
         for i, st in enumerate(self.stages):
             if st.n_in != prev:
@@ -312,9 +340,10 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
     to rounding, as when every factor came from np.linalg.svd and the square
     Haar matrices: only the signs of paired singular vectors may differ.
     """
+    if not positive_integers(dims):
+        raise ConfigError(f"dims must be a nonempty list of positive integers, "
+                          f"not {dims!r}")
     dims = [int(d) for d in dims]
-    if not dims or any(d <= 0 for d in dims):
-        raise ConfigError("dims must be nonempty positive integers")
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     if not (0 < rho < 1):
@@ -436,7 +465,7 @@ def network_from_json(doc):
     """Load a network document.  A recipe is rebuilt only when its meta names
     this module's BUILDER_PROCEDURE and HAAR_PROCEDURE, and its spectra are
     then checked against the stored ones."""
-    if doc.get("format") != "mlvamp-network":
+    if not isinstance(doc, dict) or doc.get("format") != "mlvamp-network":
         raise ConfigError("not a network document")
     if doc.get("version") not in (1, DOCUMENT_VERSION):
         raise ConfigError(f"unsupported network document version {doc.get('version')!r}")
@@ -447,6 +476,12 @@ def network_from_json(doc):
     for key in ("n0", "stages"):
         if key not in doc:
             raise ConfigError(f"network document has no {key!r}")
+    if not isinstance(doc["stages"], list):
+        raise ConfigError(f"network document stages must be a list, "
+                          f"not {doc['stages']!r}")
+    for i, entry in enumerate(doc["stages"], start=1):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"stage {i}: not an object: {entry!r}")
     if mode == "recipe":
         meta = doc.get("meta") or {}
         for key, procedure in (("builder", BUILDER_PROCEDURE),
@@ -458,7 +493,7 @@ def network_from_json(doc):
             raise ConfigError("recipe document has no meta.builder_args")
         try:
             net = build_synthetic_network(**meta["builder_args"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"recipe builder_args: {exc}") from exc
         same = len(doc["stages"]) == net.n_layers and all(
             st.kind != "linear" or (np.shape(e.get("s")) == st.s.shape and
@@ -473,7 +508,7 @@ def network_from_json(doc):
             stages.append(_stage_from_json(entry))
         except KeyError as exc:
             raise ConfigError(f"stage {i}: missing field {exc}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
     net = NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
     net.validate()

@@ -19,12 +19,13 @@ scalar precisions returns.  A gamma_minus column is 0 in every row or in
 none: the engine starts every trial without an output message and gives
 them all one in the same update.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ObservationError
 from .gauss import any_true, exp_cut, log_ndtr_mills
+from .network import observed_as_middle
 
 VAR_FLOOR = 1e-15
 # Below TAIL_X, _truncated_moments takes its factors from a continued fraction
@@ -257,8 +258,8 @@ def denoise_output_nonlinear(stage, y, r_plus, gamma_plus):
     y = np.asarray(y, dtype=float)
     r_plus = np.asarray(r_plus, dtype=float)
     if stage.noise_var > 0:
-        res = denoise_middle(replace(stage, noise_var=0.0), r_plus, y, gamma_plus,
-                             1.0 / stage.noise_var, side="in")
+        middle, gp, gm = observed_as_middle(stage, gamma_plus)
+        res = denoise_middle(middle, r_plus, y, gp, gm, side="in")
         return res.mean_in, res.var_in
     # Deterministic stages (gamma- = inf, which has no middle form): the
     # observation pins the input (identity) or pins/truncates it (relu).

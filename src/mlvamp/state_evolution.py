@@ -14,7 +14,7 @@ take.  Each error function takes its variances from its stage's vector
 denoiser.
 Linear stages average the componentwise 2x2 variances over the empirical
 singular values (``mean_variances``), so they are exact at any size.  The
-observed stage enters as a middle stage (``_as_middle``).
+observed stage enters as a middle stage (``network.observed_as_middle``).
 Relu stages are integrated numerically over (R+, R-), with Z_in integrated
 out analytically: given R+ the law of R- is a closed-form two-branch mixture
 (``_relu_r_minus_law``).  Every axis that crosses a relu layer is split
@@ -28,7 +28,7 @@ re-evaluated at doubled node counts; the worst relative change is kept as
 Predicted MSE per layer and half-iteration is 1/eta_bar.
 """
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -37,6 +37,7 @@ from .engine import EngineOptions, MessageState, sweep
 from .errors import MlvampError
 from .gauss import gh_nodes, gl_nodes_unit, relu_gauss_moments
 from .linear_denoiser import mean_variances
+from .network import observed_as_middle
 from .scalar_denoiser import denoise_middle
 
 _NEG_NOISE_NODES = 63      # r- axis of the z_in < 0 branch (Gauss-Hermite)
@@ -114,25 +115,11 @@ def error_input(gamma_minus):
     return 1.0 / (1.0 + gamma_minus)
 
 
-def _observed_as_middle(stat, gamma_plus):
-    """(stat, gamma+, gamma-) of the observed stage as a middle stage: the
-    noiseless stage whose output message r- = y has the noise precision."""
-    if stat.kind == "linear":
-        if math.isinf(stat.nu):
-            raise MlvampError("observed linear stage requires finite noise precision")
-        return replace(stat, nu=math.inf), gamma_plus, stat.nu
-    if stat.noise_var <= 0:
-        raise MlvampError(
-            "SE for a deterministic nonlinear observed stage is not defined; "
-            "use a noisy channel or a linear measurement stage")
-    return replace(stat, noise_var=0.0), gamma_plus, 1.0 / stat.noise_var
-
-
 def _as_middle(stats, j, gamma_plus, gamma_minus):
     """(stat, gamma+, gamma-) of stage j, between variables j and j+1, as a
     middle stage."""
     if j == len(stats) - 1:
-        return _observed_as_middle(stats[j], gamma_plus[j])
+        return observed_as_middle(stats[j], gamma_plus[j])
     return stats[j], gamma_plus[j], gamma_minus[j + 1]
 
 
@@ -149,7 +136,7 @@ def error_linear(stat, gamma_plus, gamma_minus):
 
 def error_observed_linear(stat, gamma_plus):
     """E- for the final linear stage with its output observed exactly."""
-    stat, gamma_plus, gamma_minus = _observed_as_middle(stat, gamma_plus)
+    stat, gamma_plus, gamma_minus = observed_as_middle(stat, gamma_plus)
     return mean_variances(stat, gamma_plus, gamma_minus, stat.nu)[0]
 
 
@@ -271,12 +258,6 @@ def error_nonlinear(stage, gamma_plus, gamma_minus, tau_prev, mean_prev=0.0,
     (e_plus, e_minus), clamped = _relu_errors(stage, gamma_plus, gamma_minus,
                                               tau_prev, mean_prev, side=side)
     return e_plus, e_minus, clamped
-
-
-def error_observed_nonlinear(stage, gamma_plus, tau_prev, mean_prev=0.0):
-    """E- for a final nonlinear stage observed through Gaussian channel noise."""
-    return error_nonlinear(*_observed_as_middle(stage, gamma_plus), tau_prev,
-                           mean_prev, side="in")[1]
 
 
 @dataclass

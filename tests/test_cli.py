@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from mlvamp.cli import main
-from mlvamp.experiment import CSV_COLUMNS
+from mlvamp.cli import build_parser, load_config, main
+from mlvamp.errors import ConfigError
+from mlvamp.experiment import CSV_COLUMNS, PAPER_SWEEP_N_MEAS, ExperimentConfig
 
 
 @pytest.fixture
@@ -20,6 +21,14 @@ def tiny_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_module(*args):
+    """``python -m mlvamp *args`` from the checkout's src; the finished process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return subprocess.run([sys.executable, "-m", "mlvamp", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def read_header(path):
@@ -98,11 +107,7 @@ class TestGenerateSampleInfer:
         doc["stages"][0]["b"] = doc["stages"][0]["b"][:-1]
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        proc = subprocess.run([sys.executable, "-m", "mlvamp", "infer", "--net", path,
-                               "--sample-seed", "5", "--out", out],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
+        proc = run_module("infer", "--net", path, "--sample-seed", "5", "--out", out)
         assert proc.returncode == 1
         assert "config error: stage 1: bias length" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -120,11 +125,39 @@ class TestGenerateSampleInfer:
         drop(doc)
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        proc = subprocess.run([sys.executable, "-m", "mlvamp", "infer", "--net", path,
-                               "--sample-seed", "5", "--out", out],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
+        proc = run_module("infer", "--net", path, "--sample-seed", "5", "--out", out)
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("mode, spoil, message", [
+        (mode, spoil, message) for mode in ("recipe", "explicit")
+        for spoil, message in [
+            (lambda doc: [1], "not a network document"),
+            (lambda doc: doc["stages"].__setitem__(1, 5), "stage 2: not an object"),
+            (lambda doc: doc.__setitem__("stages", None), "stages must be a list")]
+    ] + [
+        ("explicit", lambda doc: doc["stages"][0].__setitem__("s", None), "stage 1:"),
+        ("explicit", lambda doc: doc.__setitem__("n0", "4"), "need n0 a positive integer"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("dims", ["a"]),
+         "dims must be a nonempty list of positive integers"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("dims", [4.7, 8]),
+         "dims must be a nonempty list of positive integers"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("seed", -1),
+         "recipe builder_args"),
+    ])
+    def test_sample_reports_malformed_document_without_traceback(
+            self, tiny_config_file, tmp_path, mode, spoil, message):
+        # spoil edits the document in place, or returns the one to write
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out,
+              *(["--explicit"] if mode == "explicit" else [])])
+        path = os.path.join(out, "network.json")
+        doc = json.loads(open(path).read())
+        doc = spoil(doc) or doc
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        proc = run_module("sample", "--net", path, "--out", out)
         assert proc.returncode == 1
         assert "config error:" in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -212,7 +245,79 @@ class TestExperiments:
         assert b1 != b2
 
 
+def parse(*argv, command="experiment-iters"):
+    return build_parser().parse_args([command, *argv])
+
+
+class TestLoadConfig:
+    @pytest.mark.parametrize("argv, merged", [
+        (["--seed", "9"], {"seed": 9}),
+        (["--trials", "3"], {"n_trials": 3}),
+        (["--iters", "4"], {"n_iter": 4}),
+        (["--n-meas", "5"], {"n_meas": 5}),
+        (["--n-meas", "4, 6"], {"n_meas": [4, 6]}),
+        (["--methods", "mlvamp, map"], {"methods": ["mlvamp", "map"]}),
+        (["--no-runtime"], {"include_runtime": False}),
+    ])
+    def test_each_flag_is_from_dict_of_the_merged_dict(self, tiny_config_file,
+                                                       argv, merged):
+        doc = json.loads(open(tiny_config_file).read())
+        assert load_config(parse("--config", tiny_config_file, *argv)) == \
+            ExperimentConfig.from_dict({**doc, **merged})
+        assert load_config(parse(*argv)) == ExperimentConfig.from_dict(merged)
+        assert load_config(parse("--paper", *argv)) == ExperimentConfig.from_dict(merged)
+
+    def test_sweep_without_config_or_n_meas_takes_the_preset_sweep(self):
+        cfg = load_config(parse(command="experiment-sweep"), sweep=True)
+        assert cfg == ExperimentConfig.from_dict({"n_meas": PAPER_SWEEP_N_MEAS})
+        cfg = load_config(parse("--n-meas", "7", command="experiment-sweep"), sweep=True)
+        assert cfg.n_meas == 7
+
+    def test_flag_overrides_the_bad_key_it_replaces(self, tiny_config_file, tmp_path):
+        # the config is checked once, after the flags apply
+        path = tmp_path / "bad_trials.json"
+        path.write_text(json.dumps(dict(json.loads(open(tiny_config_file).read()),
+                                        n_trials=-1)))
+        assert load_config(parse("--config", str(path), "--trials", "3")).n_trials == 3
+        with pytest.raises(ConfigError, match="n_trials"):
+            load_config(parse("--config", str(path)))
+
+    @pytest.mark.parametrize("value", ["abc", "6.5", "4,x", ""])
+    def test_bad_n_meas_flag_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match="n.meas"):
+            load_config(parse("--n-meas", value))
+
+    def test_paper_excludes_config(self, tiny_config_file):
+        with pytest.raises(ConfigError, match="--paper and --config"):
+            load_config(parse("--paper", "--config", tiny_config_file))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("doc", [
+        3, [1],
+        {"n_trials": 2.5}, {"seed": 1.5}, {"n_iter": "2"}, {"rho": "0.4"},
+        {"damping": None}, {"dims": [4.7, 8.2]}, {"dims": "48"}, {"n_meas": 6.9}])
+    def test_wrong_value_type_exit_1(self, tiny_config_file, tmp_path, capsys, doc):
+        if isinstance(doc, dict):
+            doc = dict(json.loads(open(tiny_config_file).read()), **doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["experiment-iters", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "iters.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--paper", "--n-meas", "abc"],
+                                      ["--paper", "--n-meas", "6.5"],
+                                      ["--paper", "--config", "CONFIG"]])
+    def test_bad_flags_exit_1(self, tiny_config_file, tmp_path, argv):
+        argv = [tiny_config_file if a == "CONFIG" else a for a in argv]
+        proc = run_module("experiment-iters", *argv, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "iters.csv").exists()
+
     def test_config_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"methods": ["quantum"]}))

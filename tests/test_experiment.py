@@ -110,6 +110,42 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("settings, key", [
+        ({"n_trials": 2.5}, "n_trials"), ({"n_trials": True}, "n_trials"),
+        ({"seed": 1.5}, "seed"), ({"n_iter": "2"}, "n_iter"),
+        ({"map_steps": 5.0}, "map_steps"), ({"sgld_steps": None}, "sgld_steps"),
+        ({"sgld_burn_in": "0"}, "sgld_burn_in"),
+        ({"rho": "0.4"}, "rho"), ({"kappa": None}, "kappa"),
+        ({"snr_db": float("inf")}, "snr_db"), ({"damping": None}, "damping"),
+        ({"damping": True}, "damping"), ({"map_step_size": "0.01"}, "map_step_size"),
+        ({"sgld_lambda": [0.1]}, "sgld_lambda"),
+        ({"dims": [4.7, 8.2]}, "dims"), ({"dims": "48"}, "dims"), ({"dims": []}, "dims"),
+        ({"dims": [4, 0]}, "dims"), ({"dims": 48}, "dims"),
+        ({"n_meas": 6.9}, "n_meas"), ({"n_meas": "6"}, "n_meas"), ({"n_meas": []}, "n_meas"),
+        ({"n_meas": [4, 6.5]}, "n_meas"), ({"n_meas": 0}, "n_meas"),
+        ({"include_runtime": 0}, "include_runtime"),
+        ({"methods": "mlvamp"}, "methods"), ({"methods": [1]}, "methods")])
+    def test_wrong_value_type_rejected(self, settings, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(settings)
+
+    @pytest.mark.parametrize("doc", [3, [1], "mlvamp", None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = paper_config(dims=[np.int64(4), np.int32(8)], n_meas=np.int64(6),
+                           seed=np.uint8(3), rho=np.float32(0.25),
+                           damping=np.float64(0.5), n_trials=np.int16(2))
+        assert cfg.dims == [4, 8] and cfg.n_meas == 6 and cfg.rho == 0.25
+        assert config_network(cfg).dims == [4, 8, 8, 6]
+
+    def test_paper_config_is_from_dict(self):
+        over = {"rho": 0.3, "n_meas": [100, 200], "methods": ["mlvamp", "map"]}
+        assert paper_config(**over) == ExperimentConfig.from_dict(over)
+        assert paper_config(**over).methods == ("mlvamp", "map")
+
     def test_paper_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.dims == [20, 100, 500, 784]
@@ -237,6 +273,17 @@ class TestBaselineComparison:
             [(0, "map"), (1, "map")]
         assert all("stationary" in f["error"] for f in res.metadata["failures"])
         assert {(r["trial"], r["method"]) for r in res.rows} == {(0, "sgld"), (1, "sgld")}
+
+    def test_final_nmse_per_trial_reads_baseline_rows(self):
+        res = run_iteration_experiment(tiny_config(methods=("mlvamp", "map", "sgld")))
+        for method in ("map", "sgld"):
+            rows = [r for r in res.rows if r["method"] == method]
+            assert len(rows) == 2
+            assert res.final_nmse_per_trial(0, method) == {
+                r["trial"]: r["nmse_db"] for r in rows}
+        final = {r["trial"]: r["nmse_db"] for r in res.rows if r["method"] == "mlvamp"
+                 and r["layer"] == 2 and r["half_iter"] == 2 * 3}
+        assert res.final_nmse_per_trial(2) == final and len(final) == 2
 
     def test_baseline_rows_present(self):
         cfg = tiny_config(methods=("mlvamp", "map", "sgld"))

@@ -15,6 +15,7 @@ from mlvamp.network import (
     NonlinearStage,
     build_synthetic_network,
     haar_orthogonal,
+    observed_as_middle,
     sample_trajectory,
 )
 from mlvamp.scalar_denoiser import (
@@ -28,7 +29,6 @@ from mlvamp.state_evolution import (
     error_linear,
     error_nonlinear,
     error_observed_linear,
-    error_observed_nonlinear,
     quadrature_rel_err,
     run_se,
     se_state_to_json,
@@ -173,7 +173,8 @@ class TestErrorFunctions:
         n = 10**6
         for ell, gp, nv in ((5, 1e3, 1e-3), (3, 1e4, 1e-4)):
             stat = NonlinearStage("relu", nv, 1)
-            em = error_observed_nonlinear(stat, gp, tau[ell], mean[ell])
+            em = error_nonlinear(*observed_as_middle(stat, gp), tau[ell], mean[ell],
+                                 side="in")[1]
             rp, _, y = sample_relu_law(np.random.default_rng(ell), n,
                                        tau[ell], mean[ell], gp, nv)
             _, v = denoise_output_nonlinear(stat, y, rp, gp)
@@ -197,7 +198,8 @@ class TestErrorFunctions:
                 ref = oracles.relu_stage_error_reference(
                     gp, None, tau[ell], mean[ell], noise_var=noisy.noise_var,
                     observed=True)
-                got = error_observed_nonlinear(noisy, gp, tau[ell], mean[ell])
+                got = error_nonlinear(*observed_as_middle(noisy, gp), tau[ell],
+                                      mean[ell], side="in")[1]
                 worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-3
 
@@ -218,7 +220,8 @@ class TestErrorFunctions:
                 ref = oracles.relu_stage_error_tensor(
                     gp, None, tau[ell], mean[ell], noise_var=noisy.noise_var,
                     observed=True, **double)
-                got = error_observed_nonlinear(noisy, gp, tau[ell], mean[ell])
+                got = error_nonlinear(*observed_as_middle(noisy, gp), tau[ell],
+                                      mean[ell], side="in")[1]
                 worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-3
 
@@ -231,7 +234,8 @@ class TestErrorFunctions:
                 for gp in 10.0 ** np.arange(1, 7, 1):
                     ref = oracles.relu_stage_error_reference(
                         gp, None, tau[ell], mean[ell], noise_var=nv, observed=True)
-                    got = error_observed_nonlinear(stat, gp, tau[ell], mean[ell])
+                    got = error_nonlinear(*observed_as_middle(stat, gp), tau[ell],
+                                          mean[ell], side="in")[1]
                     worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-3
 
