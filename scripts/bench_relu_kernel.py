@@ -11,8 +11,11 @@ prints one JSON object of best-of-R times in seconds:
 - ``engine_relu_ms_per_stage_iter``: the relu time of one stage in one
   iteration of the paper preset's batched engine run (its 10 trials), on
   that run's own inputs: the forward call (side "out") and the reverse call
-  (side "in") of the stage, sharing a ``NegativeBranch`` (a checkout without
-  one computes the z_in < 0 branch in both calls).  The calls are recorded
+  (side "in") of the stage, sharing their z_in < 0 branch through the memo
+  ``engine.run`` gives the stage: an ``engine.Reuse`` of
+  ``scalar_denoiser._negative_branch``, or an older checkout's
+  ``scalar_denoiser.NegativeBranch`` (a checkout with neither computes the
+  branch in both calls).  The calls are recorded
   from one ``engine.run`` and replayed; ``engine_relu_stage_iters`` counts
   the pairs;
 - ``run_se_s``: ``run_se`` on the paper preset (50 iterations, damping 0.85);
@@ -102,7 +105,11 @@ def main(argv=None):
     ys = np.array([sample_trajectory(net, trial_seed(cfg.seed, t)).z[-1]
                    for t in range(cfg.n_trials)])
     pairs = engine_relu_pairs(engine, net, ys, cfg.engine_options())
-    shared = getattr(scalar_denoiser, "NegativeBranch", None)
+    if hasattr(engine, "Reuse"):
+        def shared():
+            return engine.Reuse(scalar_denoiser._negative_branch)
+    else:
+        shared = getattr(scalar_denoiser, "NegativeBranch", None)
 
     def replay():
         for forward, reverse in pairs:

@@ -29,11 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, MlvampError
+from .errors import ConfigError, DivergenceError, MlvampError
 
 DIVERGENCE_LOSS = 1e12
 # Adaptive-moment (Adam) decay rates and denominator guard of map_estimate.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def check_network(net):
+    """ConfigError unless the baselines can run on ``net``: deterministic
+    hidden stages and a final linear stage with finite noise."""
+    meas = net.stages[-1]
+    if meas.kind != "linear" or math.isinf(meas.nu):
+        raise ConfigError("baselines need a final linear stage with finite noise")
+    for st in net.stages[:-1]:
+        if (st.kind == "linear" and math.isfinite(st.nu)) or \
+                (st.kind == "nonlinear" and st.noise_var > 0):
+            raise ConfigError("baselines require deterministic hidden stages")
 
 
 @dataclass(eq=False)
@@ -51,14 +63,8 @@ class HamiltonianContext:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
+        check_network(self.net)
         meas = self.net.stages[-1]
-        if meas.kind != "linear" or math.isinf(meas.nu):
-            raise MlvampError("baselines need a final linear stage with finite noise")
-        for st in self.net.stages[:-1]:
-            noisy = (st.kind == "linear" and math.isfinite(st.nu)) or \
-                    (st.kind == "nonlinear" and st.noise_var > 0)
-            if noisy:
-                raise MlvampError("baselines require deterministic hidden stages")
         if self.y.shape != (meas.n_out,):
             raise MlvampError("observation does not match measurement dimension")
         bad = np.count_nonzero(~np.isfinite(self.y))

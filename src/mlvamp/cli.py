@@ -166,8 +166,16 @@ def cmd_experiment_sweep(args):
     return 2 if sweep.partial else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ConfigErrors (exit 1, as any
+    other configuration error); exit 2 stays for partial trial failures."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mlvamp",
         description="Inference in multi-layer stochastic generative networks "
                     "with a state-evolution predictor and MAP/SGLD baselines.")
@@ -215,9 +223,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

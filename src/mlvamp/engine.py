@@ -25,12 +25,12 @@ from functools import partial
 
 import numpy as np
 
+from . import scalar_denoiser
 from .errors import EngineError, MlvampError
 from .gauss import any_true
-from .linear_denoiser import StageTransforms, denoise_linear, denoise_linear_observed
+from .linear_denoiser import denoise_linear, denoise_linear_observed
 from .scalar_denoiser import (
     VAR_FLOOR,
-    NegativeBranch,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -168,8 +168,7 @@ def _avg(var):
 def _belief(net, y, state, held, ell, forward):
     """Belief mean/variance of z_ell: from factor ell (the stage below it) in
     the forward sweep, from factor ell+1 (the stage above) in the reverse.
-    ``held[i]`` is what stage i's two calls share: a linear stage's
-    StageTransforms, a relu stage's NegativeBranch (None otherwise)."""
+    ``held[i]`` is what stage i's two calls share (see ``run``)."""
     if forward and ell == 0:
         return denoise_input(state.r_minus[0], state.gamma_minus[0])
     i = ell - 1 if forward else ell
@@ -208,11 +207,10 @@ def sweep(state, direction, denoise, opts):
     the means untouched.  Damping blends (gamma, r) with the previous
     iterate from k = 1 on.  A non-finite updated message (gamma, or r when
     the means move) raises EngineError.  Every message update is bound to a
-    fresh array and none is modified in place, which lets ``run`` key its
-    reused transforms and relu branches on array identity.  Returns the
-    half-iteration's IterationRecord (without NMSE); for a batch its
-    precisions keep the state's (L, T, 1) shape and ``clamp_events`` is a
-    (T, 1) column.
+    fresh array and none is modified in place, which lets a ``Reuse`` key
+    on a message's identity.  Returns the half-iteration's IterationRecord
+    (without NMSE); for a batch its precisions keep the state's (L, T, 1)
+    shape and ``clamp_events`` is a (T, 1) column.
     """
     n = len(state.gamma_plus)
     if direction == "forward":
@@ -259,6 +257,22 @@ def sweep(state, direction, denoise, opts):
         clamp_events=int(events) if events.ndim == 0 else events)
 
 
+class Reuse:
+    """fn(src, *args), kept while src is the same array (see ``sweep``) and
+    args have the same values (copied: the precisions change in place)."""
+
+    def __init__(self, fn):
+        self.fn, self._key, self._value = fn, None, None
+
+    def __call__(self, src, *args):
+        key = self._key
+        if (key is None or key[0] is not src
+                or not all(map(np.array_equal, key[1], args))):
+            self._key = (src, [np.copy(a) for a in args])
+            self._value = self.fn(src, *args)
+        return self._value
+
+
 def _check_observations(net, y, truth):
     """Reject a y whose width is not the network output, a truth list that
     does not match a batch, and non-finite entries (naming the trial)."""
@@ -273,6 +287,16 @@ def _check_observations(net, y, truth):
         t = int(np.flatnonzero(bad)[0])
         whose = f"observation of trial {t}" if y.ndim == 2 else "observation"
         raise MlvampError(f"{whose} has {bad[t]} non-finite entries of {y.shape[-1]}")
+
+
+def _check_truth(truth_z, batch):
+    """Reject a truth layer of zero norm, which no NMSE can refer to,
+    naming the trial and the layer."""
+    for ell, tz in enumerate(truth_z):
+        zero = np.flatnonzero(np.sum(np.atleast_2d(tz) ** 2, axis=1) <= 0)
+        if zero.size:
+            whose = "truth" if batch is None else f"truth of trial {zero[0]}"
+            raise MlvampError(f"{whose} has zero norm at layer {ell}")
 
 
 def _trial_record(rec, t):
@@ -300,13 +324,15 @@ def run(net, y, options=None, truth=None):
     _check_observations(net, y, truth)
     batch = len(y) if y.ndim == 2 else None
     state = init_state(net, batch)
-    if truth is not None:   # per layer: the truth, or the T truths stacked
-        truth_z = truth.z if batch is None else [
+    if truth is not None:   # per hidden layer: the truth, or the T truths stacked
+        truth_z = truth.z[:len(state.r_plus)] if batch is None else [
             np.array([tr.z[ell] for tr in truth]) for ell in range(len(state.r_plus))]
-    # both sweeps share these: sweep never modifies a message in place
-    held = [StageTransforms(st) if st.kind == "linear"
-            else NegativeBranch() if st.activation == "relu" else None
-            for st in net.stages]
+        _check_truth(truth_z, batch)
+    # what a stage's forward and reverse calls share: a linear stage's input
+    # transforms, a relu stage's z_in < 0 branch
+    held = [(Reuse(st.svd_in), Reuse(st.svd_out)) if st.kind == "linear"
+            else Reuse(scalar_denoiser._negative_branch) if st.activation == "relu"
+            else None for st in net.stages]
     records = []
     for _ in range(opts.max_iter):
         for forward, direction in ((True, "forward"), (False, "reverse")):

@@ -269,8 +269,12 @@ class ExperimentResult:
         write_rows_csv(self.rows, path)
 
     def to_json_dict(self):
-        """The config, metadata and SE records; the rows are the CSV's."""
-        return {"config": self.config, "metadata": self.metadata,
+        """The config, metadata and SE records; the rows are the CSV's.  A
+        config without runtimes leaves the wall-clock ``runtimes_ms`` out,
+        so that the document is byte-reproducible."""
+        meta = {k: v for k, v in self.metadata.items()
+                if k != "runtimes_ms" or self.config["include_runtime"]}
+        return {"config": self.config, "metadata": meta,
                 "se": se_state_to_json(self.se) if self.se is not None else None}
 
     def write_json(self, path):
@@ -352,10 +356,13 @@ def _run_trials(net, se, cfg):
 def run_iteration_experiment(cfg, net=None):
     """Per-half-iteration NMSE curves for one n_meas with the SE overlay, and
     a final-NMSE row per trial for each baseline: exactly the methods in
-    ``cfg.methods``, all on shared trajectories."""
+    ``cfg.methods``, all on shared trajectories.  A network the requested
+    baselines cannot run on raises ConfigError before any trial."""
     cfg.validate()
     if net is None:
         net = config_network(cfg)
+    if set(cfg.methods) - {"mlvamp"}:
+        bl.check_network(net)
     se = run_se(stats_from_network(net), cfg.n_iter, cfg.engine_options())
     rows, failures, runtimes, clamps = _run_trials(net, se, cfg)
     meta = {"failures": failures, "runtimes_ms": runtimes,

@@ -20,14 +20,13 @@ w = gamma- / (gamma- + nu) (w = 0 at nu = inf).  So
     z+ = V_out (g+ - w u_out - (1 - w) b_bar) + w r- + (1 - w) b
 
 with u_in = V_in r+ and u_out = V_out^T r-.  The cost is the matvecs with
-V_in and V_out.  A call transforms back only the side asked for, and a
-shared StageTransforms lets the forward and the reverse call of a stage
-reuse each other's input transforms.  The observed stage is the
-deterministic stage (nu = inf) whose output message r- = y has gamma- = nu.
-
-Every transform applies its matrix M as x @ M.T, which serves one message
-and a batch alike: T messages, (T, N) means with (T, 1) precision columns,
-take it as one matrix product with T rows.
+V_in and V_out, which the stage applies itself (``LinearStage.svd_in`` and
+its kin), to one message or to a batch of T, (T, N) means with (T, 1)
+precision columns, as one matrix product with T rows.  A call transforms
+back only the side asked for, and the caller may pass the two input
+transforms, so that a stage's forward and reverse calls share them.  The
+observed stage is the deterministic stage (nu = inf) whose output message
+r- = y has gamma- = nu.
 """
 import math
 from dataclasses import dataclass
@@ -73,29 +72,6 @@ def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
     return var_in * d1 + cov * d2, cov * d1 + var_out * d2, var_in, var_out
 
 
-class StageTransforms:
-    """Input transforms of one linear stage, kept while their source arrays
-    stay the same: V_in r+ and V_out^T r- (V_out^T y on the observed stage).
-    The key is the array's identity, so callers that share an instance must
-    never modify a message in place."""
-
-    def __init__(self, stage):
-        self.stage = stage
-        self._held = {}
-
-    def _get(self, key, src, compute):
-        held = self._held.get(key)
-        if held is None or held[0] is not src:
-            held = self._held[key] = (src, compute(src))
-        return held[1]
-
-    def u_in(self, r_plus):
-        return self._get("in", r_plus, lambda r: r @ self.stage.v_in.T)
-
-    def u_out(self, r_minus):
-        return self._get("out", r_minus, lambda r: r @ self.stage.v_out)
-
-
 def _mean_with_rest(v, n, v_rest):
     """Mean over n components of v followed by n - len(v) copies of v_rest,
     per row of a batch."""
@@ -133,16 +109,16 @@ def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms
     if (r_plus.ndim not in (1, 2) or r_plus.shape[:-1] != r_minus.shape[:-1]
             or (r_plus.shape[-1], r_minus.shape[-1]) != (stage.n_in, stage.n_out)):
         raise ValueError("r vectors do not match stage dimensions")
-    transforms = transforms or StageTransforms(stage)
-    u_in, u_out = transforms.u_in(r_plus), transforms.u_out(r_minus)
+    svd_in, svd_out = transforms or (stage.svd_in, stage.svd_out)
+    u_in, u_out = svd_in(r_plus), svd_out(r_minus)
     g_minus, g_plus, var_in, var_out = component_solve(
         u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, nu)
     z_hat_minus = z_hat_plus = None
     if side != "plus":
-        z_hat_minus = (g_minus - u_in) @ stage.v_in + r_plus
+        z_hat_minus = stage.from_svd_in(g_minus - u_in) + r_plus
     if side != "minus":
         w = gamma_minus / (gamma_minus + nu)
-        z_hat_plus = ((g_plus - w * u_out - (1 - w) * stage.b_bar) @ stage.v_out.T
+        z_hat_plus = (stage.from_svd_out(g_plus - w * u_out - (1 - w) * stage.b_bar)
                       + w * r_minus + (1 - w) * stage.b)
     return LinearDenoised(z_hat_minus, z_hat_plus, *mean_variances(
         stage, gamma_plus, gamma_minus, nu, (var_in, var_out)))
@@ -153,8 +129,8 @@ def denoise_linear(stage, r_plus, r_minus, gamma_plus, gamma_minus,
     """Belief means z- and z+ of a middle linear stage (see the module
     docstring) plus the mean posterior variances on the input (over N_in)
     and output (over N_out) sides.  Only the means of ``side`` ("minus",
-    "plus" or "both") are transformed back; ``transforms`` may share input
-    transforms across calls.
+    "plus" or "both") are transformed back.  ``transforms``, a stand-in for
+    (stage.svd_in, stage.svd_out), may share input transforms across calls.
     """
     return _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, stage.nu,
                   side, transforms)
@@ -164,7 +140,7 @@ def denoise_linear_observed(stage, y, r_plus, gamma_plus, transforms=None):
     """Belief on z_{L-1} when the stage output is observed as y: the middle
     solve at nu = inf with r- = y, gamma- = stage.nu and side "minus", equal
     to the dense ridge solve (g+ I + nu W^T W)^{-1} (g+ r+ + nu W^T (y - b)).
-    ``transforms`` may share the transforms of r+ and y across calls.
+    ``transforms`` as in ``denoise_linear``: here of r+ and y.
     """
     if not np.isfinite(stage.nu):
         raise MlvampError("observed linear stage requires finite noise precision")

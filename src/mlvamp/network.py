@@ -140,8 +140,23 @@ class LinearStage:
     def to_dense(self):
         return (self.v_out * self.s) @ self.v_in
 
+    # The SVD coordinates: svd_in(x) = V_in x, svd_out(x) = V_out^T x, and
+    # back, from_svd_in(u) = V_in^T u, from_svd_out(u) = V_out u.  Each takes
+    # its matrix as x @ M, so a (T, n) batch of messages is one product.
+    def svd_in(self, x):
+        return x @ self.v_in.T
+
+    def svd_out(self, x):
+        return x @ self.v_out
+
+    def from_svd_in(self, u):
+        return u @ self.v_in
+
+    def from_svd_out(self, u):
+        return u @ self.v_out.T
+
     def apply(self, z):
-        return self.v_out @ (self.s * (self.v_in @ z)) + self.b
+        return self.from_svd_out(self.s * self.svd_in(z)) + self.b
 
     def sample_output(self, z, rng):
         out = self.apply(z)
@@ -461,10 +476,20 @@ def _stage_from_json(entry):
     return NonlinearStage(entry["activation"], entry["noise_var"], entry["n"])
 
 
+def _same_header(doc, net):
+    """``net``, once the document's own n0 and dims (if stored) are its."""
+    for key, value in (("n0", net.n0), ("dims", net.dims)):
+        if doc.get(key, value) != value:
+            raise ConfigError(f"network document {key} {doc[key]!r} does not "
+                              f"match its network's {value!r}")
+    return net
+
+
 def network_from_json(doc):
     """Load a network document.  A recipe is rebuilt only when its meta names
     this module's BUILDER_PROCEDURE and HAAR_PROCEDURE, and its spectra are
-    then checked against the stored ones."""
+    then checked against the stored ones.  The document's n0 and dims must
+    be those of the network it loads to."""
     if not isinstance(doc, dict) or doc.get("format") != "mlvamp-network":
         raise ConfigError("not a network document")
     if doc.get("version") not in (1, DOCUMENT_VERSION):
@@ -501,7 +526,7 @@ def network_from_json(doc):
             for st, e in zip(net.stages, doc["stages"]))
         if not same:
             raise ConfigError("rebuilt network does not match stored spectra")
-        return net
+        return _same_header(doc, net)
     stages = []
     for i, entry in enumerate(doc["stages"], start=1):
         try:
@@ -512,7 +537,7 @@ def network_from_json(doc):
             raise ConfigError(f"stage {i}: {exc}") from exc
     net = NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
     net.validate()
-    return net
+    return _same_header(doc, net)
 
 
 def save_network(net, path, mode="auto"):

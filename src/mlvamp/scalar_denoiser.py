@@ -104,24 +104,6 @@ def _negative_branch(r_plus, gamma_plus):
     return (x_neg,) + log_ndtr_mills(x_neg)
 
 
-class NegativeBranch:
-    """One relu stage's z_in < 0 branch (see _negative_branch), kept while
-    r_plus stays the same array and gamma_plus the same values, so that a
-    stage's forward and reverse calls evaluate it once.  Like
-    linear_denoiser.StageTransforms it keys on the array's identity: callers
-    that share an instance must never modify r_plus in place."""
-
-    def __init__(self):
-        self._key = self._branch = None
-
-    def __call__(self, r_plus, gamma_plus):
-        key = self._key
-        if key is None or key[0] is not r_plus or not np.array_equal(key[1], gamma_plus):
-            self._key = (r_plus, np.copy(gamma_plus))
-            self._branch = _negative_branch(r_plus, gamma_plus)
-        return self._branch
-
-
 def _branch_weights(d):
     """(w_pos, w_neg) = (1 / (1 + e^-d), 1 / (1 + e^d)), from one exponential
     e^-|d| taken by exp_cut: a light weight below e^EXP_CUT is exactly 0 and
@@ -142,9 +124,9 @@ def _relu_posterior(r_plus, r_minus, gamma_plus, gamma_minus, noise_var, side,
     d is the log ratio of the z_in > 0 branch mass to the z_in < 0 one.  Where
     gamma_minus = 0 (in every row: denoise_middle rejects a mixed column)
     r_minus carries nothing: m_t = r_plus, v_t = 1/gamma_plus and only the
-    truncations weigh the branches.  ``branch`` (a NegativeBranch) supplies
-    the z_in < 0 branch; with None it is computed here.  Returns (mean_in,
-    var_in, mean_out, var_out) with None for a side not asked for.
+    truncations weigh the branches.  ``branch`` (_negative_branch if None)
+    supplies the z_in < 0 branch.  Returns (mean_in, var_in, mean_out,
+    var_out) with None for a side not asked for.
     """
     r_plus = np.asarray(r_plus, dtype=float)
     r_minus = np.asarray(r_minus, dtype=float)
@@ -217,9 +199,9 @@ def denoise_middle(stage, r_plus, r_minus, gamma_plus, gamma_minus, side=None,
     rows and positive in others raises ValueError.  ``side="in"`` computes
     only the z_in moments and ``side="out"`` only the z_out ones (the other
     fields are None); the default computes both.  A side's values do not
-    depend on whether the other side was computed.  A relu stage's calls
-    that share a NegativeBranch as ``branch`` evaluate its z_in < 0 branch
-    once per r_plus, with the same results.
+    depend on whether the other side was computed.  ``branch``, a callable
+    that returns what _negative_branch does (one memo, say, that a relu
+    stage's calls share), gives the z_in < 0 branch.
     """
     if side not in (None, "in", "out"):
         raise ValueError(f"side must be 'in', 'out' or None, not {side!r}")

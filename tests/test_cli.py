@@ -162,6 +162,21 @@ class TestGenerateSampleInfer:
         assert "config error:" in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [("n0", "4"), ("dims", [1, 2, 3])])
+    def test_recipe_header_unlike_its_network_rejected(self, tiny_config_file,
+                                                       tmp_path, key, value):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out])
+        path = os.path.join(out, "network.json")
+        doc = json.loads(open(path).read())
+        doc[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        proc = run_module("sample", "--net", path, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: network document {key} ")
+        assert "Traceback" not in proc.stderr
+
     def test_infer_requires_input(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "o")
         main(["generate", "--config", tiny_config_file, "--out", out])
@@ -318,6 +333,32 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "iters.csv").exists()
 
+    def test_unparsable_flag_exit_1(self, tmp_path):
+        # an argument the parser rejects is a configuration error (one line,
+        # exit 1): exit 2 is the code of partial trial failures
+        proc = run_module("experiment-iters", "--trials", "abc",
+                          "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "config error: argument --trials: invalid int value: 'abc'"]
+        assert not (tmp_path / "out").exists()
+        assert run_module("experiment-iters", "--help").returncode == 0
+
+    def test_zero_norm_truth_layer_fails_its_trials_exit_2(self, tmp_path):
+        # in trials 4, 5, 6 and 8 of this config every relu unit of z_2 is 0,
+        # so those trials have no NMSE reference; the other trials keep rows
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dims": [6, 4], "n_meas": 3, "n_trials": 10,
+                                   "n_iter": 3}))
+        out = tmp_path / "out"
+        proc = run_module("experiment-iters", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["metadata"]["failures"] == [
+            {"trial": t, "error": "truth has zero norm at layer 2"} for t in (4, 5, 6, 8)]
+        trials = {r["trial"] for r in read_rows(out / "iters.csv")}
+        assert trials == {str(t) for t in (0, 1, 2, 3, 7, 9)}
+
     def test_config_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"methods": ["quantum"]}))
@@ -366,6 +407,20 @@ class TestExitCodes:
         doc = json.loads(open(os.path.join(out, "result.json")).read())
         assert len(doc["metadata"]["failures"]) == 1
         assert any(r["trial"] == "0" for r in read_rows(os.path.join(out, "iters.csv")))
+
+
+class TestNoRuntime:
+    def test_result_json_byte_reproducible(self, tiny_config_file, tmp_path):
+        # without runtimes the document holds no wall-clock time
+        docs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["experiment-iters", "--config", tiny_config_file,
+                         "--methods", "mlvamp,map", "--no-runtime",
+                         "--out", str(out)]) == 0
+            docs.append((out / "result.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert "runtimes_ms" not in json.loads(docs[0])["metadata"]
 
 
 class TestModuleEntryPoint:

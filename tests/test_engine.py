@@ -181,6 +181,20 @@ class TestRun:
         with pytest.raises(MlvampError, match="trial 2 has 1 non-finite"):
             run(net, y, opts, truth=trajs)
 
+    def test_zero_norm_truth_layer_rejected_up_front(self, monkeypatch):
+        # a truth layer of zero norm has no NMSE; the run says so before any
+        # sweep, naming the layer (and, in a batch, the trial)
+        net = _shape_mix_network()
+        trajs = [sample_trajectory(net, seed) for seed in (1, 2, 3)]
+        trajs[1].z[2] = np.zeros_like(trajs[1].z[2])
+        monkeypatch.setattr(engine, "sweep", None)
+        opts = EngineOptions(max_iter=1)
+        with pytest.raises(MlvampError, match="^truth has zero norm at layer 2$"):
+            run(net, trajs[1].z[-1], opts, truth=trajs[1])
+        with pytest.raises(MlvampError,
+                           match="^truth of trial 1 has zero norm at layer 2$"):
+            run(net, np.array([tr.z[-1] for tr in trajs]), opts, truth=trajs)
+
     def test_batch_matches_single_runs(self):
         # one batched run returns each trial's records, trial-major, as its
         # own run does, up to the order of the sums in the linear products

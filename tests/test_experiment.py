@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,17 @@ class TestBaselineComparison:
         cfg = tiny_config(methods=("mlvamp",))
         res = run_iteration_experiment(cfg)
         assert {r["method"] for r in res.rows} == {"mlvamp"}
+
+    def test_network_the_baselines_cannot_run_rejected_before_any_trial(self):
+        # a noisy hidden stage voids every baseline trial; it is a config
+        # error up front rather than a failure of each trial, ML-VAMP's too
+        cfg = tiny_config()
+        net = config_network(cfg)
+        noisy = NetworkSpec(n0=net.n0, stages=[replace(net.stages[0], nu=50.0),
+                                               *net.stages[1:]])
+        assert len(run_iteration_experiment(cfg, noisy).rows) == 36
+        with pytest.raises(ConfigError, match="deterministic hidden stages"):
+            run_iteration_experiment(replace(cfg, methods=("mlvamp", "map")), noisy)
 
     def test_nonfinite_observation_fails_its_baseline_trial(self, monkeypatch):
         poison_trial_1(monkeypatch)

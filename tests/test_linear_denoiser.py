@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import oracles
+from mlvamp.engine import Reuse
 from mlvamp.errors import MlvampError
 from mlvamp.linear_denoiser import (
-    StageTransforms,
     component_solve,
     component_variances,
     denoise_linear,
@@ -183,11 +183,11 @@ class TestDenoiseLinear:
             denoise_linear(st, rp, rm, 0.9, 1.7, side="up")
 
     def test_shared_transforms_follow_new_arrays(self):
-        # a shared StageTransforms serves an input again only while the very
-        # same array is passed; a new array is transformed afresh
+        # shared transforms serve an input again only while the very same
+        # array is passed; a new array is transformed afresh
         rng = np.random.default_rng(8)
         st = random_stage(rng)
-        tr = StageTransforms(st)
+        tr = (Reuse(st.svd_in), Reuse(st.svd_out))
         rp, rm = rng.normal(size=12), rng.normal(size=8)
         denoise_linear(st, rp, rm, 0.9, 1.7, transforms=tr)
         for rp, rm in ((rp, rng.normal(size=8)), (rng.normal(size=12), rm)):
@@ -234,7 +234,7 @@ class TestDenoiseLinearObserved:
         rng = np.random.default_rng(4)
         st = random_stage(rng, n_out=10, n_in=6, nu=4.0)
         y = rng.normal(size=10)
-        tr = StageTransforms(st)
+        tr = (Reuse(st.svd_in), Reuse(st.svd_out))
         for _ in range(3):
             rp = rng.normal(size=6)
             shared = denoise_linear_observed(st, y, rp, 1.3, transforms=tr)

@@ -81,6 +81,30 @@ class TestSvdDecompose:
             svd_decompose_stage(np.array([[np.nan]]), np.zeros(1), 1.0)
 
 
+class TestSvdCoordinates:
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 9)])
+    def test_methods_are_the_factor_products(self, shape):
+        # bit for bit, on one message and on a (T, n) batch of them; W has
+        # rank 3, so both factors are thin
+        rng = np.random.default_rng(5)
+        W = rng.normal(size=(shape[0], 3)) @ rng.normal(size=(3, shape[1]))
+        st = svd_decompose_stage(W, rng.normal(size=shape[0]), 2.0)
+        assert len(st.s) == 3
+        for method, factor in ((st.svd_in, st.v_in), (st.svd_out, st.v_out.T),
+                               (st.from_svd_in, st.v_in.T),
+                               (st.from_svd_out, st.v_out)):
+            x = rng.normal(size=factor.shape[1])
+            xs = rng.normal(size=(3, factor.shape[1]))
+            assert np.array_equal(method(x), factor @ x)
+            assert np.array_equal(method(xs), (factor @ xs.T).T)
+
+    def test_apply_goes_through_the_coordinates(self):
+        rng = np.random.default_rng(6)
+        st = svd_decompose_stage(rng.normal(size=(6, 4)), rng.normal(size=6), 2.0)
+        z = rng.normal(size=4)
+        assert np.array_equal(st.apply(z), st.v_out @ (st.s * (st.v_in @ z)) + st.b)
+
+
 class TestGramRoute:
     """The builder factors a hidden Gaussian W through its smaller Gram
     matrix, and falls back to the SVD where that would cost orthogonality."""

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mlvamp import scalar_denoiser
+from mlvamp.engine import Reuse
 from mlvamp.errors import ObservationError
 from mlvamp.gauss import EXP_CUT
 from mlvamp.network import NonlinearStage
 from mlvamp.scalar_denoiser import (
     VAR_FLOOR,
-    NegativeBranch,
     denoise_input,
     denoise_middle,
     denoise_output_nonlinear,
@@ -482,8 +482,8 @@ def assert_same_result(a, b):
 
 
 class TestNegativeBranch:
-    """Relu calls that share a NegativeBranch return bit for bit what calls
-    that compute the z_in < 0 branch afresh return."""
+    """Relu calls that share a Reuse of the z_in < 0 branch return bit for
+    bit what calls that compute it afresh return."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(batches(), hs.sampled_from([0.0, 0.3]))
@@ -498,7 +498,7 @@ class TestNegativeBranch:
                          for side in ("out", "in", None)}
             except ObservationError:
                 continue
-            branch = NegativeBranch()
+            branch = Reuse(scalar_denoiser._negative_branch)
             held = branch(args[0], args[2])
             for side in ("out", "in", None):   # the engine's order, then both sides
                 assert_same_result(denoise_middle(ch, *args, side=side, branch=branch),
@@ -519,7 +519,7 @@ class TestNegativeBranch:
         gp, gm = np.array([[1.0], [3.0], [0.5]]), np.array([[2.0], [0.4], [5.0]])
         for r_plus, r_minus, g_plus, g_minus in ((rp, rm, gp, gm),
                                                  (rp[1], rm[1], gp[1, 0], 0.0)):
-            branch = NegativeBranch()
+            branch = Reuse(scalar_denoiser._negative_branch)
 
             def held(r, g, side="in"):
                 """The held call's result, checked against a fresh one, and
@@ -543,6 +543,27 @@ class TestNegativeBranch:
             assert held(r_plus, g_plus) == 1
             # another r+ array under the same gamma+
             assert held(r_plus + 0.5, g_plus) == 1
+
+    def test_reuse_keys_on_source_identity_and_argument_values(self):
+        calls = []
+
+        def fn(src, *args):
+            calls.append(1)
+            return [src.sum()] + [np.sum(a) for a in args]
+
+        src, g = np.arange(4.0), np.array([[1.0], [2.0]])
+        memo = Reuse(fn)
+        first = memo(src, g, 3.0)
+        # equal values in other arrays are the same key: the result is reused
+        assert memo(src, np.copy(g), 3.0) is first and len(calls) == 1
+        # changed argument values recompute, also when changed in place
+        g[1, 0] = 5.0
+        assert memo(src, g, 3.0)[1] == 6.0 and len(calls) == 2
+        assert memo(src, g, 4.0)[2] == 4.0 and len(calls) == 3
+        held = memo(src, g, 4.0)
+        assert len(calls) == 3
+        # so does a new source array, even with the values of the old one
+        assert memo(np.copy(src), g, 4.0) is not held and len(calls) == 4
 
     def test_branch_weights_exact_and_never_subnormal(self):
         d = np.concatenate([np.linspace(-800.0, 800.0, 160001), [-1e300, 1e300]])
