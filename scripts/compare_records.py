@@ -15,7 +15,9 @@ SE's ``quad_rel_err`` and ``clamp_total``).
 run each; ``--ulp`` moves y[0] of every trial and the SE's first singular
 value ``stats[0].s[0]`` up by one ulp, to measure how far rounding alone
 moves the engine and the SE records.  Run it once per checkout, with that
-checkout's ``src`` on ``PYTHONPATH``.
+checkout's ``src`` on ``PYTHONPATH``.  The BLAS thread count, which moves
+the records by rounding, is fixed to min(2, CPUs) as perfbench fixes it, and
+stored in the dump as ``blas_threads``.
 
 ``compare`` prints the worst relative difference per field: elementwise
 |a - b| / |b| (|a - b| where b = 0) for the scalar-per-layer fields, and
@@ -23,14 +25,20 @@ max |a - b| / max |b| per record and layer for ``z_hat``; ``nmse_db`` also
 gets its worst absolute difference in dB.  ``quad_rel_err`` is a difference
 of two nearly equal integrals, so rounding moves it far more in relative
 terms than the records it comes from: it gets only its absolute difference.
-It exits 1 when a relative difference exceeds ``--rtol`` (1e-12) or the two
-files hold different keys or shapes; absolute differences are not gated.
+It exits 1 when a relative difference exceeds ``--rtol`` (1e-12), or the two
+files hold different keys or shapes or were dumped at different BLAS thread
+counts; absolute differences are not gated.
 """
 import argparse
+import os
 import sys
 from collections import defaultdict
 
-import numpy as np
+THREADS = max(1, min(2, len(os.sched_getaffinity(0))))
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(THREADS)
+
+import numpy as np  # noqa: E402
 
 RTOL = 1e-12
 SCALES = (1, 4)
@@ -52,7 +60,7 @@ def dump(path, n_trials=2, batch=False, ulp=False):
     from mlvamp.network import build_synthetic_network, sample_trajectory
     from mlvamp.state_evolution import run_se, stats_from_network
 
-    out = {}
+    out = {"blas_threads": np.array(THREADS)}
     for scale in SCALES:
         base = paper_config()
         cfg = paper_config(dims=[scale * d for d in base.dims],
@@ -98,8 +106,12 @@ def compare(path_a, path_b, rtol=RTOL):
     if set(a.files) != set(b.files):
         print("different keys:", sorted(set(a.files) ^ set(b.files)))
         return 1
+    threads = int(a["blas_threads"]), int(b["blas_threads"])
+    if threads[0] != threads[1]:
+        print(f"dumped at {threads[0]} and {threads[1]} BLAS threads")
+        return 1
     worst = defaultdict(float)
-    for key in sorted(a.files):
+    for key in sorted(set(a.files) - {"blas_threads"}):
         if a[key].shape != b[key].shape:
             print(f"{key}: shapes {a[key].shape} and {b[key].shape}")
             return 1

@@ -54,6 +54,27 @@ def _parse_n_meas(text):
     return vals if len(vals) > 1 else vals[0]
 
 
+def _seed(text):
+    """An argparse type: a nonnegative integer seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"a seed must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
+def _load_observation(path):
+    """The one real vector in the .npy file ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            y = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:   # empty, truncated, not .npy, object array
+            raise ConfigError(f"--observation {path}: {exc}") from exc
+    if y.ndim != 1 or y.dtype.kind not in "iuf":
+        raise ConfigError(f"--observation must hold one real vector, not a "
+                          f"{y.dtype} array of shape {y.shape}")
+    return y
+
+
 def load_config(args, sweep=False):
     """The config file's object, or the preset (with the preset sweep's
     n_meas on a sweep without --n-meas), updated by the flags given and
@@ -106,7 +127,7 @@ def cmd_infer(args):
     cfg = load_config(args)
     truth = None
     if args.observation:
-        y = np.load(args.observation)
+        y = _load_observation(args.observation)
     elif args.sample_seed is not None:
         truth = sample_trajectory(net, args.sample_seed)
         y = truth.z[-1]
@@ -189,7 +210,7 @@ def build_parser():
 
     s = sub.add_parser("sample", help="sample one trajectory from a network")
     s.add_argument("--net", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", default=".")
     s.set_defaults(func=cmd_sample)
 
@@ -197,7 +218,7 @@ def build_parser():
     _add_config_args(i)
     i.add_argument("--net", required=True)
     i.add_argument("--observation", help=".npy observation vector")
-    i.add_argument("--sample-seed", type=int,
+    i.add_argument("--sample-seed", type=_seed,
                    help="sample the observation (enables NMSE tracking)")
     i.set_defaults(func=cmd_infer)
 

@@ -86,6 +86,8 @@ class ExperimentConfig:
         for key, (ok, kind) in kinds.items():
             if not ok:
                 raise ConfigError(f"{key} must be {kind}, not {getattr(self, key)!r}")
+        if len(set(n_meas)) != len(n_meas):
+            raise ConfigError(f"n_meas values must be distinct, not {self.n_meas!r}")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unimplemented methods requested: {unknown}")

@@ -2,22 +2,21 @@
 coordinates.
 
 With W = V_out diag(s) V_in, the joint Gaussian belief over (z_in, z_out)
-decouples componentwise after transforming with the orthogonal factors.  Each
-component solves the 2x2 system P u = d with
-
-    P = [[g+ + nu s^2, -nu s], [-nu s, g- + nu]]
-    d = [g+ u_in - nu s b_bar, g- u_out + nu b_bar]
-
-whose inverse diagonal yields the posterior variances.  nu = inf is the
-deterministic stage and is solved as the exact equality-constrained limit.
+decouples componentwise after transforming with the orthogonal factors.  A
+stage with noise xi ~ N(0, I/nu) is the deterministic stage (nu = inf) seen
+through its noise, which lies in series with the output message (r-, gamma-):
+the noiseless output x = s z_in + b_bar sees that message at precision
+c gamma-, and the output belief is the blend c x + w u_out with variance
+c^2 var_x + 1 / (gamma- + nu), where c = nu / (gamma- + nu) and
+w = gamma- / (gamma- + nu) (c = 1, w = 0 at nu = inf).  So one
+equality-constrained solve serves every nu.
 
 The factors are thin (r = len(s) directions).  The other n_in - r input and
-n_out - r output components are the s = 0 case, whose solve has a closed
-form: there z- keeps r+, and z+ blends r- and b with weight
-w = gamma- / (gamma- + nu) (w = 0 at nu = inf).  So
+n_out - r output components are the s = 0 case, where z- keeps r+ and z+ is
+the same blend c b + w r-.  So, with (g-, g+) the noiseless means,
 
     z- = V_in^T (g- - u_in) + r+
-    z+ = V_out (g+ - w u_out - (1 - w) b_bar) + w r- + (1 - w) b
+    z+ = V_out c (g+ - b_bar) + w r- + c b
 
 with u_in = V_in r+ and u_out = V_out^T r-.  The cost is the matvecs with
 V_in and V_out, which the stage applies itself (``LinearStage.svd_in`` and
@@ -28,7 +27,6 @@ transforms, so that a stage's forward and reverse calls share them.  The
 observed stage is the deterministic stage (nu = inf) whose output message
 r- = y has gamma- = nu.
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,39 +35,27 @@ from .errors import MlvampError
 from .gauss import any_true
 
 
-def component_variances(s, gamma_plus, gamma_minus, nu):
-    """Posterior variances (var_in, var_out) of the 2x2 belief per component
-    for singular values s (an array, or a plain number): the diagonal of
-    P^{-1}.
+def component_variances(s, gamma_plus, gamma_minus):
+    """Posterior variances (var_in, var_out) of the noiseless belief per
+    component for singular values s (an array, or a plain number).
 
-    gamma_minus = 0 is permitted (uninformative output message); the formulas
-    stay regular because det = nu * gamma_plus > 0.
+    gamma_minus = 0 is permitted (uninformative output message) while
+    gamma_plus > 0.
     """
-    if math.isinf(nu):
-        denom = gamma_plus + gamma_minus * s * s
-        if any_true(denom <= 0):
-            raise MlvampError("singular constrained solve: both precisions vanish")
-        var_in = 1.0 / denom
-        return var_in, s * s * var_in
-    a22 = gamma_minus + nu
-    # a11 a22 - (nu s)^2 without its cancellation when nu s^2 >> gamma_plus
-    det = gamma_plus * a22 + nu * s * s * gamma_minus
-    if any_true(det <= 0):
-        raise MlvampError("singular 2x2 belief precision (zero precisions?)")
-    return a22 / det, (gamma_plus + nu * s * s) / det
+    denom = gamma_plus + gamma_minus * s * s
+    if any_true(denom <= 0):
+        raise MlvampError("singular constrained solve: both precisions vanish")
+    var_in = 1.0 / denom
+    return var_in, s * s * var_in
 
 
-def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus, nu):
-    """Posterior means and variances (g_minus, g_plus, var_in, var_out) of
-    one or a batch of transformed components; see the module docstring."""
-    var_in, var_out = component_variances(s, gamma_plus, gamma_minus, nu)
-    if np.isinf(nu):
-        g_minus = (gamma_plus * u_in + gamma_minus * s * (u_out - b_bar)) * var_in
-        return g_minus, s * g_minus + b_bar, var_in, var_out
-    d1 = gamma_plus * u_in - nu * s * b_bar
-    d2 = gamma_minus * u_out + nu * b_bar
-    cov = nu * s * var_in / (gamma_minus + nu)   # off-diagonal of P^{-1}
-    return var_in * d1 + cov * d2, cov * d1 + var_out * d2, var_in, var_out
+def component_solve(u_in, u_out, s, b_bar, gamma_plus, gamma_minus):
+    """Noiseless posterior means and variances (g_minus, g_plus, var_in,
+    var_out) of one or a batch of transformed components; see the module
+    docstring."""
+    var_in, var_out = component_variances(s, gamma_plus, gamma_minus)
+    g_minus = (gamma_plus * u_in + gamma_minus * s * (u_out - b_bar)) * var_in
+    return g_minus, s * g_minus + b_bar, var_in, var_out
 
 
 def _mean_with_rest(v, n, v_rest):
@@ -81,13 +67,16 @@ def _mean_with_rest(v, n, v_rest):
 
 def mean_variances(stage, gamma_plus, gamma_minus, nu, variances=None):
     """Mean posterior variances (over N_in, over N_out) at noise precision
-    ``nu``: ``variances`` (``component_variances`` of stage.s unless given)
-    over the singular directions and their s = 0 values past them."""
+    ``nu``: ``variances`` (``component_variances`` of stage.s at c gamma-
+    unless given) over the singular directions and their s = 0 values past
+    them, the output side seen through the noise."""
+    c = 1.0 / (1.0 + gamma_minus / nu)
     if variances is None:
-        variances = component_variances(stage.s, gamma_plus, gamma_minus, nu)
-    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus, nu)
+        variances = component_variances(stage.s, gamma_plus, gamma_minus * c)
+    rest_in, rest_out = component_variances(0.0, gamma_plus, gamma_minus * c)
+    mean_out = _mean_with_rest(variances[1], stage.n_out, rest_out)
     return (_mean_with_rest(variances[0], stage.n_in, rest_in),
-            _mean_with_rest(variances[1], stage.n_out, rest_out))
+            c * c * mean_out + 1.0 / (gamma_minus + nu))
 
 
 @dataclass
@@ -111,15 +100,15 @@ def _solve(stage, r_plus, r_minus, gamma_plus, gamma_minus, nu, side, transforms
         raise ValueError("r vectors do not match stage dimensions")
     svd_in, svd_out = transforms or (stage.svd_in, stage.svd_out)
     u_in, u_out = svd_in(r_plus), svd_out(r_minus)
+    c, w = 1.0 / (1.0 + gamma_minus / nu), gamma_minus / (gamma_minus + nu)
     g_minus, g_plus, var_in, var_out = component_solve(
-        u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus, nu)
+        u_in, u_out, stage.s, stage.b_bar, gamma_plus, gamma_minus * c)
     z_hat_minus = z_hat_plus = None
     if side != "plus":
         z_hat_minus = stage.from_svd_in(g_minus - u_in) + r_plus
     if side != "minus":
-        w = gamma_minus / (gamma_minus + nu)
-        z_hat_plus = (stage.from_svd_out(g_plus - w * u_out - (1 - w) * stage.b_bar)
-                      + w * r_minus + (1 - w) * stage.b)
+        z_hat_plus = (stage.from_svd_out(c * (g_plus - stage.b_bar))
+                      + w * r_minus + c * stage.b)
     return LinearDenoised(z_hat_minus, z_hat_plus, *mean_variances(
         stage, gamma_plus, gamma_minus, nu, (var_in, var_out)))
 

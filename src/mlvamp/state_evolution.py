@@ -94,9 +94,8 @@ def tau_mean_chain(stats):
         if stat.kind == "linear":
             if not np.all(np.isfinite(stat.s)):
                 raise MlvampError("unbounded singular-value samples")
-            noise = 0.0 if math.isinf(stat.nu) else 1.0 / stat.nu
             tau.append(float(np.sum(stat.s**2) / stat.n_out * prev
-                             + stat.b_sq_mean + noise))
+                             + stat.b_sq_mean + 1.0 / stat.nu))
             mean.append(stat.b_mean)
         elif stat.activation == "relu":
             v = max(prev - m_prev**2, 1e-30)

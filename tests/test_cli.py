@@ -86,6 +86,43 @@ class TestGenerateSampleInfer:
                    "--out", out])
         assert rc == 0
 
+    @pytest.mark.parametrize("name, write, message", [
+        ("two.npy", lambda p: np.save(p, np.zeros((2, 6))), "one real vector"),
+        ("text.npy", lambda p: np.save(p, np.array(["a"] * 6)), "one real vector"),
+        ("empty.npy", lambda p: p.write_bytes(b""), "EOF"),
+        ("cut.npy", lambda p: (np.save(p, np.zeros(6)),
+                               p.write_bytes(p.read_bytes()[:-8])), "Failed to read"),
+        ("object.npy", lambda p: np.save(p, np.array([1.0, None]), allow_pickle=True),
+         "Object arrays"),
+        ("y.npz", lambda p: np.savez(p, y=np.zeros(6)), "magic string")])
+    def test_infer_rejects_bad_observation_file(self, tiny_config_file, tmp_path,
+                                                capsys, name, write, message):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out])
+        ypath = tmp_path / name
+        write(ypath)
+        capsys.readouterr()
+        rc = main(["infer", "--net", os.path.join(out, "network.json"),
+                   "--observation", str(ypath), "--config", tiny_config_file,
+                   "--out", out])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+        assert not os.path.exists(os.path.join(out, "infer.csv"))
+
+    @pytest.mark.parametrize("argv, flag", [(["sample", "--seed", "-1"], "--seed"),
+                                            (["infer", "--sample-seed", "-3"],
+                                             "--sample-seed")])
+    def test_negative_seed_rejected(self, tiny_config_file, tmp_path, capsys, argv, flag):
+        out = str(tmp_path / "o")
+        main(["generate", "--config", tiny_config_file, "--out", out])
+        capsys.readouterr()
+        assert main([*argv, "--net", os.path.join(out, "network.json"),
+                     "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: argument {flag}: a seed must be a nonnegative integer, "
+            f"not '{argv[-1]}'"]
+
     def test_infer_rejects_tampered_explicit_network(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "o")
         main(["generate", "--config", tiny_config_file, "--out", out, "--explicit"])
@@ -332,6 +369,13 @@ class TestExitCodes:
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "iters.csv").exists()
+
+    def test_repeated_n_meas_in_sweep_exit_1(self, tiny_config_file, tmp_path, capsys):
+        assert main(["experiment-sweep", "--config", tiny_config_file,
+                     "--n-meas", "6,6", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: n_meas values must be distinct, not [6, 6]"]
+        assert not (tmp_path / "out" / "sweep_summary.csv").exists()
 
     def test_unparsable_flag_exit_1(self, tmp_path):
         # an argument the parser rejects is a configuration error (one line,

@@ -103,6 +103,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(settings)
 
+    def test_repeated_n_meas_rejected(self):
+        with pytest.raises(ConfigError, match="n_meas values must be distinct"):
+            ExperimentConfig.from_dict({"n_meas": [300, 200, 300]})
+
     def test_zero_map_steps_allowed(self):
         assert ExperimentConfig.from_dict({"map_steps": 0}).map_steps == 0
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mlvamp.engine import Reuse
 from mlvamp.errors import MlvampError
 from mlvamp.linear_denoiser import (
     component_solve,
-    component_variances,
     denoise_linear,
     denoise_linear_observed,
 )
@@ -22,14 +22,34 @@ def random_stage(rng, n_out=8, n_in=12, nu=3.0):
     return svd_decompose_stage(W, rng.normal(size=n_out), nu)
 
 
+def scalar_solve(u_in, u_out, s, b, gamma_plus, gamma_minus, nu):
+    """(z-, z+, var_in, var_out) of ``denoise_linear`` on the 1x1 stage
+    z_out = s z_in + b + noise, whose SVD coordinates are the identity."""
+    st = LinearStage(v_out=np.eye(1), v_in=np.eye(1), s=[s], b=[b], nu=nu)
+    res = denoise_linear(st, [u_in], [u_out], gamma_plus, gamma_minus)
+    return res.z_hat_minus[0], res.z_hat_plus[0], res.var_in_mean, res.var_out_mean
+
+
+def exact_scalar_solve(*args):
+    """``scalar_solve`` by Cramer's rule on the 2x2 belief precision in
+    rational arithmetic, so the reference itself has no rounding."""
+    u_in, u_out, s, b, gp, gm, nu = (Fraction(float(v)) for v in args)
+    p11, p12, p22 = gp + nu * s * s, -nu * s, gm + nu
+    d1, d2 = gp * u_in - nu * s * b, gm * u_out + nu * b
+    det = p11 * p22 - p12 * p12
+    return tuple(float(v) for v in ((d1 * p22 - p12 * d2) / det,
+                                    (p11 * d2 - p12 * d1) / det,
+                                    p22 / det, p11 / det))
+
+
 class TestComponentSolve:
     def test_s_zero_decouples(self):
-        g_minus, g_plus, _, _ = component_solve(0.7, -0.4, 0.0, 1.1, 2.0, 3.0, 5.0)
+        g_minus, g_plus, _, _ = scalar_solve(0.7, -0.4, 0.0, 1.1, 2.0, 3.0, 5.0)
         assert g_minus == pytest.approx(0.7, rel=1e-12)
         assert g_plus == pytest.approx((3.0 * -0.4 + 5.0 * 1.1) / 8.0, rel=1e-12)
 
     def test_hard_constraint_average(self):
-        g_minus, g_plus, _, _ = component_solve(1.0, 3.0, 1.0, 0.0, 2.0, 2.0, math.inf)
+        g_minus, g_plus, _, _ = component_solve(1.0, 3.0, 1.0, 0.0, 2.0, 2.0)
         assert g_minus == pytest.approx(2.0, rel=1e-12)
         assert g_plus == pytest.approx(2.0, rel=1e-12)
 
@@ -43,34 +63,44 @@ class TestComponentSolve:
             d = np.array([gp * u_in - nu * s * b, gm * u_out + nu * b])
             ref = np.linalg.solve(P, d)
             cov = np.linalg.inv(P)
-            g_minus, g_plus, var_in, var_out = component_solve(u_in, u_out, s, b,
-                                                               gp, gm, nu)
+            g_minus, g_plus, var_in, var_out = scalar_solve(u_in, u_out, s, b,
+                                                            gp, gm, nu)
             assert g_minus == pytest.approx(ref[0], abs=1e-12, rel=1e-12)
             assert g_plus == pytest.approx(ref[1], abs=1e-12, rel=1e-12)
             assert var_in == pytest.approx(cov[0, 0], rel=1e-12)
             assert var_out == pytest.approx(cov[1, 1], rel=1e-12)
             assert 0 < gp * var_in < 1 and 0 < gm * var_out < 1
 
+    @pytest.mark.parametrize("nu", [1e2, 1e4, 1e8, 1e12])
+    def test_matches_exact_arithmetic(self, nu):
+        # nu enters the solve only through the weights c and w, so no
+        # nu s b_bar terms cancel at large nu
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            args = (*rng.normal(size=2), rng.uniform(0, 3), rng.normal(),
+                    *10 ** rng.uniform(-2, 6, size=2), nu)
+            for got, ref in zip(scalar_solve(*args), exact_scalar_solve(*args)):
+                assert got == pytest.approx(ref, rel=1e-12)
+
     def test_deterministic_limit_matches_large_nu(self):
-        # finite-nu solve approaches the exact constrained branch as nu grows
-        # (nu kept moderate: the 2x2 determinant cancels catastrophically at
-        # huge nu, which is why the nu = inf branch exists)
-        # (g_minus, g_plus, var_in, var_out); var_out carries alpha+
-        cs_inf = component_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, math.inf)
-        cs_big = component_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, 1e8)
+        # the finite-nu solve approaches the deterministic one as nu grows:
+        # they differ by O(gamma- / nu), about 1e-8 here
+        # (z-, z+, var_in, var_out); var_out carries alpha+
+        cs_inf = scalar_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, math.inf)
+        cs_big = scalar_solve(0.3, 1.2, 0.8, 0.1, 1.5, 2.5, 1e8)
         for i in (0, 1, 3):
-            assert cs_inf[i] == pytest.approx(cs_big[i], rel=1e-6)
+            assert cs_inf[i] == pytest.approx(cs_big[i], rel=1e-7)
 
     def test_no_cancellation_at_large_nu_s2(self):
         # gamma_minus = 0 leaves var_in = 1/gamma_plus exactly; a determinant
         # formed as a11 a22 - (nu s)^2 loses ~eps nu s^2 / gamma_plus (1.3e-5)
         for nu, s, gp in ((1e4, 3.0, 1e-6), (10.0, 1.05, 1e-4)):
-            _, _, var_in, _ = component_solve(0.0, 0.0, s, 0.0, gp, 0.0, nu)
+            _, _, var_in, _ = scalar_solve(0.0, 0.0, s, 0.0, gp, 0.0, nu)
             assert var_in == pytest.approx(1 / gp, rel=1e-13)
 
     def test_singular_rejected(self):
         with pytest.raises(MlvampError):
-            component_solve(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, math.inf)
+            component_solve(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestDenoiseLinear:
@@ -245,18 +275,17 @@ class TestDenoiseLinearObserved:
 class TestComponentVariances:
     def test_no_cancellation_at_large_nu_s2(self):
         # the failing point of the cancelling determinant a11 a22 - (nu s)^2
-        var_in, _ = component_variances(3.0, 1e-6, 0.0, 1e4)
+        _, _, var_in, _ = scalar_solve(0.0, 0.0, 3.0, 0.0, 1e-6, 0.0, 1e4)
         assert var_in == pytest.approx(1e6, rel=1e-12)
 
     def test_matches_inverse_diagonal(self):
-        s = np.array([0.0, 0.5, 2.0])
         gp, gm, nu = 1.2, 0.8, 3.0
-        vi, vo = component_variances(s, gp, gm, nu)
-        for i, si in enumerate(s):
+        for si in (0.0, 0.5, 2.0):
+            _, _, vi, vo = scalar_solve(0.0, 0.0, si, 0.0, gp, gm, nu)
             P = np.array([[gp + nu * si * si, -nu * si], [-nu * si, gm + nu]])
             cov = np.linalg.inv(P)
-            assert vi[i] == pytest.approx(cov[0, 0], rel=1e-12)
-            assert vo[i] == pytest.approx(cov[1, 1], rel=1e-12)
+            assert vi == pytest.approx(cov[0, 0], rel=1e-12)
+            assert vo == pytest.approx(cov[1, 1], rel=1e-12)
 
 
 # (n_out, n_in, rank): n_out > n_in, n_in > n_out, rank < min(n_in, n_out)

@@ -258,7 +258,8 @@ class TestErrorFunctions:
     def test_measurement_layer_matches_mc(self):
         # E- averages over the input-side spectrum (784 with zero padding),
         # E+ over the output-side spectrum (300, all nonzero); the MC oracle
-        # simulates the scalar channel on each population separately
+        # simulates the scalar channel on each population separately: the
+        # noiseless solve at c gm, blended with rm through the noise
         from mlvamp.linear_denoiser import component_solve
 
         net = build_synthetic_network([20, 100, 500, 784], 0.4, 10.0, 30.0, 300, 0)
@@ -274,9 +275,10 @@ class TestErrorFunctions:
             p0 = rng.normal(0, 1, n) / math.sqrt(gp)
             q0 = s * p0 + rng.normal(0, 1, n) / math.sqrt(stat.nu)
             rm = q0 + rng.normal(0, 1, n) / math.sqrt(gm)
-            g_minus, g_plus, _, _ = component_solve(np.zeros(n), rm, s, np.zeros(n),
-                                                    gp, gm, stat.nu)
-            return (g_minus - p0) ** 2, (g_plus - q0) ** 2
+            c, w = stat.nu / (gm + stat.nu), gm / (gm + stat.nu)
+            g_minus, x_hat, _, _ = component_solve(np.zeros(n), rm, s, np.zeros(n),
+                                                   gp, c * gm)
+            return (g_minus - p0) ** 2, (c * x_hat + w * rm - q0) ** 2
 
         err_in, _ = mc(stat.n_in)
         _, err_out = mc(stat.n_out)
