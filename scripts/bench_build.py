@@ -1,7 +1,7 @@
 """Time the synthetic-network builder of two checkouts and compare what they build.
 
     python scripts/bench_build.py --parent DIR --change DIR [--intermediate DIR]
-        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_14.json]
+        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_24.json]
 
 Every build runs in its own process, with that checkout's ``src`` on
 ``PYTHONPATH`` and the BLAS thread count fixed to min(2, CPUs) as perfbench
@@ -15,7 +15,12 @@ alternate, and so does which of them goes first.  Each build records:
   ``svd_decompose_stage``), ``measurement_s`` (``_haar_columns`` and
   ``_haar_rows``, else ``haar_orthogonal``) and ``other_s`` (the Gaussian
   draws of W and b, the pilot trajectories);
-- ``peak_rss_mb`` of the build process.
+- ``peak_rss_mb`` of the build process, ``start_rss_mb`` (its high-water
+  mark when the build starts, after the imports) and, per phase,
+  ``hidden_rss_rise_mb`` and ``measurement_rss_rise_mb``: how far
+  ``ru_maxrss`` rose inside that phase's calls, and ``other_rss_rise_mb``
+  the rest of the rise.  The high-water mark only grows, so the last phase
+  with a rise set the peak.
 
 The first build of each side and scale also records the worst |V^T V - I| of
 every factor (V_out's columns, V_in's rows) and, for the realization check,
@@ -55,6 +60,10 @@ def _blas_env(src):
     return env
 
 
+def _max_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _orth_error(v):
     return float(np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0))
 
@@ -65,17 +74,20 @@ def worker(scale, seed, details_path):
 
     depth = [0]
     spent = {phase: 0.0 for phase in PHASES}
+    rise = {phase: 0.0 for phase in PHASES}
 
     def timed(phase, fn):
         def wrapper(*args, **kwargs):
             if depth[0]:   # a routine called from a timed one is already counted
                 return fn(*args, **kwargs)
             depth[0] += 1
+            high = _max_rss_mb()
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[phase] += time.perf_counter() - start
+                rise[phase] += _max_rss_mb() - high
                 depth[0] -= 1
         return wrapper
 
@@ -85,11 +97,15 @@ def worker(scale, seed, details_path):
                 setattr(network, name, timed(phase, getattr(network, name)))
 
     dims = [scale * d for d in PAPER_DIMS]
+    start_rss = _max_rss_mb()
     start = time.perf_counter()
     net = network.build_synthetic_network(dims, 0.4, 10.0, 30.0, scale * PAPER_N_MEAS, seed)
     out = {"build_s": time.perf_counter() - start, **spent}
     out["other_s"] = out["build_s"] - sum(spent.values())
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    out["peak_rss_mb"] = _max_rss_mb()
+    out["start_rss_mb"] = start_rss
+    out.update({phase.removesuffix("_s") + "_rss_rise_mb": mb for phase, mb in rise.items()})
+    out["other_rss_rise_mb"] = out["peak_rss_mb"] - start_rss - sum(rise.values())
     if details_path:
         linear = [st for st in net.stages if st.kind == "linear"]
         out["orth"] = [{"stage": 2 * i + 1, "shape": [st.n_out, st.n_in],
@@ -149,7 +165,8 @@ def _compare(a, b):
 
 def _median_summary(parent_runs, change_runs):
     out = {}
-    for key in ("build_s", "hidden_s", "measurement_s", "other_s", "peak_rss_mb"):
+    for key in ("build_s", "hidden_s", "measurement_s", "other_s", "peak_rss_mb",
+                "hidden_rss_rise_mb", "measurement_rss_rise_mb", "other_rss_rise_mb"):
         p = float(np.median([r[key] for r in parent_runs]))
         c = float(np.median([r[key] for r in change_runs]))
         out[key] = {"parent_median": p, "change_median": c,
@@ -182,7 +199,7 @@ def main(argv=None):
     parser.add_argument("--scales", default="1,4,8")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_14.json")
+    parser.add_argument("--out", default="BENCH_24.json")
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.scale, args.seed, args.details)
@@ -213,7 +230,9 @@ def main(argv=None):
                     runs[side].append(rec)
                     print(f"x{scale} {side}: build {rec['build_s']:.2f} s "
                           f"(hidden {rec['hidden_s']:.2f}, measurement "
-                          f"{rec['measurement_s']:.2f})", flush=True)
+                          f"{rec['measurement_s']:.2f}), peak {rec['peak_rss_mb']:.1f} MB "
+                          f"(rise: hidden {rec['hidden_rss_rise_mb']:.1f}, measurement "
+                          f"{rec['measurement_rss_rise_mb']:.1f})", flush=True)
             doc["builds"][f"x{scale}"] = {
                 "dims": [scale * d for d in PAPER_DIMS], "n_meas": scale * PAPER_N_MEAS,
                 "runs": runs, "summary": _median_summary(runs["parent"], runs["change"])}

@@ -122,6 +122,8 @@ def cmd_sample(args):
 
 
 def cmd_infer(args):
+    if args.observation is not None and args.sample_seed is not None:
+        raise ConfigError("--observation and --sample-seed exclude each other")
     out = _outdir(args)
     net = load_network(args.net)
     cfg = load_config(args)

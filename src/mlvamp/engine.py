@@ -273,30 +273,35 @@ class Reuse:
         return self._value
 
 
-def _check_observations(net, y, truth):
+def check_inputs(net, y, truth):
     """Reject a y whose width is not the network output, a truth list that
-    does not match a batch, and non-finite entries (naming the trial)."""
+    does not match a batch, non-finite entries and a truth layer of zero
+    norm, which no NMSE can refer to, naming the trial of a batch (and the
+    layer).  Returns the truth per hidden layer, the T truths stacked for a
+    (T, M) y, or None without a truth."""
     if y.ndim not in (1, 2) or y.shape[-1] != net.dims[-1]:
         raise MlvampError(
             f"observation length {y.shape} does not match network output "
             f"dimension {net.dims[-1]}")
-    if y.ndim == 2 and truth is not None and len(truth) != len(y):
+    batch = y.ndim == 2
+    if batch and truth is not None and len(truth) != len(y):
         raise MlvampError(f"{len(truth)} truth trajectories for {len(y)} observations")
     bad = np.count_nonzero(~np.isfinite(np.atleast_2d(y)), axis=1)
     if bad.any():
         t = int(np.flatnonzero(bad)[0])
-        whose = f"observation of trial {t}" if y.ndim == 2 else "observation"
+        whose = f"observation of trial {t}" if batch else "observation"
         raise MlvampError(f"{whose} has {bad[t]} non-finite entries of {y.shape[-1]}")
-
-
-def _check_truth(truth_z, batch):
-    """Reject a truth layer of zero norm, which no NMSE can refer to,
-    naming the trial and the layer."""
+    if truth is None:
+        return None
+    n = len(net.dims) - 1   # the layers z_0 .. z_(L-1): all but y
+    truth_z = truth.z[:n] if not batch else [
+        np.array([tr.z[ell] for tr in truth]) for ell in range(n)]
     for ell, tz in enumerate(truth_z):
         zero = np.flatnonzero(np.sum(np.atleast_2d(tz) ** 2, axis=1) <= 0)
         if zero.size:
-            whose = "truth" if batch is None else f"truth of trial {zero[0]}"
+            whose = f"truth of trial {zero[0]}" if batch else "truth"
             raise MlvampError(f"{whose} has zero norm at layer {ell}")
+    return truth_z
 
 
 def _trial_record(rec, t):
@@ -321,13 +326,9 @@ def run(net, y, options=None, truth=None):
     """
     opts = options or EngineOptions()
     y = np.asarray(y, dtype=float)
-    _check_observations(net, y, truth)
+    truth_z = check_inputs(net, y, truth)
     batch = len(y) if y.ndim == 2 else None
     state = init_state(net, batch)
-    if truth is not None:   # per hidden layer: the truth, or the T truths stacked
-        truth_z = truth.z[:len(state.r_plus)] if batch is None else [
-            np.array([tr.z[ell] for tr in truth]) for ell in range(len(state.r_plus))]
-        _check_truth(truth_z, batch)
     # what a stage's forward and reverse calls share: a linear stage's input
     # transforms, a relu stage's z_in < 0 branch
     held = [(Reuse(st.svd_in), Reuse(st.svd_out)) if st.kind == "linear"

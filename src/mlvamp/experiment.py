@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import baselines as bl
-from .engine import EngineOptions, nmse_db, run
+from .engine import EngineOptions, check_inputs, nmse_db, run
 from .errors import ConfigError, MlvampError
 from .network import (build_synthetic_network, is_integer, positive_integers,
                       sample_trajectory)
@@ -311,9 +311,12 @@ def se_to_rows(se, method="se"):
 def _run_trials(net, se, cfg):
     """Every trial on its own trajectory: ML-VAMP on all of them as one
     batch, then the baselines trial by trial.  A library error that stops a
-    trial leaves only its ``{"trial", "error"}`` failure entry.  When the
-    batch raises, its trials re-run one at a time, so the other trials'
-    rows and the failure entries are those of single-trial runs."""
+    trial leaves only its ``{"trial", "error"}`` failure entry.  Each trial's
+    observation and truth pass the engine's input checks alone first, so a
+    trial they reject fails with its single-run message and the rest still
+    run as one batch.  When the batch raises all the same (inside an engine
+    sweep), its trials re-run one at a time, so the other trials' rows and
+    the failure entries are those of single-trial runs."""
     entries, trajs = {}, {}
 
     def fail(trial, exc):
@@ -324,7 +327,9 @@ def _run_trials(net, se, cfg):
         entries[trial] = {"trial": trial, "rows": [], "runtimes": {},
                           "clamp_total": 0, "failures": []}
         try:
-            trajs[trial] = sample_trajectory(net, trial_seed(cfg.seed, trial))
+            trajs[trial] = traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
+            if "mlvamp" in cfg.methods:
+                check_inputs(net, traj.z[-1], traj)
         except MlvampError as exc:
             fail(trial, exc)
     if "mlvamp" in cfg.methods and trajs:

@@ -350,10 +350,13 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
     factors: the first rank = min(n_meas, N_last) columns of the sign-fixed
     QR of an n_meas x n_meas Gaussian and the first rank rows of that of an
     N_last x N_last one, computed without forming either square matrix.
-    Measurement noise is scaled to snr_db below the signal power
-    (pilot-estimated over 10 trajectories).  A seed gives the same network,
-    to rounding, as when every factor came from np.linalg.svd and the square
-    Haar matrices: only the signs of paired singular vectors may differ.
+    The measurement is drawn first, from its own seed streams, so its square
+    draws are freed before any hidden factor exists: that keeps the build's
+    peak memory down and changes no draw.  Measurement noise is scaled to
+    snr_db below the signal power (pilot-estimated over 10 trajectories).  A
+    seed gives the same network, to rounding, as when every factor came from
+    np.linalg.svd and the square Haar matrices: only the signs of paired
+    singular vectors may differ.
     """
     if not positive_integers(dims):
         raise ConfigError(f"dims must be a nonempty list of positive integers, "
@@ -368,6 +371,15 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
     n_hidden = len(dims) - 1
     children = np.random.SeedSequence(seed).spawn(2 * n_hidden + 3)
+    n_last = dims[-1]
+    rank = min(n_meas, n_last)
+    rng_u = np.random.default_rng(children[2 * n_hidden])
+    rng_v = np.random.default_rng(children[2 * n_hidden + 1])
+    s = np.logspace(-math.log10(kappa), 0.0, rank)
+    s = s / math.sqrt(np.mean(s**2))
+    meas_clean = LinearStage(v_out=_haar_columns(rng_u, n_meas, rank),
+                             v_in=_haar_rows(rng_v, n_last, rank), s=s,
+                             b=np.zeros(n_meas), nu=math.inf)
     stages = []
     tau = 1.0  # running per-component second moment of the layer input
     sigma_b_frac = 0.2
@@ -384,15 +396,6 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         stages.append(NonlinearStage("relu", 0.0, n_out))
         _, tau = relu_gauss_moments(beta, pre_var + sigma_b**2)
 
-    n_last = dims[-1]
-    rank = min(n_meas, n_last)
-    rng_u = np.random.default_rng(children[2 * n_hidden])
-    rng_v = np.random.default_rng(children[2 * n_hidden + 1])
-    s = np.logspace(-math.log10(kappa), 0.0, rank)
-    s = s / math.sqrt(np.mean(s**2))
-    meas_clean = LinearStage(v_out=_haar_columns(rng_u, n_meas, rank),
-                             v_in=_haar_rows(rng_v, n_last, rank), s=s,
-                             b=np.zeros(n_meas), nu=math.inf)
     # pilot trajectories fix the measurement noise relative to signal power
     rng_pilot = np.random.default_rng(children[2 * n_hidden + 2])
     power = float(np.mean([

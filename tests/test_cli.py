@@ -86,6 +86,20 @@ class TestGenerateSampleInfer:
                    "--out", out])
         assert rc == 0
 
+    def test_infer_rejects_observation_with_sample_seed(self, tiny_config_file, tmp_path):
+        # either flag names the observation; with both, one would be dropped
+        out = tmp_path / "o"
+        main(["generate", "--config", tiny_config_file, "--out", str(out)])
+        ypath = tmp_path / "y.npy"
+        np.save(ypath, np.zeros(6))
+        proc = run_module("infer", "--net", str(out / "network.json"),
+                          "--config", tiny_config_file, "--observation", str(ypath),
+                          "--sample-seed", "5", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "config error: --observation and --sample-seed exclude each other"]
+        assert not (out / "infer.csv").exists()
+
     @pytest.mark.parametrize("name, write, message", [
         ("two.npy", lambda p: np.save(p, np.zeros((2, 6))), "one real vector"),
         ("text.npy", lambda p: np.save(p, np.array(["a"] * 6)), "one real vector"),

@@ -221,9 +221,9 @@ class TestIterationExperiment:
                     assert a[key] == pytest.approx(b[key], rel=1e-10)
 
     def test_batch_failure_isolated_to_its_trial(self, monkeypatch):
-        # a non-finite observation in trial 1 stops the batch; the trials
-        # re-run one at a time, so trial 1 gets the failure entry of its own
-        # run and trials 0 and 2 keep the rows of theirs
+        # a non-finite observation in trial 1 fails the engine's input checks
+        # before the batch: trial 1 gets the failure entry of its own run and
+        # trials 0 and 2 keep the rows of their batch of two
         real_sample, poisoned = poison_trial_1(monkeypatch)
         cfg = tiny_config(n_trials=3, methods=("mlvamp", "map"))
         res = run_iteration_experiment(cfg)
@@ -234,12 +234,56 @@ class TestIterationExperiment:
         assert res.metadata["failures"] == [{"trial": 1, "error": str(info.value)}]
         assert {(r["trial"], r["method"]) for r in res.rows} == {
             (0, "mlvamp"), (0, "map"), (2, "mlvamp"), (2, "map")}
-        for trial in (0, 2):
-            traj = real_sample(net, trial_seed(cfg.seed, trial))
-            own = record_rows(run(net, traj.z[-1], cfg.engine_options(), truth=traj),
-                              res.se, trial)
+        trajs = [real_sample(net, trial_seed(cfg.seed, trial)) for trial in (0, 2)]
+        records = run(net, np.array([tr.z[-1] for tr in trajs]), cfg.engine_options(),
+                      truth=trajs)
+        half = len(records) // 2
+        for i, trial in enumerate((0, 2)):
+            own = record_rows(records[i * half:(i + 1) * half], res.se, trial)
             assert [r for r in res.rows
                     if r["trial"] == trial and r["method"] == "mlvamp"] == own
+
+    def test_failure_inside_the_batch_reruns_trials_alone(self, monkeypatch):
+        # an error the input checks cannot foresee stops the whole batch; its
+        # trials re-run one at a time, so the failing trial gets the entry of
+        # its own run and the others keep the rows of theirs
+        import mlvamp.experiment as exp
+        cfg = tiny_config(n_trials=3)
+        net = config_network(cfg)
+        bad_y = sample_trajectory(net, trial_seed(cfg.seed, 1)).z[-1]
+
+        def failing(net, y, options=None, truth=None):
+            if any(np.array_equal(row, bad_y) for row in np.atleast_2d(y)):
+                raise MlvampError("diverged")
+            return run(net, y, options, truth=truth)
+
+        monkeypatch.setattr(exp, "run", failing)
+        res = run_iteration_experiment(cfg)
+        assert res.metadata["failures"] == [{"trial": 1, "error": "diverged"}]
+        for trial in (0, 2):
+            traj = sample_trajectory(net, trial_seed(cfg.seed, trial))
+            own = record_rows(run(net, traj.z[-1], cfg.engine_options(), truth=traj),
+                              res.se, trial)
+            assert [r for r in res.rows if r["trial"] == trial] == own
+
+    def test_checked_failures_leave_one_batch(self, monkeypatch):
+        # in trials 4, 5, 6 and 8 of this config every relu unit of z_2 is 0;
+        # they fail the truth check alone and the other six run as one batch
+        import mlvamp.experiment as exp
+        calls = []
+
+        def spy(net, y, options=None, truth=None):
+            calls.append(np.shape(y))
+            return run(net, y, options, truth=truth)
+
+        monkeypatch.setattr(exp, "run", spy)
+        cfg = ExperimentConfig.from_dict({"dims": [6, 4], "n_meas": 3,
+                                          "n_trials": 10, "n_iter": 3})
+        res = run_iteration_experiment(cfg)
+        assert res.metadata["failures"] == [
+            {"trial": t, "error": "truth has zero norm at layer 2"} for t in (4, 5, 6, 8)]
+        assert calls == [(6, 3)]
+        assert {r["trial"] for r in res.rows} == {0, 1, 2, 3, 7, 9}
 
     def test_workers_key_rejected(self):
         with pytest.raises(ConfigError, match="workers"):

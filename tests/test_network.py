@@ -148,6 +148,24 @@ class TestGramRoute:
         assert np.max(np.abs(meas.v_out - u[:, :rank])) <= 1e-12
         assert np.max(np.abs(meas.v_in - v[:rank])) <= 1e-12
 
+    def test_measurement_is_drawn_before_the_hidden_stages(self, monkeypatch):
+        # the two square Haar draws are the build's largest arrays; drawn
+        # first, they are freed before any hidden factor is held
+        calls = []
+
+        def spy(name):
+            fn = getattr(network, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_haar_columns", "_haar_rows", "_gram_decompose_stage"):
+            monkeypatch.setattr(network, name, spy(name))
+        paper_net()
+        assert calls == ["_haar_columns", "_haar_rows"] + ["_gram_decompose_stage"] * 3
+
     def test_haar_rows_match_the_square_draw(self):
         for n, k in ((50, 1), (200, 70), (120, 120)):
             rows = network._haar_rows(np.random.default_rng(n), n, k)
