@@ -1,7 +1,7 @@
 """Time the synthetic-network builder of two checkouts and compare what they build.
 
     python scripts/bench_build.py --parent DIR --change DIR [--intermediate DIR]
-        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_24.json]
+        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_25.json]
 
 Every build runs in its own process, with that checkout's ``src`` on
 ``PYTHONPATH`` and the BLAS thread count fixed to min(2, CPUs) as perfbench
@@ -9,24 +9,28 @@ fixes it.  Per scale the network is the paper preset with its dims and M
 multiplied by the scale (network seed ``--seed``).  The parent and the change
 alternate, and so does which of them goes first.  Each build records:
 
-- ``build_s``: the whole ``build_synthetic_network`` call, split into
-  ``hidden_s`` (time inside the routine that factors a hidden weight matrix:
-  ``_gram_decompose_stage`` where the checkout has it, else
-  ``svd_decompose_stage``), ``measurement_s`` (``_haar_columns`` and
-  ``_haar_rows``, else ``haar_orthogonal``) and ``other_s`` (the Gaussian
-  draws of W and b, the pilot trajectories);
+- ``build_s``: the whole ``build_synthetic_network`` call, split by the
+  builder's three passes into ``gram_eigh_s`` (``_gram_eigh``: each hidden
+  W drawn, its Gram matrix and that matrix's eigendecomposition),
+  ``measurement_s`` (``_haar_columns`` and ``_haar_rows``, else
+  ``haar_orthogonal``), ``hidden_factors_s`` (``_gram_stage``: each W drawn
+  again and its factor products, or its SVD; a checkout without
+  ``_gram_stage`` counts its whole ``_gram_decompose_stage``, else
+  ``svd_decompose_stage``, here) and ``other_s`` (the biases, the pilot
+  trajectories, and in an older checkout the draws of W);
 - ``peak_rss_mb`` of the build process, ``start_rss_mb`` (its high-water
   mark when the build starts, after the imports) and, per phase,
-  ``hidden_rss_rise_mb`` and ``measurement_rss_rise_mb``: how far
-  ``ru_maxrss`` rose inside that phase's calls, and ``other_rss_rise_mb``
-  the rest of the rise.  The high-water mark only grows, so the last phase
-  with a rise set the peak.
+  ``gram_eigh_rss_rise_mb``, ``measurement_rss_rise_mb`` and
+  ``hidden_factors_rss_rise_mb``: how far ``ru_maxrss`` rose inside that
+  phase's calls, and ``other_rss_rise_mb`` the rest of the rise.  The
+  high-water mark only grows, so the last phase with a rise set the peak.
 
 The first build of each side and scale also records the worst |V^T V - I| of
 every factor (V_out's columns, V_in's rows) and, for the realization check,
-each linear stage's singular values and W P for a fixed Gaussian probe P.
-The change is compared with the parent stage by stage (max relative
-difference of s, and max |W P - W' P| / max |W' P|).
+each linear stage's factors, s, b, b_bar and W P for a fixed Gaussian probe
+P.  The change is compared with the parent stage by stage: whether all five
+arrays are equal (``np.array_equal``), the max |difference| of V_out and of
+V_in, the max relative difference of s, and max |W P - W' P| / max |W' P|.
 
 Last, the records drift: ``scripts/compare_records.py dump`` runs in each
 checkout (and ``--ulp`` in the parent), and ``compare`` reports change vs
@@ -48,8 +52,11 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAPER_DIMS = [20, 100, 500, 784]
 PAPER_N_MEAS = 300
-PHASES = {"hidden_s": ("_gram_decompose_stage", "svd_decompose_stage"),
-          "measurement_s": ("_haar_columns", "_haar_rows", "haar_orthogonal")}
+PHASES = {"gram_eigh_s": ("_gram_eigh",),
+          "measurement_s": ("_haar_columns", "_haar_rows", "haar_orthogonal"),
+          "hidden_factors_s": ("_gram_stage", "_gram_decompose_stage",
+                               "svd_decompose_stage")}
+FIELDS = ("v_out", "v_in", "s", "b", "b_bar")
 
 
 def _blas_env(src):
@@ -114,7 +121,7 @@ def worker(scale, seed, details_path):
         rng = np.random.default_rng(12345)
         arrays = {}
         for i, st in enumerate(linear):
-            arrays[f"s{i}"] = st.s
+            arrays.update({f"{name}{i}": getattr(st, name) for name in FIELDS})
             arrays[f"wp{i}"] = st.v_out @ (st.s[:, None] * (st.v_in @ rng.standard_normal((st.n_in, 4))))
         np.savez(details_path, **arrays)
     print(json.dumps(out))
@@ -137,6 +144,10 @@ def _realization(parent_npz, change_npz):
         s_p, s_c = a[f"s{i}"], b[f"s{i}"]
         wp_p, wp_c = a[f"wp{i}"], b[f"wp{i}"]
         rows.append({"stage": 2 * i + 1,
+                     "equal": all(np.array_equal(a[f"{name}{i}"], b[f"{name}{i}"])
+                                  for name in FIELDS),
+                     "v_out_max_abs_diff": float(np.max(np.abs(b[f"v_out{i}"] - a[f"v_out{i}"]))),
+                     "v_in_max_abs_diff": float(np.max(np.abs(b[f"v_in{i}"] - a[f"v_in{i}"]))),
                      "s_max_rel_diff": float(np.max(np.abs(s_c - s_p) / s_p)),
                      "wp_max_rel_diff": float(np.max(np.abs(wp_c - wp_p)) / np.max(np.abs(wp_p)))})
     return rows
@@ -165,8 +176,8 @@ def _compare(a, b):
 
 def _median_summary(parent_runs, change_runs):
     out = {}
-    for key in ("build_s", "hidden_s", "measurement_s", "other_s", "peak_rss_mb",
-                "hidden_rss_rise_mb", "measurement_rss_rise_mb", "other_rss_rise_mb"):
+    rises = [phase.removesuffix("_s") + "_rss_rise_mb" for phase in PHASES]
+    for key in ("build_s", *PHASES, "other_s", "peak_rss_mb", *rises, "other_rss_rise_mb"):
         p = float(np.median([r[key] for r in parent_runs]))
         c = float(np.median([r[key] for r in change_runs]))
         out[key] = {"parent_median": p, "change_median": c,
@@ -199,7 +210,7 @@ def main(argv=None):
     parser.add_argument("--scales", default="1,4,8")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_24.json")
+    parser.add_argument("--out", default="BENCH_25.json")
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.scale, args.seed, args.details)
@@ -228,11 +239,14 @@ def main(argv=None):
                     if details:
                         doc["orthogonality"].setdefault(f"x{scale}", {})[side] = rec.pop("orth")
                     runs[side].append(rec)
-                    print(f"x{scale} {side}: build {rec['build_s']:.2f} s "
-                          f"(hidden {rec['hidden_s']:.2f}, measurement "
-                          f"{rec['measurement_s']:.2f}), peak {rec['peak_rss_mb']:.1f} MB "
-                          f"(rise: hidden {rec['hidden_rss_rise_mb']:.1f}, measurement "
-                          f"{rec['measurement_rss_rise_mb']:.1f})", flush=True)
+                    phases = ", ".join(f"{phase.removesuffix('_s')} {rec[phase]:.2f}"
+                                       for phase in PHASES)
+                    rises = ", ".join(
+                        f"{phase.removesuffix('_s')} "
+                        f"{rec[phase.removesuffix('_s') + '_rss_rise_mb']:.1f}"
+                        for phase in PHASES)
+                    print(f"x{scale} {side}: build {rec['build_s']:.2f} s ({phases}), "
+                          f"peak {rec['peak_rss_mb']:.1f} MB (rise: {rises})", flush=True)
             doc["builds"][f"x{scale}"] = {
                 "dims": [scale * d for d in PAPER_DIMS], "n_meas": scale * PAPER_N_MEAS,
                 "runs": runs, "summary": _median_summary(runs["parent"], runs["change"])}

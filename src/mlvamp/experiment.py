@@ -11,8 +11,6 @@ trial by trial.  The per-half-iteration CSV schema is fixed:
 """
 import csv
 import json
-import math
-import numbers
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +20,7 @@ import numpy as np
 from . import baselines as bl
 from .engine import EngineOptions, check_inputs, nmse_db, run
 from .errors import ConfigError, MlvampError
-from .network import (build_synthetic_network, is_integer, positive_integers,
+from .network import (build_synthetic_network, is_integer, is_real, positive_integers,
                       sample_trajectory)
 from .state_evolution import run_se, se_state_to_json, stats_from_network
 
@@ -34,11 +32,6 @@ PAPER_SWEEP_N_MEAS = [100, 200, 300, 400, 500, 600]
 KNOWN_METHODS = ("mlvamp", "map", "sgld")
 COUNT_KEYS = ("n_iter", "n_trials", "seed", "map_steps", "sgld_steps", "sgld_burn_in")
 REAL_KEYS = ("rho", "kappa", "snr_db", "damping", "map_step_size", "sgld_lambda")
-
-
-def _is_real(v):
-    """A finite real number, NumPy's included, and not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -73,7 +66,7 @@ class ExperimentConfig:
         n_meas = self.n_meas if isinstance(self.n_meas, (list, tuple)) else [self.n_meas]
         kinds = {key: (is_integer(getattr(self, key)), "an integer")
                  for key in COUNT_KEYS}
-        kinds.update({key: (_is_real(getattr(self, key)), "a finite real number")
+        kinds.update({key: (is_real(getattr(self, key)), "a finite real number")
                       for key in REAL_KEYS})
         kinds.update(
             dims=(positive_integers(self.dims), "a nonempty list of positive integers"),

@@ -28,13 +28,23 @@ SUPPORTED_ACTIVATIONS = ("relu", "identity")
 # The Gram route's orthogonality error is 0.1-1 x eps * cond(W)^2; below this
 # bound it keeps a 100-fold margin on LinearStage.validate's default 1e-10.
 GRAM_ROUTE_MAX_ERR = 1e-12
-# Column block of _haar_rows' triangular solve (fastest of 64-512 at 784 and 3136).
+# Column block of _haar_rows' triangular solve (fastest of 64-512 at 784 and
+# 3136) and of _householder_qr's panels (of 64-256, fastest at n = 784, within
+# noise at 3136, 11-16% behind 256 at 6272 and still ahead of numpy's QR).
 TRI_BLOCK = 128
+# Sub-panel of _householder_qr, factored by LAPACK (of 8-32, fastest at 784,
+# even with 32 at 3136; LAPACK's geqrf factors up to 128 columns unblocked).
+QR_PANEL = 16
 
 
 def is_integer(v):
     """An integer, NumPy's included, and not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v):
+    """A finite real number, NumPy's included, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def positive_integers(v):
@@ -59,23 +69,59 @@ def _haar_columns(rng, n, k):
     return q
 
 
+def _apply_qt(panel, tau, c):
+    """c <- Q^T c in place for the reflectors Q = H_1 ... H_w of a panel in
+    geqrf's layout (V below its diagonal, unit diagonal implied): by the UT
+    transform (Joffrain et al., ACM TOMS 2006), Q = I - V T V^T with
+    T^-1 = striu(V^T V) + diag(1/tau), applied by chunks of 4 TRI_BLOCK
+    columns."""
+    v = np.tril(panel, -1)
+    np.fill_diagonal(v, 1.0)
+    t_inv = np.triu(v.T @ v, 1)
+    np.fill_diagonal(t_inv, 1.0 / tau)
+    t_t = np.linalg.inv(t_inv).T
+    for j in range(0, c.shape[1], 4 * TRI_BLOCK):
+        cols = c[:, j:j + 4 * TRI_BLOCK]
+        cols -= v @ (t_t @ (v.T @ cols))
+
+
+def _householder_qr(a, widths=(TRI_BLOCK, QR_PANEL)):
+    """Householder QR of the m x n (m >= n) array a in place, in LAPACK
+    geqrf's layout (R on and above the diagonal, the reflectors below);
+    returns the reflectors' scales.  Panels of widths[0] columns are factored
+    the same way with widths[1:], the narrowest by np.linalg.qr(mode="raw"),
+    and each updates the columns to its right as one block.  An n x n QR so
+    holds n^2 + O(n TRI_BLOCK) doubles; np.linalg.qr(mode="r") holds 3 n^2."""
+    if not widths:
+        h, tau = np.linalg.qr(a, mode="raw")
+        a[...] = h.T
+        return tau
+    n = a.shape[1]
+    tau = np.empty(n)
+    for j in range(0, n, widths[0]):
+        e = min(j + widths[0], n)
+        tau[j:e] = _householder_qr(a[j:, j:e], widths[1:])
+        if e < n:
+            _apply_qt(a[j:, j:e], tau[j:e], a[j:, e:])
+    return tau
+
+
 def _haar_rows(rng, n, k):
     """First k rows of haar_orthogonal(n, rng) without forming Q: with
     g = Q R and the sign fix D, Q D = g (D R)^-1, so the rows are
-    g[:k] (D R)^-1, and only R is computed.
+    g[:k] R^-1 D, and only R is computed, in place in g (n^2 + k n held).
 
-    x (D R) = g[:k] is solved by blocks of TRI_BLOCK columns, as a
-    triangular solve: a matmul update, then a small dense solve on the
-    diagonal block.  numpy has no triangular solve, and scipy's runs on a
-    second BLAS thread pool whose spinning threads slow numpy's after it."""
+    x R = g[:k] is solved by blocks of TRI_BLOCK columns: a matmul update,
+    then a small dense solve on the diagonal block.  numpy has neither an
+    in-place QR nor a triangular solve, and scipy's run on a second BLAS
+    thread pool whose spinning threads slow numpy's after them."""
     g = rng.standard_normal((n, n))
-    r = np.linalg.qr(g, mode="r")
     x = g[:k].copy()
-    del g
-    r *= _qr_signs(r)[:, None]
+    _householder_qr(g)
     for j in range(0, n, TRI_BLOCK):
         b = slice(j, j + TRI_BLOCK)
-        x[:, b] = np.linalg.solve(r[b, b].T, (x[:, b] - x[:, :j] @ r[:j, b]).T).T
+        x[:, b] = np.linalg.solve(np.triu(g[b, b]).T, (x[:, b] - x[:, :j] @ g[:j, b]).T).T
+    x *= _qr_signs(g)
     return x
 
 
@@ -302,32 +348,53 @@ def svd_decompose_stage(W, b, nu):
     return LinearStage(v_out=u, v_in=vh, s=s[:r], b=b, nu=nu)
 
 
-def _gram_decompose_stage(W, b, nu):
-    """svd_decompose_stage for a full-rank, well-conditioned W, through the
-    eigendecomposition of its smaller Gram matrix.
+def _hidden_weights(seq, shape):
+    """A hidden stage's Gaussian W (entries N(0, 1/n_in)) from its own seed
+    stream seq: every call draws the same matrix."""
+    return np.random.default_rng(seq).normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
 
-    A tall W (n_out >= n_in) has W^T W = V diag(s^2) V^T, so V_in = V^T and
-    V_out = W V / s; a wide W takes W W^T = U diag(s^2) U^T, V_out = U and
-    V_in = U^T W / s.  The factors' orthogonality error grows as
-    eps * cond(W)^2, so a W with eps * lambda_max / lambda_min above
-    GRAM_ROUTE_MAX_ERR (a square Gaussian, say) goes to the SVD.
+
+def _gram_eigh(seq, shape):
+    """(lam, V): the eigendecomposition of the smaller Gram matrix of the W
+    that seq draws, lam descending, or None where the Gram route would cost
+    orthogonality.  W is dropped before np.linalg.eigh runs.
+
+    A tall W (n_out >= n_in) has W^T W = V diag(s^2) V^T, a wide W has
+    W W^T = U diag(s^2) U^T (_gram_stage forms the other factor).  The
+    factors' orthogonality error grows as eps * cond(W)^2, so a W with
+    eps * lambda_max / lambda_min above GRAM_ROUTE_MAX_ERR (a square
+    Gaussian, say) goes to the SVD.
     """
-    tall = W.shape[0] >= W.shape[1]
-    gram = W.T @ W if tall else W @ W.T
+    W = _hidden_weights(seq, shape)
+    gram = W.T @ W if shape[0] >= shape[1] else W @ W.T
+    del W
     gram *= -1.0    # eigh sorts ascending, so this gives s in descending order
     lam, v = np.linalg.eigh(gram)
     del gram
     lam *= -1.0
     if not lam[-1] > 0 or np.finfo(float).eps * lam[0] / lam[-1] > GRAM_ROUTE_MAX_ERR:
-        return svd_decompose_stage(W, b, nu)
+        return None
+    return lam, v
+
+
+def _gram_stage(seq, shape, eig, b):
+    """The deterministic LinearStage of the W that seq draws, drawn again,
+    from eig = _gram_eigh(seq, shape): V_in = V^T and V_out = W V / s for a
+    tall W, V_out = U and V_in = U^T W / s for a wide one, and
+    svd_decompose_stage(W) where eig is None."""
+    W = _hidden_weights(seq, shape)
+    if eig is None:
+        return svd_decompose_stage(W, b, math.inf)
+    lam, v = eig
     s = np.sqrt(lam)
-    if tall:
+    if shape[0] >= shape[1]:
         v_out = W @ v
+        del W   # before LinearStage copies V^T into C order
         v_out /= s
-        return LinearStage(v_out=v_out, v_in=v.T, s=s, b=b, nu=nu)
+        return LinearStage(v_out=v_out, v_in=v.T, s=s, b=b, nu=math.inf)
     v_in = v.T @ W
     v_in /= s[:, None]
-    return LinearStage(v_out=v, v_in=v_in, s=s, b=b, nu=nu)
+    return LinearStage(v_out=v, v_in=v_in, s=s, b=b, nu=math.inf)
 
 
 def _hidden_chain_sample(stages, n0, rng):
@@ -342,26 +409,33 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
     dims = [N0, h1, ..., hk] gives the input dimension and the hidden widths;
     the chain is input -> (linear, relu) x k -> linear measurement of n_meas
-    rows.  Hidden weights are i.i.d. Gaussian with the bias mean set so a
-    fraction rho of pre-activations is positive; each W is factored through
-    its smaller Gram matrix (_gram_decompose_stage), or by the SVD where that
+    rows.  rho, kappa and snr_db are finite reals.  Hidden weights are
+    i.i.d. Gaussian with the bias mean set so a fraction rho of
+    pre-activations is positive; each W is factored through the
+    eigendecomposition of its smaller Gram matrix, or by the SVD where that
     matrix is too ill-conditioned.  The measurement matrix is U diag(s) V^T
     with log-spaced singular values of condition number kappa and Haar
     factors: the first rank = min(n_meas, N_last) columns of the sign-fixed
     QR of an n_meas x n_meas Gaussian and the first rank rows of that of an
     N_last x N_last one, computed without forming either square matrix.
-    The measurement is drawn first, from its own seed streams, so its square
-    draws are freed before any hidden factor exists: that keeps the build's
-    peak memory down and changes no draw.  Measurement noise is scaled to
-    snr_db below the signal power (pilot-estimated over 10 trajectories).  A
-    seed gives the same network, to rounding, as when every factor came from
-    np.linalg.svd and the square Haar matrices: only the signs of paired
-    singular vectors may differ.
+    Measurement noise is scaled to snr_db below the signal power
+    (pilot-estimated over 10 trajectories).
+
+    Every W, b and Haar draw has its own seed stream, so the build runs in
+    the order that holds least at once: first every hidden stage's bias and
+    Gram eigendecomposition (_gram_eigh, which drops its W before eigh
+    runs), then the measurement, then each hidden stage's factors from its
+    W drawn again (_gram_stage).  A seed gives the same network, to
+    rounding, as when every factor came from np.linalg.svd and the square
+    Haar matrices: only the signs of paired singular vectors may differ.
     """
     if not positive_integers(dims):
         raise ConfigError(f"dims must be a nonempty list of positive integers, "
                           f"not {dims!r}")
     dims = [int(d) for d in dims]
+    for name, value in (("rho", rho), ("kappa", kappa), ("snr_db", snr_db)):
+        if not is_real(value):
+            raise ConfigError(f"{name} must be a finite real number, not {value!r}")
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     if not (0 < rho < 1):
@@ -371,6 +445,19 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
     n_hidden = len(dims) - 1
     children = np.random.SeedSequence(seed).spawn(2 * n_hidden + 3)
+    shapes = [(dims[i], dims[i - 1]) for i in range(1, n_hidden + 1)]
+    biases, eigs = [], []
+    tau = 1.0  # running per-component second moment of the layer input
+    sigma_b_frac = 0.2
+    for i, shape in enumerate(shapes):
+        rng_b = np.random.default_rng(children[2 * i + 1])
+        pre_var = tau  # var((W x)_n) with W ~ N(0, 1/n_in) and E x_j^2 = tau
+        sigma_b = sigma_b_frac * math.sqrt(pre_var)
+        beta = special.ndtri(rho) * math.sqrt(pre_var + sigma_b**2)
+        biases.append(rng_b.normal(beta, sigma_b, size=shape[0]))
+        eigs.append(_gram_eigh(children[2 * i], shape))
+        _, tau = relu_gauss_moments(beta, pre_var + sigma_b**2)
+
     n_last = dims[-1]
     rank = min(n_meas, n_last)
     rng_u = np.random.default_rng(children[2 * n_hidden])
@@ -381,20 +468,10 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
                              v_in=_haar_rows(rng_v, n_last, rank), s=s,
                              b=np.zeros(n_meas), nu=math.inf)
     stages = []
-    tau = 1.0  # running per-component second moment of the layer input
-    sigma_b_frac = 0.2
-    for i in range(1, n_hidden + 1):
-        n_in, n_out = dims[i - 1], dims[i]
-        rng_w = np.random.default_rng(children[2 * (i - 1)])
-        rng_b = np.random.default_rng(children[2 * (i - 1) + 1])
-        pre_var = tau  # var((W x)_n) with W ~ N(0, 1/n_in) and E x_j^2 = tau
-        sigma_b = sigma_b_frac * math.sqrt(pre_var)
-        beta = special.ndtri(rho) * math.sqrt(pre_var + sigma_b**2)
-        W = rng_w.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in))
-        b = rng_b.normal(beta, sigma_b, size=n_out)
-        stages.append(_gram_decompose_stage(W, b, math.inf))
-        stages.append(NonlinearStage("relu", 0.0, n_out))
-        _, tau = relu_gauss_moments(beta, pre_var + sigma_b**2)
+    for i, shape in enumerate(shapes):
+        stages.append(_gram_stage(children[2 * i], shape, eigs[i], biases[i]))
+        stages.append(NonlinearStage("relu", 0.0, shape[0]))
+        eigs[i] = None   # a tall stage holds its own C-order copy of V^T
 
     # pilot trajectories fix the measurement noise relative to signal power
     rng_pilot = np.random.default_rng(children[2 * n_hidden + 2])

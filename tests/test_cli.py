@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -196,6 +197,10 @@ class TestGenerateSampleInfer:
          "dims must be a nonempty list of positive integers"),
         ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("seed", -1),
          "recipe builder_args"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("snr_db", math.inf),
+         "snr_db must be a finite real number, not inf"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("kappa", math.inf),
+         "kappa must be a finite real number, not inf"),
     ])
     def test_sample_reports_malformed_document_without_traceback(
             self, tiny_config_file, tmp_path, mode, spoil, message):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -111,11 +113,11 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
     def test_tall_and_wide_match_svd(self, shape, monkeypatch):
-        rng = np.random.default_rng(4)
-        W = rng.normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
-        b = rng.normal(size=shape[0])
+        seq = np.random.SeedSequence(4)
+        W = network._hidden_weights(seq, shape)
+        b = np.random.default_rng(5).normal(size=shape[0])
         monkeypatch.setattr(network, "svd_decompose_stage", None)   # no fallback
-        st = network._gram_decompose_stage(W, b, math.inf)
+        st = network._gram_stage(seq, shape, network._gram_eigh(seq, shape), b)
         s_ref = np.linalg.svd(W, compute_uv=False)
         assert np.max(np.abs(st.s - s_ref) / s_ref) <= 1e-13
         assert np.max(np.abs(st.to_dense() - W)) <= 1e-13
@@ -148,9 +150,10 @@ class TestGramRoute:
         assert np.max(np.abs(meas.v_out - u[:, :rank])) <= 1e-12
         assert np.max(np.abs(meas.v_in - v[:rank])) <= 1e-12
 
-    def test_measurement_is_drawn_before_the_hidden_stages(self, monkeypatch):
-        # the two square Haar draws are the build's largest arrays; drawn
-        # first, they are freed before any hidden factor is held
+    def test_measurement_is_drawn_between_the_eighs_and_the_factors(self, monkeypatch):
+        # every hidden stage's Gram eigendecomposition, then the measurement's
+        # square draws, then the hidden factor products: the build's n^2
+        # temporaries never meet a held W or the measurement's factors
         calls = []
 
         def spy(name):
@@ -161,17 +164,65 @@ class TestGramRoute:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_haar_columns", "_haar_rows", "_gram_decompose_stage"):
+        for name in ("_gram_eigh", "_haar_columns", "_haar_rows", "_gram_stage"):
             monkeypatch.setattr(network, name, spy(name))
         paper_net()
-        assert calls == ["_haar_columns", "_haar_rows"] + ["_gram_decompose_stage"] * 3
+        assert calls == (["_gram_eigh"] * 3 + ["_haar_columns", "_haar_rows"]
+                         + ["_gram_stage"] * 3)
+
+    def test_no_hidden_weights_held_across_eigh(self, monkeypatch):
+        drawn, eighs = [], []
+        draw, eigh = network._hidden_weights, np.linalg.eigh
+
+        def spy_draw(seq, shape):
+            W = draw(seq, shape)
+            drawn.append(weakref.ref(W))
+            return W
+
+        def spy_eigh(a):
+            eighs.append([ref() is None for ref in drawn])
+            return eigh(a)
+
+        monkeypatch.setattr(network, "_hidden_weights", spy_draw)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        paper_net()
+        assert eighs == [[True] * i for i in range(1, 4)]
 
     def test_haar_rows_match_the_square_draw(self):
-        for n, k in ((50, 1), (200, 70), (120, 120)):
+        # up to 5 panels of TRI_BLOCK columns; at n = 513 the last is 1 column wide.
+        # R's rounding differs from that of the reference's QR, and g[:k] R^-1
+        # multiplies it by cond(g): 0.2-0.5 eps cond(g) over 12 draws at n = 640
+        # (cond 15186 at the n = 640 draw here; 680-5400 elsewhere)
+        for n, k in ((50, 1), (200, 70), (120, 120), (513, 300), (640, 17)):
             rows = network._haar_rows(np.random.default_rng(n), n, k)
             ref = haar_orthogonal(n, np.random.default_rng(n))[:k]
-            assert np.max(np.abs(rows - ref)) <= 1e-12
+            cond = np.linalg.cond(np.random.default_rng(n).standard_normal((n, n)))
+            assert np.max(np.abs(rows - ref)) <= max(1e-12, np.finfo(float).eps * cond)
             assert np.max(np.abs(rows @ rows.T - np.eye(k))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3 * network.TRI_BLOCK, 4 * network.TRI_BLOCK + 37])
+    def test_householder_qr_overwrites_its_argument_with_r(self, n):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        ref = np.linalg.qr(g, mode="r")
+        before = g.copy()
+        tau = network._householder_qr(g)
+        r = np.triu(g)
+        assert not np.array_equal(g, before) and tau.shape == (n,)
+        # R is unique up to the signs of its rows
+        r *= (np.sign(np.diag(r)) * np.sign(np.diag(ref)))[:, None]
+        assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_haar_rows_hold_no_square_copy(self):
+        # g and g[:k], plus a panel's temporaries (n x 4 TRI_BLOCK at most):
+        # 2.14 n^2 doubles here; numpy's QR held g, its working copy and R, 3.13
+        n, k = 1000, 400
+        tracemalloc.start()
+        try:
+            network._haar_rows(np.random.default_rng(0), n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
     def test_recipe_saved_by_the_svd_builder_loads(self):
         # written by the builder that factored every hidden W by np.linalg.svd
@@ -407,6 +458,16 @@ class TestSerialization:
         doc = recipe_document()
         doc["meta"]["builder_args"]["width"] = 3
         with pytest.raises(ConfigError, match="builder_args: .*'width'"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["rho", "kappa", "snr_db"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "30", True])
+    def test_recipe_with_non_finite_builder_arg_rejected(self, key, value):
+        # json reads Infinity and NaN as floats
+        doc = recipe_document()
+        doc["meta"]["builder_args"][key] = value
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite real number"):
             network_from_json(doc)
 
     def test_recipe_mode_requires_builder(self):
