@@ -12,12 +12,10 @@ alternate, and so does which of them goes first.  Each build records:
 - ``build_s``: the whole ``build_synthetic_network`` call, split by the
   builder's three passes into ``gram_eigh_s`` (``_gram_eigh``: each hidden
   W drawn, its Gram matrix and that matrix's eigendecomposition),
-  ``measurement_s`` (``_haar_columns`` and ``_haar_rows``, else
-  ``haar_orthogonal``), ``hidden_factors_s`` (``_gram_stage``: each W drawn
-  again and its factor products, or its SVD; a checkout without
-  ``_gram_stage`` counts its whole ``_gram_decompose_stage``, else
-  ``svd_decompose_stage``, here) and ``other_s`` (the biases, the pilot
-  trajectories, and in an older checkout the draws of W);
+  ``measurement_s`` (``_haar_columns`` and ``_haar_rows``),
+  ``hidden_factors_s`` (``_gram_stage``: each W drawn again and its factor
+  products, or its SVD) and ``other_s`` (the biases, the pilot trajectories
+  and the work of any phase whose routines the checkout lacks);
 - ``peak_rss_mb`` of the build process, ``start_rss_mb`` (its high-water
   mark when the build starts, after the imports) and, per phase,
   ``gram_eigh_rss_rise_mb``, ``measurement_rss_rise_mb`` and
@@ -49,13 +47,14 @@ import time
 
 import numpy as np
 
+import compare_records
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAPER_DIMS = [20, 100, 500, 784]
 PAPER_N_MEAS = 300
 PHASES = {"gram_eigh_s": ("_gram_eigh",),
-          "measurement_s": ("_haar_columns", "_haar_rows", "haar_orthogonal"),
-          "hidden_factors_s": ("_gram_stage", "_gram_decompose_stage",
-                               "svd_decompose_stage")}
+          "measurement_s": ("_haar_columns", "_haar_rows"),
+          "hidden_factors_s": ("_gram_stage",)}
 FIELDS = ("v_out", "v_in", "s", "b", "b_bar")
 
 
@@ -162,16 +161,8 @@ def _dump(checkout, path, ulp=False):
 
 
 def _compare(a, b):
-    res = subprocess.run([sys.executable, os.path.join(HERE, "compare_records.py"),
-                          "compare", a, b], capture_output=True, text=True)
-    groups = {}
-    for line in res.stdout.splitlines():
-        parts = line.split()
-        if len(parts) >= 2:
-            groups[parts[0]] = float(parts[1])
-    worst = max(v for g, v in groups.items() if not g.endswith("_abs")
-                and not g.endswith("_abs_db"))
-    return {"worst_rel": worst, "groups": groups}
+    groups = compare_records.compare(a, b)
+    return {"worst_rel": compare_records.worst_relative(groups), "groups": groups}
 
 
 def _median_summary(parent_runs, change_runs):

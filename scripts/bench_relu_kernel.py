@@ -7,15 +7,13 @@ prints one JSON object of best-of-R times in seconds:
 
 - ``denoise_middle_both_ms`` / ``denoise_middle_one_ms``: one relu
   ``denoise_middle`` call on a (10, 500) batch, both sides and the side the
-  engine's forward sweep uses (a checkout without ``side`` computes both);
+  engine's forward sweep uses;
 - ``engine_relu_ms_per_stage_iter``: the relu time of one stage in one
   iteration of the paper preset's batched engine run (its 10 trials), on
   that run's own inputs: the forward call (side "out") and the reverse call
   (side "in") of the stage, sharing their z_in < 0 branch through the memo
-  ``engine.run`` gives the stage: an ``engine.Reuse`` of
-  ``scalar_denoiser._negative_branch``, or an older checkout's
-  ``scalar_denoiser.NegativeBranch`` (a checkout with neither computes the
-  branch in both calls).  The calls are recorded
+  ``engine.run`` gives the stage, an ``engine.Reuse`` of
+  ``scalar_denoiser._negative_branch``.  The calls are recorded
   from one ``engine.run`` and replayed; ``engine_relu_stage_iters`` counts
   the pairs;
 - ``run_se_s``: ``run_se`` on the paper preset (50 iterations, damping 0.85);
@@ -26,7 +24,6 @@ prints one JSON object of best-of-R times in seconds:
   ``tensor_fallback_calls``.
 """
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -88,15 +85,13 @@ def main(argv=None):
     r_minus = np.maximum(rng.normal(0, 1, (10, 500)), 0) + rng.normal(0, 0.03, (10, 500))
     gamma_plus, gamma_minus = np.full((10, 1), 30.0), np.full((10, 1), 900.0)
     relu = NonlinearStage("relu", 0.0, 500)
-    one = ({"side": "out"} if "side" in inspect.signature(denoise_middle).parameters
-           else {})
     out = {
         "denoise_middle_both_ms": 1e3 * best_of(lambda: [denoise_middle(
             relu, r_plus, r_minus, gamma_plus, gamma_minus) for _ in range(20)],
             args.repeat) / 20,
         "denoise_middle_one_ms": 1e3 * best_of(lambda: [denoise_middle(
-            relu, r_plus, r_minus, gamma_plus, gamma_minus, **one) for _ in range(20)],
-            args.repeat) / 20,
+            relu, r_plus, r_minus, gamma_plus, gamma_minus, side="out")
+            for _ in range(20)], args.repeat) / 20,
     }
 
     cfg = paper_config()
@@ -105,17 +100,11 @@ def main(argv=None):
     ys = np.array([sample_trajectory(net, trial_seed(cfg.seed, t)).z[-1]
                    for t in range(cfg.n_trials)])
     pairs = engine_relu_pairs(engine, net, ys, cfg.engine_options())
-    if hasattr(engine, "Reuse"):
-        def shared():
-            return engine.Reuse(scalar_denoiser._negative_branch)
-    else:
-        shared = getattr(scalar_denoiser, "NegativeBranch", None)
-
     def replay():
         for forward, reverse in pairs:
-            held = {} if shared is None else {"branch": shared()}
+            branch = engine.Reuse(scalar_denoiser._negative_branch)
             for stage, args, side in (forward, reverse):
-                denoise_middle(stage, *args, side=side, **held)
+                denoise_middle(stage, *args, side=side, branch=branch)
 
     out["engine_relu_ms_per_stage_iter"] = 1e3 * best_of(replay, args.repeat) / len(pairs)
     out["engine_relu_stage_iters"] = len(pairs)

@@ -409,7 +409,8 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
 
     dims = [N0, h1, ..., hk] gives the input dimension and the hidden widths;
     the chain is input -> (linear, relu) x k -> linear measurement of n_meas
-    rows.  rho, kappa and snr_db are finite reals.  Hidden weights are
+    rows.  rho, kappa and snr_db are finite reals, n_meas is a positive
+    integer and seed a nonnegative one.  Hidden weights are
     i.i.d. Gaussian with the bias mean set so a fraction rho of
     pre-activations is positive; each W is factored through the
     eigendecomposition of its smaller Gram matrix, or by the SVD where that
@@ -440,8 +441,10 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         raise ConfigError("kappa must be >= 1")
     if not (0 < rho < 1):
         raise ConfigError("rho must lie in (0, 1)")
-    if n_meas <= 0:
-        raise ConfigError("n_meas must be positive")
+    if not (is_integer(n_meas) and n_meas > 0):
+        raise ConfigError(f"n_meas must be a positive integer, not {n_meas!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, not {seed!r}")
 
     n_hidden = len(dims) - 1
     children = np.random.SeedSequence(seed).spawn(2 * n_hidden + 3)

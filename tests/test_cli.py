@@ -196,7 +196,11 @@ class TestGenerateSampleInfer:
         ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("dims", [4.7, 8]),
          "dims must be a nonempty list of positive integers"),
         ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("seed", -1),
-         "recipe builder_args"),
+         "seed must be a nonnegative integer, not -1"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("seed", True),
+         "seed must be a nonnegative integer, not True"),
+        ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("n_meas", 6.5),
+         "n_meas must be a positive integer, not 6.5"),
         ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("snr_db", math.inf),
          "snr_db must be a finite real number, not inf"),
         ("recipe", lambda doc: doc["meta"]["builder_args"].__setitem__("kappa", math.inf),

@@ -260,6 +260,20 @@ class TestBuildSyntheticNetwork:
         with pytest.raises(ConfigError):
             build_synthetic_network([4, 16], 0.4, 0.5, 20.0, 8, 1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_meas", 3.5), ("n_meas", 3.0), ("n_meas", "3"), ("n_meas", True),
+        ("n_meas", 0), ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", "1")])
+    def test_non_integer_n_meas_or_seed_rejected(self, key, value):
+        args = {"dims": [4, 6], "rho": 0.4, "kappa": 2.0, "snr_db": 20.0,
+                "n_meas": 3, "seed": 1, key: value}
+        with pytest.raises(ConfigError, match=f"^{key} must be a "):
+            build_synthetic_network(**args)
+
+    def test_numpy_integer_n_meas_and_seed_accepted(self):
+        a = build_synthetic_network([4, 6], 0.4, 2.0, 20.0, np.int64(3), np.uint8(1))
+        b = build_synthetic_network([4, 6], 0.4, 2.0, 20.0, 3, 1)
+        assert np.array_equal(a.stages[-1].v_in, b.stages[-1].v_in)
+
     def test_seeded_rebuild_bit_identical(self):
         a, b = paper_net(seed=7), paper_net(seed=7)
         for sa, sb in zip(a.stages, b.stages):
@@ -468,6 +482,16 @@ class TestSerialization:
         doc["meta"]["builder_args"][key] = value
         doc = json.loads(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"^{key} must be a finite real number"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("key, value", [("seed", True), ("seed", -1), ("seed", 0.5),
+                                            ("n_meas", 300.5), ("n_meas", True),
+                                            ("n_meas", "300")])
+    def test_recipe_with_non_integer_builder_arg_rejected(self, key, value):
+        doc = recipe_document()
+        doc["meta"]["builder_args"][key] = value
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{key} must be a "):
             network_from_json(doc)
 
     def test_recipe_mode_requires_builder(self):

@@ -238,7 +238,10 @@ class TestQuadraturePath:
             worst = max(worst,
                         abs(float(res.mean_in) - q[0]) / scale,
                         abs(float(res.var_in) - q[1]) / float(res.var_in),
-                        abs(float(res.mean_out) - q[2]) / scale)
+                        abs(float(res.mean_out) - q[2]) / scale,
+                        # the package floors a variance at VAR_FLOOR
+                        abs(float(res.var_out) - max(q[3], VAR_FLOOR))
+                        / float(res.var_out))
         assert worst < 1e-6
 
 
