@@ -1,7 +1,7 @@
 """Time the synthetic-network builder of two checkouts and compare what they build.
 
     python scripts/bench_build.py --parent DIR --change DIR [--intermediate DIR]
-        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_25.json]
+        [--scales 1,4,8] [--repeat 3] [--seed 0] [--out BENCH_27.json]
 
 Every build runs in its own process, with that checkout's ``src`` on
 ``PYTHONPATH`` and the BLAS thread count fixed to min(2, CPUs) as perfbench
@@ -10,18 +10,18 @@ multiplied by the scale (network seed ``--seed``).  The parent and the change
 alternate, and so does which of them goes first.  Each build records:
 
 - ``build_s``: the whole ``build_synthetic_network`` call, split by the
-  builder's three passes into ``gram_eigh_s`` (``_gram_eigh``: each hidden
-  W drawn, its Gram matrix and that matrix's eigendecomposition),
-  ``measurement_s`` (``_haar_columns`` and ``_haar_rows``),
-  ``hidden_factors_s`` (``_gram_stage``: each W drawn again and its factor
-  products, or its SVD) and ``other_s`` (the biases, the pilot trajectories
-  and the work of any phase whose routines the checkout lacks);
+  builder's two passes into ``gram_eigh_s`` (``_gram_eigh``: each W drawn,
+  the measurement's included, its Gram matrix and that matrix's
+  eigendecomposition), ``factors_s`` (``_gram_stage``: each W drawn again
+  and its factor products, or its SVD) and ``other_s`` (the biases, the
+  pilot trajectories and the work of any phase whose routines the checkout
+  lacks);
 - ``peak_rss_mb`` of the build process, ``start_rss_mb`` (its high-water
   mark when the build starts, after the imports) and, per phase,
-  ``gram_eigh_rss_rise_mb``, ``measurement_rss_rise_mb`` and
-  ``hidden_factors_rss_rise_mb``: how far ``ru_maxrss`` rose inside that
-  phase's calls, and ``other_rss_rise_mb`` the rest of the rise.  The
-  high-water mark only grows, so the last phase with a rise set the peak.
+  ``gram_eigh_rss_rise_mb`` and ``factors_rss_rise_mb``: how far
+  ``ru_maxrss`` rose inside that phase's calls, and ``other_rss_rise_mb``
+  the rest of the rise.  The high-water mark only grows, so the last phase
+  with a rise set the peak.
 
 The first build of each side and scale also records the worst |V^T V - I| of
 every factor (V_out's columns, V_in's rows) and, for the realization check,
@@ -52,9 +52,10 @@ import compare_records
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAPER_DIMS = [20, 100, 500, 784]
 PAPER_N_MEAS = 300
+# Phase -> the mlvamp.network routines timed in it; a checkout that lacks a
+# routine counts its work in other_s.
 PHASES = {"gram_eigh_s": ("_gram_eigh",),
-          "measurement_s": ("_haar_columns", "_haar_rows"),
-          "hidden_factors_s": ("_gram_stage",)}
+          "factors_s": ("_gram_stage",)}
 FIELDS = ("v_out", "v_in", "s", "b", "b_bar")
 
 
@@ -201,7 +202,7 @@ def main(argv=None):
     parser.add_argument("--scales", default="1,4,8")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_25.json")
+    parser.add_argument("--out", default="BENCH_27.json")
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.scale, args.seed, args.details)

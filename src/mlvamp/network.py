@@ -19,22 +19,13 @@ from scipy import special
 from .errors import ConfigError, MlvampError
 from .gauss import relu_gauss_moments
 
-BUILDER_PROCEDURE = "build_synthetic_network/v1"
-HAAR_PROCEDURE = "haar_qr_sign/v1"
+BUILDER_PROCEDURE = "build_synthetic_network/v2"
 DOCUMENT_VERSION = 2
 SUPPORTED_ACTIVATIONS = ("relu", "identity")
-
 
 # The Gram route's orthogonality error is 0.1-1 x eps * cond(W)^2; below this
 # bound it keeps a 100-fold margin on LinearStage.validate's default 1e-10.
 GRAM_ROUTE_MAX_ERR = 1e-12
-# Column block of _haar_rows' triangular solve (fastest of 64-512 at 784 and
-# 3136) and of _householder_qr's panels (of 64-256, fastest at n = 784, within
-# noise at 3136, 11-16% behind 256 at 6272 and still ahead of numpy's QR).
-TRI_BLOCK = 128
-# Sub-panel of _householder_qr, factored by LAPACK (of 8-32, fastest at 784,
-# even with 32 at 3136; LAPACK's geqrf factors up to 128 columns unblocked).
-QR_PANEL = 16
 
 
 def is_integer(v):
@@ -51,83 +42,6 @@ def positive_integers(v):
     """Whether v is a nonempty list (or tuple) of positive integers."""
     return (isinstance(v, (list, tuple)) and len(v) > 0
             and all(is_integer(d) and d > 0 for d in v))
-
-
-def _qr_signs(r):
-    """Signs of diag(R) (0 counted as +1): Q diag(d) is Haar-distributed."""
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return d
-
-
-def _haar_columns(rng, n, k):
-    """First k columns of haar_orthogonal(n, rng), from the thin QR of the
-    first k columns of the same n x n draw: Householder QR makes column j
-    of Q from columns 0..j of its input only."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n))[:, :k])
-    q *= _qr_signs(r)
-    return q
-
-
-def _apply_qt(panel, tau, c):
-    """c <- Q^T c in place for the reflectors Q = H_1 ... H_w of a panel in
-    geqrf's layout (V below its diagonal, unit diagonal implied): by the UT
-    transform (Joffrain et al., ACM TOMS 2006), Q = I - V T V^T with
-    T^-1 = striu(V^T V) + diag(1/tau), applied by chunks of 4 TRI_BLOCK
-    columns."""
-    v = np.tril(panel, -1)
-    np.fill_diagonal(v, 1.0)
-    t_inv = np.triu(v.T @ v, 1)
-    np.fill_diagonal(t_inv, 1.0 / tau)
-    t_t = np.linalg.inv(t_inv).T
-    for j in range(0, c.shape[1], 4 * TRI_BLOCK):
-        cols = c[:, j:j + 4 * TRI_BLOCK]
-        cols -= v @ (t_t @ (v.T @ cols))
-
-
-def _householder_qr(a, widths=(TRI_BLOCK, QR_PANEL)):
-    """Householder QR of the m x n (m >= n) array a in place, in LAPACK
-    geqrf's layout (R on and above the diagonal, the reflectors below);
-    returns the reflectors' scales.  Panels of widths[0] columns are factored
-    the same way with widths[1:], the narrowest by np.linalg.qr(mode="raw"),
-    and each updates the columns to its right as one block.  An n x n QR so
-    holds n^2 + O(n TRI_BLOCK) doubles; np.linalg.qr(mode="r") holds 3 n^2."""
-    if not widths:
-        h, tau = np.linalg.qr(a, mode="raw")
-        a[...] = h.T
-        return tau
-    n = a.shape[1]
-    tau = np.empty(n)
-    for j in range(0, n, widths[0]):
-        e = min(j + widths[0], n)
-        tau[j:e] = _householder_qr(a[j:, j:e], widths[1:])
-        if e < n:
-            _apply_qt(a[j:, j:e], tau[j:e], a[j:, e:])
-    return tau
-
-
-def _haar_rows(rng, n, k):
-    """First k rows of haar_orthogonal(n, rng) without forming Q: with
-    g = Q R and the sign fix D, Q D = g (D R)^-1, so the rows are
-    g[:k] R^-1 D, and only R is computed, in place in g (n^2 + k n held).
-
-    x R = g[:k] is solved by blocks of TRI_BLOCK columns: a matmul update,
-    then a small dense solve on the diagonal block.  numpy has neither an
-    in-place QR nor a triangular solve, and scipy's run on a second BLAS
-    thread pool whose spinning threads slow numpy's after them."""
-    g = rng.standard_normal((n, n))
-    x = g[:k].copy()
-    _householder_qr(g)
-    for j in range(0, n, TRI_BLOCK):
-        b = slice(j, j + TRI_BLOCK)
-        x[:, b] = np.linalg.solve(np.triu(g[b, b]).T, (x[:, b] - x[:, :j] @ g[:j, b]).T).T
-    x *= _qr_signs(g)
-    return x
-
-
-def haar_orthogonal(n, rng):
-    """Haar-distributed orthogonal matrix via sign-fixed QR of a Gaussian."""
-    return _haar_columns(rng, n, n)
 
 
 @dataclass(eq=False)
@@ -348,16 +262,17 @@ def svd_decompose_stage(W, b, nu):
     return LinearStage(v_out=u, v_in=vh, s=s[:r], b=b, nu=nu)
 
 
-def _hidden_weights(seq, shape):
-    """A hidden stage's Gaussian W (entries N(0, 1/n_in)) from its own seed
-    stream seq: every call draws the same matrix."""
-    return np.random.default_rng(seq).normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
+def _gaussian(seq, shape, sd):
+    """The Gaussian W (entries N(0, sd^2)) of a stage's own seed stream seq:
+    every call draws the same matrix."""
+    return np.random.default_rng(seq).normal(0.0, sd, size=shape)
 
 
-def _gram_eigh(seq, shape):
+def _gram_eigh(seq, shape, sd):
     """(lam, V): the eigendecomposition of the smaller Gram matrix of the W
-    that seq draws, lam descending, or None where the Gram route would cost
-    orthogonality.  W is dropped before np.linalg.eigh runs.
+    that _gaussian(seq, shape, sd) draws, lam descending, or None where the
+    Gram route would cost orthogonality.  W is dropped before np.linalg.eigh
+    runs.
 
     A tall W (n_out >= n_in) has W^T W = V diag(s^2) V^T, a wide W has
     W W^T = U diag(s^2) U^T (_gram_stage forms the other factor).  The
@@ -365,7 +280,7 @@ def _gram_eigh(seq, shape):
     eps * lambda_max / lambda_min above GRAM_ROUTE_MAX_ERR (a square
     Gaussian, say) goes to the SVD.
     """
-    W = _hidden_weights(seq, shape)
+    W = _gaussian(seq, shape, sd)
     gram = W.T @ W if shape[0] >= shape[1] else W @ W.T
     del W
     gram *= -1.0    # eigh sorts ascending, so this gives s in descending order
@@ -377,12 +292,12 @@ def _gram_eigh(seq, shape):
     return lam, v
 
 
-def _gram_stage(seq, shape, eig, b):
-    """The deterministic LinearStage of the W that seq draws, drawn again,
-    from eig = _gram_eigh(seq, shape): V_in = V^T and V_out = W V / s for a
-    tall W, V_out = U and V_in = U^T W / s for a wide one, and
-    svd_decompose_stage(W) where eig is None."""
-    W = _hidden_weights(seq, shape)
+def _gram_stage(seq, shape, sd, eig, b):
+    """The deterministic LinearStage of the W that _gaussian(seq, shape, sd)
+    draws, drawn again, from eig = _gram_eigh(seq, shape, sd): V_in = V^T and
+    V_out = W V / s for a tall W, V_out = U and V_in = U^T W / s for a wide
+    one, and svd_decompose_stage(W) where eig is None."""
+    W = _gaussian(seq, shape, sd)
     if eig is None:
         return svd_decompose_stage(W, b, math.inf)
     lam, v = eig
@@ -415,20 +330,21 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
     pre-activations is positive; each W is factored through the
     eigendecomposition of its smaller Gram matrix, or by the SVD where that
     matrix is too ill-conditioned.  The measurement matrix is U diag(s) V^T
-    with log-spaced singular values of condition number kappa and Haar
-    factors: the first rank = min(n_meas, N_last) columns of the sign-fixed
-    QR of an n_meas x n_meas Gaussian and the first rank rows of that of an
-    N_last x N_last one, computed without forming either square matrix.
-    Measurement noise is scaled to snr_db below the signal power
-    (pilot-estimated over 10 trajectories).
+    with log-spaced singular values s of condition number kappa and U, V the
+    singular vectors of an n_meas x N_last N(0, 1) Gaussian, factored the
+    same way.  U diag(s) V^T is a function of that Gaussian which commutes
+    with rotations on either side (it is blind to the signs of paired
+    singular vectors), so its law is bi-orthogonally invariant.  Measurement
+    noise is scaled to snr_db below the signal power (pilot-estimated over
+    10 trajectories).
 
-    Every W, b and Haar draw has its own seed stream, so the build runs in
-    the order that holds least at once: first every hidden stage's bias and
-    Gram eigendecomposition (_gram_eigh, which drops its W before eigh
-    runs), then the measurement, then each hidden stage's factors from its
-    W drawn again (_gram_stage).  A seed gives the same network, to
-    rounding, as when every factor came from np.linalg.svd and the square
-    Haar matrices: only the signs of paired singular vectors may differ.
+    Every W and b has its own seed stream, so the build runs in the order
+    that holds least at once: first every bias and every Gram
+    eigendecomposition, the measurement's last (_gram_eigh, which drops its
+    W before eigh runs), then each stage's factors from its W drawn again
+    (_gram_stage).  A seed gives the same network, to rounding, as when every
+    factor came from np.linalg.svd: only the signs of paired singular vectors
+    may differ.
     """
     if not positive_integers(dims):
         raise ConfigError(f"dims must be a nonempty list of positive integers, "
@@ -447,9 +363,13 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         raise ConfigError(f"seed must be a nonnegative integer, not {seed!r}")
 
     n_hidden = len(dims) - 1
+    # streams 2i and 2i + 1 draw hidden stage i's W and b, 2 n_hidden the
+    # measurement's Gaussian and the last the pilot trajectories; stream
+    # 2 n_hidden + 1 drew the v1 builder's second Haar matrix and stays
+    # spawned, so every other stream keeps its v1 seed
     children = np.random.SeedSequence(seed).spawn(2 * n_hidden + 3)
     shapes = [(dims[i], dims[i - 1]) for i in range(1, n_hidden + 1)]
-    biases, eigs = [], []
+    biases = []
     tau = 1.0  # running per-component second moment of the layer input
     sigma_b_frac = 0.2
     for i, shape in enumerate(shapes):
@@ -458,23 +378,23 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         sigma_b = sigma_b_frac * math.sqrt(pre_var)
         beta = special.ndtri(rho) * math.sqrt(pre_var + sigma_b**2)
         biases.append(rng_b.normal(beta, sigma_b, size=shape[0]))
-        eigs.append(_gram_eigh(children[2 * i], shape))
         _, tau = relu_gauss_moments(beta, pre_var + sigma_b**2)
 
     n_last = dims[-1]
-    rank = min(n_meas, n_last)
-    rng_u = np.random.default_rng(children[2 * n_hidden])
-    rng_v = np.random.default_rng(children[2 * n_hidden + 1])
-    s = np.logspace(-math.log10(kappa), 0.0, rank)
-    s = s / math.sqrt(np.mean(s**2))
-    meas_clean = LinearStage(v_out=_haar_columns(rng_u, n_meas, rank),
-                             v_in=_haar_rows(rng_v, n_last, rank), s=s,
-                             b=np.zeros(n_meas), nu=math.inf)
-    stages = []
-    for i, shape in enumerate(shapes):
-        stages.append(_gram_stage(children[2 * i], shape, eigs[i], biases[i]))
-        stages.append(NonlinearStage("relu", 0.0, shape[0]))
+    draws = [(children[2 * i], shape, 1.0 / math.sqrt(shape[1]))
+             for i, shape in enumerate(shapes)]
+    draws.append((children[2 * n_hidden], (n_meas, n_last), 1.0))
+    eigs = [_gram_eigh(*draw) for draw in draws]
+    factored = []
+    for i, (draw, b) in enumerate(zip(draws, biases + [np.zeros(n_meas)])):
+        factored.append(_gram_stage(*draw, eigs[i], b))
         eigs[i] = None   # a tall stage holds its own C-order copy of V^T
+    stages = []
+    for st in factored[:-1]:
+        stages += [st, NonlinearStage("relu", 0.0, st.n_out)]
+    s = np.logspace(-math.log10(kappa), 0.0, min(n_meas, n_last))
+    s = s / math.sqrt(np.mean(s**2))
+    meas_clean = replace(factored[-1], s=s)
 
     # pilot trajectories fix the measurement noise relative to signal power
     rng_pilot = np.random.default_rng(children[2 * n_hidden + 2])
@@ -483,12 +403,10 @@ def build_synthetic_network(dims, rho, kappa, snr_db, n_meas, seed):
         for _ in range(10)
     ]))
     sigma2 = power * 10.0 ** (-snr_db / 10.0) / n_meas
-    meas = LinearStage(v_out=meas_clean.v_out, v_in=meas_clean.v_in, s=s,
-                       b=np.zeros(n_meas), nu=1.0 / sigma2)
+    meas = replace(meas_clean, nu=1.0 / sigma2)
 
     meta = {
         "builder": BUILDER_PROCEDURE,
-        "orthogonal_procedure": HAAR_PROCEDURE,
         "builder_args": {"dims": dims, "rho": rho, "kappa": kappa,
                          "snr_db": snr_db, "n_meas": int(n_meas), "seed": int(seed)},
         "rank_deficient_measurement": bool(n_meas > n_last),
@@ -569,10 +487,11 @@ def _same_header(doc, net):
 
 
 def network_from_json(doc):
-    """Load a network document.  A recipe is rebuilt only when its meta names
-    this module's BUILDER_PROCEDURE and HAAR_PROCEDURE, and its spectra are
-    then checked against the stored ones.  The document's n0 and dims must
-    be those of the network it loads to."""
+    """Load a network document.  Its meta, if present, is an object.  A
+    recipe is rebuilt only when its meta names this module's
+    BUILDER_PROCEDURE, and its spectra are then checked against the stored
+    ones.  The document's n0 and dims must be those of the network it loads
+    to."""
     if not isinstance(doc, dict) or doc.get("format") != "mlvamp-network":
         raise ConfigError("not a network document")
     if doc.get("version") not in (1, DOCUMENT_VERSION):
@@ -590,13 +509,13 @@ def network_from_json(doc):
     for i, entry in enumerate(doc["stages"], start=1):
         if not isinstance(entry, dict):
             raise ConfigError(f"stage {i}: not an object: {entry!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"network document meta must be an object, not {meta!r}")
     if mode == "recipe":
-        meta = doc.get("meta") or {}
-        for key, procedure in (("builder", BUILDER_PROCEDURE),
-                               ("orthogonal_procedure", HAAR_PROCEDURE)):
-            if meta.get(key) != procedure:
-                raise ConfigError(f"recipe made by {key} {meta.get(key)!r}; "
-                                  f"only {procedure!r} can rebuild it")
+        if meta.get("builder") != BUILDER_PROCEDURE:
+            raise ConfigError(f"recipe made by builder {meta.get('builder')!r}; "
+                              f"only {BUILDER_PROCEDURE!r} can rebuild it")
         if not isinstance(meta.get("builder_args"), dict):
             raise ConfigError("recipe document has no meta.builder_args")
         try:
@@ -618,7 +537,7 @@ def network_from_json(doc):
             raise ConfigError(f"stage {i}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
-    net = NetworkSpec(n0=doc["n0"], stages=stages, meta=doc.get("meta", {}))
+    net = NetworkSpec(n0=doc["n0"], stages=stages, meta=meta)
     net.validate()
     return _same_header(doc, net)
 

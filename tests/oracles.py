@@ -23,6 +23,15 @@ def log_norm_pdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 
 
+def haar_orthogonal(n, rng):
+    """Haar-distributed orthogonal matrix via sign-fixed QR of a Gaussian:
+    Q diag(sign(diag(R))) (a zero diagonal entry counted as +1)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d
+
+
 def empirical_layer_moments(traj):
     """Per-layer second moments (1/N) ||z_l||^2.  Every V is orthogonal, so
     these equal the second moments of the SVD-coordinate truth."""

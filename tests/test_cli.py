@@ -187,7 +187,8 @@ class TestGenerateSampleInfer:
         for spoil, message in [
             (lambda doc: [1], "not a network document"),
             (lambda doc: doc["stages"].__setitem__(1, 5), "stage 2: not an object"),
-            (lambda doc: doc.__setitem__("stages", None), "stages must be a list")]
+            (lambda doc: doc.__setitem__("stages", None), "stages must be a list"),
+            (lambda doc: doc.__setitem__("meta", [1]), "meta must be an object")]
     ] + [
         ("explicit", lambda doc: doc["stages"][0].__setitem__("s", None), "stage 1:"),
         ("explicit", lambda doc: doc.__setitem__("n0", "4"), "need n0 a positive integer"),

@@ -327,12 +327,21 @@ class TestBaselineComparison:
 
     def test_stationary_map_start_is_a_failure_not_a_row(self):
         # at rho 0.2 no first-layer bias is positive: MAP from zero cannot
-        # move, and would report its start (NMSE 0 dB) as an estimate
-        res = run_iteration_experiment(tiny_config(rho=0.2, methods=("map", "sgld")))
+        # move, and would report its start (NMSE 0 dB) as an estimate.  SGLD
+        # runs at 2e-5, below the step bound 2/L at trial 1's truth (2.35e-4);
+        # the preset's 2e-3 is above it and diverges there (the test below)
+        res = run_iteration_experiment(tiny_config(rho=0.2, methods=("map", "sgld"),
+                                                   sgld_lambda=2e-5))
         assert [(f["trial"], f["method"]) for f in res.metadata["failures"]] == \
             [(0, "map"), (1, "map")]
         assert all("stationary" in f["error"] for f in res.metadata["failures"])
         assert {(r["trial"], r["method"]) for r in res.rows} == {(0, "sgld"), (1, "sgld")}
+
+    @pytest.mark.xfail(strict=True, reason="the preset SGLD step 2e-3 is above the "
+                       "step bound 2/L = 2.35e-4 at trial 1's truth and diverges")
+    def test_preset_sgld_step_runs_every_trial(self):
+        res = run_iteration_experiment(tiny_config(rho=0.2, methods=("sgld",)))
+        assert res.metadata["failures"] == []
 
     def test_final_nmse_per_trial_reads_baseline_rows(self):
         res = run_iteration_experiment(tiny_config(methods=("mlvamp", "map", "sgld")))

@@ -14,7 +14,7 @@ from mlvamp.linear_denoiser import (
     denoise_linear,
     denoise_linear_observed,
 )
-from mlvamp.network import LinearStage, haar_orthogonal, svd_decompose_stage
+from mlvamp.network import LinearStage, svd_decompose_stage
 
 
 def random_stage(rng, n_out=8, n_in=12, nu=3.0):
@@ -179,8 +179,8 @@ class TestDenoiseLinear:
         outs = []
         for seed in (1, 2):
             r = np.random.default_rng(seed)
-            v_out = haar_orthogonal(7, r)
-            v_in = haar_orthogonal(5, r)
+            v_out = oracles.haar_orthogonal(7, r)
+            v_in = oracles.haar_orthogonal(5, r)
             st = LinearStage(v_out=v_out, v_in=v_in, s=s,
                              b=v_out @ b_bar, nu=nu)
             rp = v_in.T @ u_in
@@ -296,7 +296,7 @@ def thin_case(rng, n_out, n_in, rank, nu):
     """A stage cut from square Haar factors, its dense W and two messages.
     The bias is generic, so it has energy outside span(V_out) when
     rank < n_out."""
-    u, v = haar_orthogonal(n_out, rng), haar_orthogonal(n_in, rng)
+    u, v = oracles.haar_orthogonal(n_out, rng), oracles.haar_orthogonal(n_in, rng)
     s = rng.uniform(0.3, 2.0, rank)
     st = LinearStage(v_out=u, v_in=v, s=s, b=rng.normal(size=n_out), nu=nu)
     W = u[:, :rank] @ np.diag(s) @ v[:rank]
@@ -355,9 +355,9 @@ def linear_cases(draw, finite_nu_only=False):
     finite = hs.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
     nu = draw(finite if finite_nu_only else hs.one_of(hs.just(math.inf), finite))
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
-    st = LinearStage(v_out=haar_orthogonal(n_out, rng),
-                     v_in=haar_orthogonal(n_in, rng), s=rng.uniform(0.0, 3.0, rank),
-                     b=rng.normal(size=n_out), nu=nu)
+    st = LinearStage(v_out=oracles.haar_orthogonal(n_out, rng),
+                     v_in=oracles.haar_orthogonal(n_in, rng),
+                     s=rng.uniform(0.0, 3.0, rank), b=rng.normal(size=n_out), nu=nu)
     scale = draw(PRECISIONS) ** 0.25
     return (st, scale * rng.normal(size=n_in), scale * rng.normal(size=n_out),
             draw(PRECISIONS), draw(hs.one_of(hs.just(0.0), PRECISIONS)))

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,13 +14,12 @@ from mlvamp.network import (
     NonlinearStage,
     NetworkSpec,
     build_synthetic_network,
-    haar_orthogonal,
     network_from_json,
     network_to_json,
     sample_trajectory,
     svd_decompose_stage,
 )
-from oracles import empirical_layer_moments
+from oracles import empirical_layer_moments, haar_orthogonal
 
 PAPER_DIMS = [20, 100, 500, 784]
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -113,11 +111,11 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
     def test_tall_and_wide_match_svd(self, shape, monkeypatch):
-        seq = np.random.SeedSequence(4)
-        W = network._hidden_weights(seq, shape)
+        draw = (np.random.SeedSequence(4), shape, 1.0 / math.sqrt(shape[1]))
+        W = network._gaussian(*draw)
         b = np.random.default_rng(5).normal(size=shape[0])
         monkeypatch.setattr(network, "svd_decompose_stage", None)   # no fallback
-        st = network._gram_stage(seq, shape, network._gram_eigh(seq, shape), b)
+        st = network._gram_stage(*draw, network._gram_eigh(*draw), b)
         s_ref = np.linalg.svd(W, compute_uv=False)
         assert np.max(np.abs(st.s - s_ref) / s_ref) <= 1e-13
         assert np.max(np.abs(st.to_dense() - W)) <= 1e-13
@@ -137,45 +135,50 @@ class TestGramRoute:
         assert calls == [(64, 64)]
         net.validate(1e-10)
 
-    @pytest.mark.parametrize("n_meas", [300, 900])   # below and above the width 784
-    def test_measurement_factors_are_the_haar_draws(self, n_meas):
-        # the measurement keeps the first `rank` columns / rows of the sign-fixed
-        # QR of its two square draws, the last two of the builder's RNG streams
-        # before the pilot's
+    @pytest.mark.parametrize("n_meas", [300, 784, 900])   # wide, square (SVD), tall
+    def test_measurement_frames_are_its_gaussians_singular_vectors(self, n_meas):
+        # the measurement factors the N(0, 1) Gaussian of the builder's stream
+        # 2 n_hidden (the third last) and keeps its singular vectors, paired
+        # with the log-spaced s of condition number kappa in place of its own
         meas = paper_net(n_meas=n_meas).stages[-1]
-        rank = min(n_meas, PAPER_DIMS[-1])
         streams = np.random.SeedSequence(0).spawn(2 * (len(PAPER_DIMS) - 1) + 3)
-        u = haar_orthogonal(n_meas, np.random.default_rng(streams[-3]))
-        v = haar_orthogonal(PAPER_DIMS[-1], np.random.default_rng(streams[-2]))
-        assert np.max(np.abs(meas.v_out - u[:, :rank])) <= 1e-12
-        assert np.max(np.abs(meas.v_in - v[:rank])) <= 1e-12
+        g = np.random.default_rng(streams[-3]).standard_normal((n_meas, PAPER_DIMS[-1]))
+        u, _, vt = np.linalg.svd(g, full_matrices=False)
+        signs = np.sign(np.sum(meas.v_out * u, axis=0))   # each pair's sign
+        # worst difference 4.9e-13 (n_meas 900); the square one is the same SVD
+        assert np.max(np.abs(meas.v_out - u * signs)) <= 1e-11
+        assert np.max(np.abs(meas.v_in - vt * signs[:, None])) <= 1e-11
+        s = np.logspace(-1.0, 0.0, min(n_meas, PAPER_DIMS[-1]))
+        assert np.array_equal(meas.s, s / math.sqrt(np.mean(s**2)))
+        assert not np.any(meas.b) and not np.any(meas.b_bar)
 
-    def test_measurement_is_drawn_between_the_eighs_and_the_factors(self, monkeypatch):
-        # every hidden stage's Gram eigendecomposition, then the measurement's
-        # square draws, then the hidden factor products: the build's n^2
-        # temporaries never meet a held W or the measurement's factors
+    def test_every_eigh_before_any_factor_product(self, monkeypatch):
+        # every stage's Gram eigendecomposition, the measurement's last, then
+        # every stage's factor products in the same order: the build's n^2
+        # temporaries never meet a held W or a stage's factors
         calls = []
 
         def spy(name):
             fn = getattr(network, name)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
+            def wrapper(seq, shape, *args):
+                calls.append((name, shape))
+                return fn(seq, shape, *args)
             return wrapper
 
-        for name in ("_gram_eigh", "_haar_columns", "_haar_rows", "_gram_stage"):
+        for name in ("_gram_eigh", "_gram_stage"):
             monkeypatch.setattr(network, name, spy(name))
         paper_net()
-        assert calls == (["_gram_eigh"] * 3 + ["_haar_columns", "_haar_rows"]
-                         + ["_gram_stage"] * 3)
+        shapes = [(100, 20), (500, 100), (784, 500), (300, 784)]
+        assert calls == ([("_gram_eigh", shape) for shape in shapes]
+                         + [("_gram_stage", shape) for shape in shapes])
 
     def test_no_hidden_weights_held_across_eigh(self, monkeypatch):
         drawn, eighs = [], []
-        draw, eigh = network._hidden_weights, np.linalg.eigh
+        draw, eigh = network._gaussian, np.linalg.eigh
 
-        def spy_draw(seq, shape):
-            W = draw(seq, shape)
+        def spy_draw(seq, shape, sd):
+            W = draw(seq, shape, sd)
             drawn.append(weakref.ref(W))
             return W
 
@@ -183,53 +186,15 @@ class TestGramRoute:
             eighs.append([ref() is None for ref in drawn])
             return eigh(a)
 
-        monkeypatch.setattr(network, "_hidden_weights", spy_draw)
+        monkeypatch.setattr(network, "_gaussian", spy_draw)
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
         paper_net()
-        assert eighs == [[True] * i for i in range(1, 4)]
+        assert eighs == [[True] * i for i in range(1, 5)]   # 3 hidden, measurement
 
-    def test_haar_rows_match_the_square_draw(self):
-        # up to 5 panels of TRI_BLOCK columns; at n = 513 the last is 1 column wide.
-        # R's rounding differs from that of the reference's QR, and g[:k] R^-1
-        # multiplies it by cond(g): 0.2-0.5 eps cond(g) over 12 draws at n = 640
-        # (cond 15186 at the n = 640 draw here; 680-5400 elsewhere)
-        for n, k in ((50, 1), (200, 70), (120, 120), (513, 300), (640, 17)):
-            rows = network._haar_rows(np.random.default_rng(n), n, k)
-            ref = haar_orthogonal(n, np.random.default_rng(n))[:k]
-            cond = np.linalg.cond(np.random.default_rng(n).standard_normal((n, n)))
-            assert np.max(np.abs(rows - ref)) <= max(1e-12, np.finfo(float).eps * cond)
-            assert np.max(np.abs(rows @ rows.T - np.eye(k))) <= 1e-12
-
-    @pytest.mark.parametrize("n", [3 * network.TRI_BLOCK, 4 * network.TRI_BLOCK + 37])
-    def test_householder_qr_overwrites_its_argument_with_r(self, n):
-        g = np.random.default_rng(n).standard_normal((n, n))
-        ref = np.linalg.qr(g, mode="r")
-        before = g.copy()
-        tau = network._householder_qr(g)
-        r = np.triu(g)
-        assert not np.array_equal(g, before) and tau.shape == (n,)
-        # R is unique up to the signs of its rows
-        r *= (np.sign(np.diag(r)) * np.sign(np.diag(ref)))[:, None]
-        assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_haar_rows_hold_no_square_copy(self):
-        # g and g[:k], plus a panel's temporaries (n x 4 TRI_BLOCK at most):
-        # 2.14 n^2 doubles here; numpy's QR held g, its working copy and R, 3.13
-        n, k = 1000, 400
-        tracemalloc.start()
-        try:
-            network._haar_rows(np.random.default_rng(0), n, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
-
-    def test_recipe_saved_by_the_svd_builder_loads(self):
-        # written by the builder that factored every hidden W by np.linalg.svd
-        # and formed the square Haar matrices; loading rebuilds the network and
+    def test_committed_recipe_loads(self):
+        # written by `mlvamp generate --paper`; loading rebuilds the network and
         # checks its spectra against the stored ones to 1e-12
-        with open(os.path.join(DATA, "paper_recipe_seed0.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = recipe_document()
         net = network_from_json(doc)
         assert net.dims == doc["dims"]
         assert net.meta["pilot_signal_power"] == pytest.approx(
@@ -442,19 +407,25 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             network_from_json(doc)
 
-    @pytest.mark.parametrize("key, other", [
-        ("builder", "build_synthetic_network/v2"),
-        ("orthogonal_procedure", "haar_qr_sign/v2"),
-        ("builder", None),
-    ])
-    def test_recipe_of_another_procedure_is_not_rebuilt(self, key, other, monkeypatch):
+    @pytest.mark.parametrize("other", ["build_synthetic_network/v1", None])
+    def test_recipe_of_another_procedure_is_not_rebuilt(self, other, monkeypatch):
+        # v1 drew the measurement's frames from the sign-fixed QRs of two
+        # square Gaussians: its seed no longer gives its network
         doc = recipe_document()
         if other is None:
-            del doc["meta"][key]
+            del doc["meta"]["builder"]
         else:
-            doc["meta"][key] = other
+            doc["meta"]["builder"] = other
         monkeypatch.setattr(network, "build_synthetic_network", None)   # no rebuild
-        with pytest.raises(ConfigError, match=f"recipe made by {key} {other!r}"):
+        with pytest.raises(ConfigError, match=f"recipe made by builder {other!r}"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize("mode", ["recipe", "explicit"])
+    @pytest.mark.parametrize("meta", [[1], "paper", None])
+    def test_document_meta_not_an_object_rejected(self, mode, meta):
+        doc = recipe_document() if mode == "recipe" else two_stage_explicit_document()
+        doc["meta"] = meta
+        with pytest.raises(ConfigError, match="meta must be an object"):
             network_from_json(doc)
 
     @pytest.mark.parametrize("path", [("mode",), ("n0",), ("stages",),

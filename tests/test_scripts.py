@@ -1,4 +1,6 @@
-"""The drift check's ``compare`` run as a command on small hand-made dumps."""
+"""The scripts: the drift check's ``compare`` run as a command on small
+hand-made dumps, and the names the build bench times."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "compare_records.py"
 
 
 def dump_arrays():
@@ -70,3 +73,15 @@ def test_incomparable_dumps_exit_1(tmp_path, spoil):
     proc = compare(tmp_path, dump_arrays(), other)
     assert proc.returncode == 1
     assert ("map_z0_hat" if spoil == "drop_key" else "BLAS threads") in proc.stdout
+
+
+def test_every_timed_build_phase_names_a_builder_routine(monkeypatch):
+    # bench_build.py skips a name that mlvamp.network lacks, so a renamed
+    # routine would drop out of its phase's time without a word
+    from mlvamp import network
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # bench_build imports compare_records
+    spec = importlib.util.spec_from_file_location("bench_build", SCRIPTS / "bench_build.py")
+    bench_build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_build)
+    names = [name for names in bench_build.PHASES.values() for name in names]
+    assert names and [name for name in names if not hasattr(network, name)] == []

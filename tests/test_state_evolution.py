@@ -14,7 +14,6 @@ from mlvamp.network import (
     NetworkSpec,
     NonlinearStage,
     build_synthetic_network,
-    haar_orthogonal,
     observed_as_middle,
     sample_trajectory,
 )
@@ -113,7 +112,8 @@ class TestTau0:
         # V_out spans 3 of 8 output directions; tau counts all of mean(b^2)
         rng = np.random.default_rng(0)
         s = np.array([0.5, 1.0, 2.0])
-        st = LinearStage(v_out=haar_orthogonal(8, rng), v_in=haar_orthogonal(3, rng),
+        st = LinearStage(v_out=oracles.haar_orthogonal(8, rng),
+                         v_in=oracles.haar_orthogonal(3, rng),
                          s=s, b=rng.normal(1.0, 1.0, 8), nu=4.0)
         net = NetworkSpec(n0=3, stages=[st, NonlinearStage("relu", 0.0, 8)])
         tau, mean = tau_mean_chain(stats_from_network(net))
