@@ -27,8 +27,9 @@ The first build of each side and scale also records the worst |V^T V - I| of
 every factor (V_out's columns, V_in's rows) and, for the realization check,
 each linear stage's factors, s, b, b_bar and W P for a fixed Gaussian probe
 P.  The change is compared with the parent stage by stage: whether all five
-arrays are equal (``np.array_equal``), the max |difference| of V_out and of
-V_in, the max relative difference of s, and max |W P - W' P| / max |W' P|.
+arrays are equal (``np.array_equal``) and which are not, the max |difference|
+of V_out and of V_in, the max relative difference of s, and
+max |W P - W' P| / max |W' P|.
 
 Last, the records drift: ``scripts/compare_records.py dump`` runs in each
 checkout (and ``--ulp`` in the parent), and ``compare`` reports change vs
@@ -143,9 +144,9 @@ def _realization(parent_npz, change_npz):
     for i in range(len([k for k in a.files if k.startswith("s")])):
         s_p, s_c = a[f"s{i}"], b[f"s{i}"]
         wp_p, wp_c = a[f"wp{i}"], b[f"wp{i}"]
-        rows.append({"stage": 2 * i + 1,
-                     "equal": all(np.array_equal(a[f"{name}{i}"], b[f"{name}{i}"])
-                                  for name in FIELDS),
+        unequal = [name for name in FIELDS
+                   if not np.array_equal(a[f"{name}{i}"], b[f"{name}{i}"])]
+        rows.append({"stage": 2 * i + 1, "equal": not unequal, "unequal": unequal,
                      "v_out_max_abs_diff": float(np.max(np.abs(b[f"v_out{i}"] - a[f"v_out{i}"]))),
                      "v_in_max_abs_diff": float(np.max(np.abs(b[f"v_in{i}"] - a[f"v_in{i}"]))),
                      "s_max_rel_diff": float(np.max(np.abs(s_c - s_p) / s_p)),

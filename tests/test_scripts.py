@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlvamp import network
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT = SCRIPTS / "compare_records.py"
 
@@ -78,7 +80,6 @@ def test_incomparable_dumps_exit_1(tmp_path, spoil):
 def test_every_timed_build_phase_names_a_builder_routine(monkeypatch):
     # bench_build.py skips a name that mlvamp.network lacks, so a renamed
     # routine would drop out of its phase's time without a word
-    from mlvamp import network
     monkeypatch.syspath_prepend(str(SCRIPTS))   # bench_build imports compare_records
     spec = importlib.util.spec_from_file_location("bench_build", SCRIPTS / "bench_build.py")
     bench_build = importlib.util.module_from_spec(spec)
